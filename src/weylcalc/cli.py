@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import registry
 from .exprparse import ParseError, parse
+from .flagrep import DEFAULT_POINT
 from .weyl import WeylError, format_op
 
 
@@ -25,6 +26,12 @@ def _parse_params(pairs) -> dict:
         if not name or not value:
             raise ValueError("expected name=value, got %r" % pair)
         out[name] = Fraction(value)
+    unknown = sorted(set(out) - set(DEFAULT_POINT))
+    if unknown:
+        raise ValueError(
+            "no check reads %s; accepted names: %s"
+            % (", ".join(unknown), ", ".join(sorted(DEFAULT_POINT)))
+        )
     return out
 
 
@@ -43,6 +50,9 @@ def cmd_verify(args) -> int:
         params = _parse_params(args.param)
     except (ValueError, ZeroDivisionError) as exc:
         print("bad --param: %s" % exc, file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print("bad --jobs: must be at least 1, got %d" % args.jobs, file=sys.stderr)
         return 2
     names = registry.expand(args.pattern)
     if not names:
@@ -165,12 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run checks matching a glob")
     p.add_argument("pattern", nargs="+", help="check name glob, e.g. '2d.*'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="parallel group workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel group workers (at least 1)")
     p.add_argument(
         "--param",
         action="append",
         metavar="NAME=VALUE",
-        help="rational override for point-evaluated checks, e.g. beta=3/2",
+        help="rational override of the evaluation point (names: %s), e.g. "
+        "beta=3/2; only 2d.eigenbasis reads these values"
+        % ", ".join(sorted(DEFAULT_POINT)),
     )
     p.set_defaults(func=cmd_verify)
 

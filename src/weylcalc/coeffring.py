@@ -12,6 +12,9 @@ test a plain dict emptiness check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from struct import Struct
 
 
 class CoeffRingError(Exception):
@@ -66,27 +69,31 @@ class GaussRat:
 
     def __add__(self, other):
         other = GaussRat.of(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _gr(self.re + other.re)
+        return _gr(self.re + other.re, self.im + other.im or _F0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = GaussRat.of(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _gr(self.re - other.re)
+        return _gr(self.re - other.re, self.im - other.im or _F0)
 
     def __rsub__(self, other):
         return GaussRat.of(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gr(-self.re, -self.im if self.im else _F0)
 
     def __mul__(self, other):
         other = GaussRat.of(other)
         if not self.im and not other.im:
-            return GaussRat(self.re * other.re)
-        return GaussRat(
+            return _gr(self.re * other.re)
+        return _gr(
             self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self.re * other.im + self.im * other.re or _F0,
         )
 
     __rmul__ = __mul__
@@ -96,11 +103,11 @@ class GaussRat:
         if other.is_zero():
             raise ZeroDivisionError("division by zero Gaussian rational")
         if not other.im:
-            return GaussRat(self.re / other.re, self.im / other.re)
+            return _gr(self.re / other.re, self.im / other.re if self.im else _F0)
         n = other.re * other.re + other.im * other.im
-        return GaussRat(
+        return _gr(
             (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n or _F0,
         )
 
     def __rtruediv__(self, other):
@@ -131,7 +138,7 @@ class GaussRat:
         return hash((self.re, self.im))
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gr(self.re, -self.im if self.im else _F0)
 
     def __str__(self):
         if not self.im:
@@ -154,9 +161,116 @@ class GaussRat:
         return "GaussRat(%r, %r)" % (self.re, self.im)
 
 
+_F0 = Fraction(0)     # the imaginary part every real arithmetic result shares
+_new = object.__new__
+
+
+def _gr(re: Fraction, im: Fraction = _F0) -> GaussRat:
+    """GaussRat from Fraction parts, skipping the public constructor's checks."""
+    g = _new(GaussRat)
+    g.re = re
+    g.im = im
+    return g
+
+
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
+
+
+# -- product kernel -------------------------------------------------------------
+
+
+# field formats for packed exponents, by the largest exponent sum they hold
+_FIELDS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"), (0xFFFFFFFFFFFFFFFF, "Q"))
+
+
+@lru_cache(maxsize=None)
+def _packer(nsyms: int, field: str) -> Struct:
+    return Struct("<%d%s" % (nsyms, field))
+
+
+def _exp_bound(terms: dict, nsyms: int) -> int:
+    """Largest exponent in terms; a negative one cannot be packed."""
+    if not nsyms:
+        return 0
+    if min(map(min, terms)) < 0:
+        raise CoeffRingError("negative exponent in a product")
+    return max(map(max, terms))
+
+
+def _scaled(terms: dict, pack):
+    """(common denominator, [(packed monomial, re numerator, im numerator)])."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return den, [
+        (
+            int.from_bytes(pack(*e), "little"),
+            c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator),
+        )
+        for e, c in terms.items()
+    ]
+
+
+def _mul_terms(a: dict, b: dict, nsyms: int) -> dict:
+    """Product of two {exponent tuple: GaussRat} term dicts, exact to the term.
+
+    Fraction-free on packed monomials (after Monagan & Pearce, CASC 2007):
+    each exponent tuple becomes one int of fixed-width fields wide enough
+    for the largest exponent sum, so adding two packed ints adds the
+    exponents and no field carries into the next.  Each operand is scaled
+    to integer numerators over its own common denominator, the integers are
+    convolved, and every surviving term becomes one reduced Fraction over
+    da*db.  The terms come out in the order of a loop over a (outer) and b
+    (inner) that drops a sum when it cancels.
+    """
+    if not a or not b:
+        return {}
+    top = _exp_bound(a, nsyms) + _exp_bound(b, nsyms)
+    field = next((code for limit, code in _FIELDS if top <= limit), None)
+    if field is None:
+        raise CoeffRingError("exponent %d too large to pack" % top)
+    packer = _packer(nsyms, field)
+    unpack, size = packer.unpack, packer.size
+    da, pa = _scaled(a, packer.pack)
+    db, pb = _scaled(b, packer.pack)
+    d = da * db
+    out = {}
+    get = out.get
+    if not any(t[2] for t in pa) and not any(t[2] for t in pb):
+        for ka, na, _ in pa:
+            for kb, nb, _ in pb:
+                k = ka + kb
+                n = get(k, 0) + na * nb
+                if n:
+                    out[k] = n
+                else:
+                    out.pop(k, None)
+        return {
+            unpack(k.to_bytes(size, "little")): _gr(Fraction(n, d))
+            for k, n in out.items()
+        }
+    for ka, ra, ia in pa:
+        for kb, rb, ib in pb:
+            k = ka + kb
+            v = get(k)
+            re = ra * rb - ia * ib
+            im = ra * ib + ia * rb
+            if v is not None:
+                re += v[0]
+                im += v[1]
+            if re or im:
+                out[k] = (re, im)
+            else:
+                out.pop(k, None)
+    return {
+        unpack(k.to_bytes(size, "little")): _gr(
+            Fraction(re, d), Fraction(im, d) if im else _F0
+        )
+        for k, (re, im) in out.items()
+    }
 
 
 class Adjunct:
@@ -279,13 +393,7 @@ class PolyRing:
                 # multiply square^k into the base monomial
                 acc = {tuple(base): c}
                 for _ in range(k):
-                    nxt = {}
-                    for e1, c1 in acc.items():
-                        for e2, c2 in square.terms.items():
-                            key = tuple(a + b for a, b in zip(e1, e2))
-                            v = nxt.get(key)
-                            nxt[key] = c1 * c2 if v is None else v + c1 * c2
-                    acc = nxt
+                    acc = _mul_terms(acc, square.terms, self.nsyms)
                 for key, v in acc.items():
                     out[key] = out.get(key, GR_ZERO) + v
             terms = {e: c for e, c in out.items() if not c.is_zero()}
@@ -399,23 +507,10 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(key)
-                prod = c1 * c2
-                if v is None:
-                    out[key] = prod
-                else:
-                    s = v + prod
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
+        out = _mul_terms(a, b, self.ring.nsyms)
         return MultiPoly(self.ring, out, reduce=bool(self.ring.adjuncts))
 
     __rmul__ = __mul__

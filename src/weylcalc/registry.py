@@ -8,6 +8,7 @@ those point values and is ignored by fully symbolic checks.
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import time
 from fractions import Fraction
@@ -280,9 +281,11 @@ def run_group(names, runner, params) -> list:
         raise RuntimeError(
             "registry mismatch: declared %s, produced %s" % (names, got)
         )
-    for r in results:
-        r.elapsed_ms = elapsed
-    return results
+    # runners may hand out cached lists, so time stamps go on copies
+    return [
+        dataclasses.replace(r, witnesses=list(r.witnesses), elapsed_ms=elapsed)
+        for r in results
+    ]
 
 
 def run_group_index(index: int, params=None) -> list:

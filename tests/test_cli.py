@@ -2,8 +2,20 @@
 operator inspection, and determinism."""
 
 import json
+from pathlib import Path
 
+from weylcalc import registry
 from weylcalc.cli import main
+from weylcalc.reports import CheckResult
+
+GOLDEN = Path(__file__).with_name("golden_verify.json")
+
+# every group except the three slow ones (3d, 2d.cubic, g2.decompose)
+FAST_GROUPS = [
+    "2d.pipeline.*", "2d.algebraic", "2d.c.*", "2d.comm.*", "2d.flag.*",
+    "2d.spectrum", "2d.eigenbasis", "geom.*", "g2.flag", "g2.closure.*",
+    "g2.nonclosure.*", "g2.lieform.*",
+]
 
 
 def _json_lines(capsys):
@@ -91,6 +103,54 @@ def test_verify_param_override_reaches_checks(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "beta': '3'" in out or "beta" in out
+
+
+def test_verify_unknown_param_exits_two(capsys):
+    code = main(["verify", "geom.det", "--param", "nosuch=3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nosuch" in err
+    assert "beta, mu, p" in err
+
+
+def test_verify_param_help_names_its_reader(capsys):
+    assert main(["verify", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "only 2d.eigenbasis reads these values" in help_text
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        assert main(["verify", "geom.det", "--jobs", jobs]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
+def test_verify_matches_golden_output(capsys):
+    """Statuses, residual counts and witness text of the 22 fast checks,
+    byte for byte against the recorded output: a refactor leaves them as
+    they are."""
+    code = main(["verify", *FAST_GROUPS, "--format", "json"])
+    payload = _json_lines(capsys)
+    assert code == 0
+    for entry in payload:
+        entry.pop("elapsed_ms")
+    assert json.dumps(payload, indent=2) + "\n" == GOLDEN.read_text()
+
+
+def test_run_group_leaves_cached_results_alone():
+    cached = [CheckResult(check="a", status="pass", witnesses=["w"])]
+
+    def runner(params):
+        return cached  # as an lru_cache'd verify_* would, every call
+
+    first = registry.run_group(("a",), runner, None)
+    stamp = first[0].elapsed_ms
+    second = registry.run_group(("a",), runner, None)
+    assert first[0].elapsed_ms == stamp
+    assert cached[0].elapsed_ms == 0.0
+    assert first[0] is not cached[0] and second[0] is not first[0]
+    second[0].witnesses.append("x")
+    assert cached[0].witnesses == ["w"]
 
 
 def test_verify_param_collision_reports_error(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from randops import XYZ, random_expr, random_fraction, random_gauss, random_poly, random_point
 
 from weylcalc.coeffring import (
+    CoeffRingError,
     Expr,
     GaussRat,
     MultiPoly,
@@ -192,3 +193,121 @@ def test_error_conditions():
         Expr.make(XYZ.one(), XYZ.zero())
     with pytest.raises(NotPolynomial):
         Expr.make(XYZ.one(), XYZ.var("x")).as_poly()
+
+
+# -- the product kernel against a schoolbook reference ------------------------------
+
+
+def _schoolbook(a: dict, b: dict) -> dict:
+    """Plain double loop over GaussRat coefficients, dropping cancelled sums."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(key, GaussRat(0)) + c1 * c2
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+    return out
+
+
+def _reference_product(p: MultiPoly, q: MultiPoly) -> dict:
+    """p*q by schoolbook products, with adjunct squares substituted until
+    every adjunct exponent is 0 or 1."""
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    terms = _schoolbook(a, b)
+    while True:
+        hot = [
+            (e, adj)
+            for e in terms
+            for adj in p.ring.adjuncts
+            if e[adj.index] >= 2
+        ]
+        if not hot:
+            return terms
+        e, adj = hot[0]
+        base = list(e)
+        base[adj.index] -= 2
+        c = terms.pop(e)
+        for key, v in _schoolbook({tuple(base): c}, adj.square.terms).items():
+            s = terms.pop(key, GaussRat(0)) + v
+            if not s.is_zero():
+                terms[key] = s
+
+
+def _exact(terms: dict) -> dict:
+    return {e: (c.re, c.im) for e, c in terms.items()}
+
+
+def _assert_product(p: MultiPoly, q: MultiPoly):
+    got = (p * q).terms
+    want = _reference_product(p, q)
+    assert _exact(got) == _exact(want)
+    for c in got.values():
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    if not p.ring.adjuncts:
+        assert list(got) == list(want)  # the same term order as the plain loop
+
+
+def test_product_kernel_matches_schoolbook():
+    rng = random.Random(808)
+    for _ in range(400):
+        p = random_poly(XYZ, rng, terms=5, degree=3, span=9)
+        q = random_poly(XYZ, rng, terms=5, degree=3, span=9)
+        _assert_product(p, q)
+        # real operands take the integer-only loop
+        _assert_product(
+            MultiPoly(XYZ, {e: GaussRat(c.re) for e, c in p.terms.items() if c.re}),
+            MultiPoly(XYZ, {e: GaussRat(c.re) for e, c in q.terms.items() if c.re}),
+        )
+
+
+def test_product_kernel_with_adjunct_matches_schoolbook():
+    rng = random.Random(909)
+    for _ in range(200):
+        p = random_poly(R3, rng, symbols=("x", "y", "r"), terms=4, degree=3)
+        q = random_poly(R3, rng, symbols=("y", "z", "r"), terms=4, degree=3)
+        _assert_product(p, q)
+
+
+def test_product_kernel_edge_cases():
+    x, y = XYZ.var("x"), XYZ.var("y")
+    # cancellation inside the convolution
+    assert (x + y) * (x - y) == x * x - y * y
+    assert ((x + y) * (x - y) - (x * x - y * y)).is_zero()
+    assert len(((x + y) * (x - y)).terms) == 2
+    # x*y cancels after two contributions and comes back with the third
+    _assert_product(x + y + XYZ.one(), y - x + x * y)
+    # cancellation through the adjunct square: (r - x)(r + x) = y^2 + z^2
+    rx, r3 = R3.var("x"), R3.var("r")
+    assert (r3 - rx) * (r3 + rx) == R3.var("y") ** 2 + R3.var("z") ** 2
+    # mixed denominators and a non-real constant operand
+    p = x * Fraction(1, 6) + y * GaussRat(Fraction(-2, 9), Fraction(5, 4))
+    c = XYZ.const(GaussRat(Fraction(3, 10), Fraction(-7, 15)))
+    _assert_product(p, c)
+    _assert_product(c, p)
+    # zero operand
+    assert (p * XYZ.zero()).terms == {}
+    assert (XYZ.zero() * p).terms == {}
+    # exponents past the 8- and 16-bit field limits
+    for a, b in ((200, 100), (255, 1), (40000, 30000), (2**33, 5)):
+        big = XYZ.var("x", a) * Fraction(1, 3) + y
+        _assert_product(big, x ** b + XYZ.const(GaussRat(0, 1)))
+    assert (XYZ.var("x", 255) * x).terms == {(256, 0, 0): GaussRat(1)}
+
+
+def test_product_kernel_rejects_unpackable_exponents():
+    import pytest
+
+    x = XYZ.var("x")
+    bad = MultiPoly(XYZ, {(0, -1, 0): GaussRat(1)})
+    with pytest.raises(CoeffRingError):
+        bad * x
+    with pytest.raises(CoeffRingError):
+        x * bad
+    # a sum past the widest 64-bit field raises instead of wrapping
+    with pytest.raises(CoeffRingError):
+        XYZ.var("x", 2**64 - 1) * x
