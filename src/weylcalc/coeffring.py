@@ -214,57 +214,76 @@ def _scaled(terms: dict, pack):
     ]
 
 
-def _mul_terms(a: dict, b: dict, nsyms: int) -> dict:
-    """Product of two {exponent tuple: GaussRat} term dicts, exact to the term.
+def _dot_terms(triples, nsyms: int) -> dict:
+    """Sum of m*a*b over (int m, term dict a, term dict b), exact to the term.
 
     Fraction-free on packed monomials (after Monagan & Pearce, CASC 2007):
     each exponent tuple becomes one int of fixed-width fields wide enough
-    for the largest exponent sum, so adding two packed ints adds the
-    exponents and no field carries into the next.  Each operand is scaled
-    to integer numerators over its own common denominator, the integers are
-    convolved, and every surviving term becomes one reduced Fraction over
-    da*db.  The terms come out in the order of a loop over a (outer) and b
-    (inner) that drops a sum when it cancels.
+    for the largest exponent sum over all triples, so adding two packed
+    ints adds the exponents and no field carries into the next.  Each
+    distinct operand is scaled once to integer numerators over its own
+    common denominator; every triple then convolves integers into one
+    accumulator over the lcm d of the triples' denominators, and every
+    surviving term becomes one reduced Fraction over d.  The terms come out
+    in the order of a loop over the triples, then a (outer) and b (inner),
+    that drops a sum when it cancels.
     """
-    if not a or not b:
+    triples = [t for t in triples if t[0] and t[1] and t[2]]
+    if not triples:
         return {}
-    top = _exp_bound(a, nsyms) + _exp_bound(b, nsyms)
+    ops = {}
+    for _, a, b in triples:
+        ops[id(a)] = a
+        ops[id(b)] = b
+    bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
+    top = max(bound[id(a)] + bound[id(b)] for _, a, b in triples)
     field = next((code for limit, code in _FIELDS if top <= limit), None)
     if field is None:
         raise CoeffRingError("exponent %d too large to pack" % top)
     packer = _packer(nsyms, field)
     unpack, size = packer.unpack, packer.size
-    da, pa = _scaled(a, packer.pack)
-    db, pb = _scaled(b, packer.pack)
-    d = da * db
+    scaled = {i: _scaled(t, packer.pack) for i, t in ops.items()}
+    d = lcm(*(scaled[id(a)][0] * scaled[id(b)][0] for _, a, b in triples))
+    real = not any(im for _, p in scaled.values() for _, _, im in p)
     out = {}
     get = out.get
-    if not any(t[2] for t in pa) and not any(t[2] for t in pb):
-        for ka, na, _ in pa:
-            for kb, nb, _ in pb:
+    for m, a, b in triples:
+        da, pa = scaled[id(a)]
+        db, pb = scaled[id(b)]
+        f = m * (d // (da * db))
+        if f != 1:  # fold m and the lift to d into the shorter operand
+            if len(pa) <= len(pb):
+                pa = [(k, re * f, im * f) for k, re, im in pa]
+            else:
+                pb = [(k, re * f, im * f) for k, re, im in pb]
+        if real:
+            for ka, na, _ in pa:
+                for kb, nb, _ in pb:
+                    k = ka + kb
+                    n = get(k, 0) + na * nb
+                    if n:
+                        out[k] = n
+                    else:
+                        out.pop(k, None)
+            continue
+        for ka, ra, ia in pa:
+            for kb, rb, ib in pb:
                 k = ka + kb
-                n = get(k, 0) + na * nb
-                if n:
-                    out[k] = n
+                v = get(k)
+                re = ra * rb - ia * ib
+                im = ra * ib + ia * rb
+                if v is not None:
+                    re += v[0]
+                    im += v[1]
+                if re or im:
+                    out[k] = (re, im)
                 else:
                     out.pop(k, None)
+    if real:
         return {
             unpack(k.to_bytes(size, "little")): _gr(Fraction(n, d))
             for k, n in out.items()
         }
-    for ka, ra, ia in pa:
-        for kb, rb, ib in pb:
-            k = ka + kb
-            v = get(k)
-            re = ra * rb - ia * ib
-            im = ra * ib + ia * rb
-            if v is not None:
-                re += v[0]
-                im += v[1]
-            if re or im:
-                out[k] = (re, im)
-            else:
-                out.pop(k, None)
     return {
         unpack(k.to_bytes(size, "little")): _gr(
             Fraction(re, d), Fraction(im, d) if im else _F0
@@ -393,7 +412,7 @@ class PolyRing:
                 # multiply square^k into the base monomial
                 acc = {tuple(base): c}
                 for _ in range(k):
-                    acc = _mul_terms(acc, square.terms, self.nsyms)
+                    acc = _dot_terms(((1, acc, square.terms),), self.nsyms)
                 for key, v in acc.items():
                     out[key] = out.get(key, GR_ZERO) + v
             terms = {e: c for e, c in out.items() if not c.is_zero()}
@@ -510,7 +529,7 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out = _mul_terms(a, b, self.ring.nsyms)
+        out = _dot_terms(((1, a, b),), self.ring.nsyms)
         return MultiPoly(self.ring, out, reduce=bool(self.ring.adjuncts))
 
     __rmul__ = __mul__
@@ -1098,6 +1117,28 @@ class Expr:
 def reduce(num: MultiPoly, den: MultiPoly) -> Expr:
     """Reduced rational function; rejects a zero denominator."""
     return Expr.make(num, den)
+
+
+def _sum_products(ring: PolyRing, items) -> Expr:
+    """Sum of m*c*e over (int m, Expr c, Expr e) items.
+
+    Items sharing a pair of denominators are summed in one kernel call on
+    their numerators and then adjunct-reduced; reduction is linear, so that
+    equals summing the reduced products.  Only a group with a non-constant
+    denominator goes through Expr.make, and the groups are added as Exprs.
+    """
+    groups = {}
+    for m, c, e in items:
+        groups.setdefault((c.den, e.den), []).append((m, c.num.terms, e.num.terms))
+    total = Expr.of_poly(ring.zero())
+    for (dc, de), triples in groups.items():
+        num = MultiPoly(ring, _dot_terms(triples, ring.nsyms), reduce=True)
+        if dc.is_const() and de.is_const():  # both 1: the denominator is monic
+            part = Expr(num, dc, _trusted=True)
+        else:
+            part = Expr.make(num, dc * de)
+        total = part if total.is_zero() else total + part
+    return total
 
 
 def _adjunct_content(p: MultiPoly) -> MultiPoly:

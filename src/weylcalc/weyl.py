@@ -21,6 +21,7 @@ from .coeffring import (
     GaussRat,
     MultiPoly,
     PolyRing,
+    _sum_products,
 )
 
 
@@ -109,6 +110,21 @@ def _binom_prod(a, k) -> int:
     return n
 
 
+def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
+    """{k: D^k f} for every k in need; need is closed under lowering an
+    entry and sorted by total order, so each new entry is the derivative of
+    an earlier one."""
+    table = {spec.zero_index: f}
+    for k in need:
+        if k in table:
+            continue
+        j = next(i for i, v in enumerate(k) if v)
+        prev = list(k)
+        prev[j] -= 1
+        table[k] = table[tuple(prev)].differentiate(spec.space[j])
+    return table
+
+
 class DiffOp:
     """Sparse normal-ordered operator: {derivative multi-index: Expr}."""
 
@@ -145,6 +161,13 @@ class DiffOp:
 
     def is_polynomial(self) -> bool:
         return all(c.is_poly() for c in self.terms.values())
+
+    def _needed(self):
+        """Every multi-index k <= some index of self, by increasing order."""
+        need = set()
+        for a in self.terms:
+            need.update(_sub_indices(a))
+        return sorted(need, key=sum)
 
     # -- linear structure ------------------------------------------------------
 
@@ -210,43 +233,29 @@ class DiffOp:
     # -- composition -------------------------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator product self . other, renormal-ordered."""
+        """Operator product self . other, renormal-ordered.
+
+        Every output coefficient gathers its Leibniz terms
+        binom(a, k) c_a D^k d_b and sums them fraction-free in one call.
+        """
         self._check(other)
         spec = self.spec
-        syms = spec.space
-        out = {}
-        need = set()
-        for a in self.terms:
-            need.update(_sub_indices(a))
-        need = sorted(need, key=sum)
+        need = self._needed()
+        items = {}
         for b, d in other.terms.items():
-            dcache = {spec.zero_index: d}
-            for k in need:
-                if k in dcache or k == spec.zero_index:
-                    continue
-                j = next(i for i, v in enumerate(k) if v)
-                prev = list(k)
-                prev[j] -= 1
-                base = dcache[tuple(prev)]
-                dcache[k] = base.differentiate(syms[j])
+            table = _derivative_table(d, need, spec)
             for a, c in self.terms.items():
                 for k in _sub_indices(a):
-                    dk = dcache[k]
+                    dk = table[k]
                     if dk.is_zero():
                         continue
-                    w = c * dk
-                    m = _binom_prod(a, k)
-                    if m != 1:
-                        w = w * m
                     idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    v = out.get(idx)
-                    s = w if v is None else v + w
-                    if s.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = s
+                    items.setdefault(idx, []).append((_binom_prod(a, k), c, dk))
         op = DiffOp(spec)
-        op.terms = out
+        for idx, group in items.items():
+            s = _sum_products(spec.ring, group)
+            if not s.is_zero():
+                op.terms[idx] = s
         return op
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
@@ -263,25 +272,11 @@ class DiffOp:
     # -- action on functions -------------------------------------------------------
 
     def apply(self, f) -> Expr:
-        f = _as_coeff(self.spec, f)
-        syms = self.spec.space
-        cache = {self.spec.zero_index: f}
-        need = set()
-        for a in self.terms:
-            need.update(_sub_indices(a))
-        for k in sorted(need, key=sum):
-            if k in cache:
-                continue
-            j = next(i for i, v in enumerate(k) if v)
-            prev = list(k)
-            prev[j] -= 1
-            cache[k] = cache[tuple(prev)].differentiate(syms[j])
-        total = Expr.of_poly(self.spec.ring.zero())
-        for a, c in self.terms.items():
-            da = cache[a]
-            if not da.is_zero():
-                total = total + c * da
-        return total
+        table = _derivative_table(_as_coeff(self.spec, f), self._needed(), self.spec)
+        return _sum_products(
+            self.spec.ring,
+            [(1, c, table[a]) for a, c in self.terms.items() if not table[a].is_zero()],
+        )
 
     # -- structural transforms --------------------------------------------------------
 

@@ -15,6 +15,8 @@ from weylcalc.coeffring import (
     PolyRing,
     UnknownSymbol,
     ZeroDenominator,
+    _dot_terms,
+    _sum_products,
     format_poly,
     poly_gcd,
     reduce,
@@ -311,3 +313,114 @@ def test_product_kernel_rejects_unpackable_exponents():
     # a sum past the widest 64-bit field raises instead of wrapping
     with pytest.raises(CoeffRingError):
         XYZ.var("x", 2**64 - 1) * x
+
+
+# -- the multiply-accumulate kernel against a schoolbook reference -------------------
+
+
+def _schoolbook_dot(triples) -> dict:
+    """Plain loop over the triples, then a (outer) and b (inner), over
+    GaussRat coefficients, dropping a sum when it cancels."""
+    out = {}
+    for m, a, b in triples:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                s = out.get(key, GaussRat(0)) + c1 * c2 * m
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return out
+
+
+def _assert_dot(triples, nsyms=3):
+    got = _dot_terms(triples, nsyms)
+    want = _schoolbook_dot(triples)
+    assert _exact(got) == _exact(want)
+    assert list(got) == list(want)  # the same term order as the plain loop
+    for c in got.values():
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+
+
+def test_dot_kernel_matches_schoolbook():
+    rng = random.Random(1212)
+    for _ in range(300):
+        polys = [random_poly(XYZ, rng, terms=4, degree=2, span=9) for _ in range(4)]
+        triples = [
+            (rng.choice((1, -1, 2, -3, 6, 35)), rng.choice(polys).terms, rng.choice(polys).terms)
+            for _ in range(rng.randint(1, 5))
+        ]
+        _assert_dot(triples)
+        # real operands take the integer-only loop
+        real = [
+            (m, {e: GaussRat(c.re) for e, c in a.items() if c.re},
+             {e: GaussRat(c.re) for e, c in b.items() if c.re})
+            for m, a, b in triples
+        ]
+        _assert_dot(real)
+
+
+def test_dot_kernel_edge_cases():
+    x, y, z = (XYZ.var(s).terms for s in "xyz")
+    third = (XYZ.var("x") * Fraction(1, 3)).terms
+    # different denominators; x*y cancels across triples and comes back last
+    triples = [
+        (2, third, (XYZ.var("y") * Fraction(3, 2)).terms),
+        (-1, x, (XYZ.var("y") + XYZ.var("z") * GaussRat(0, Fraction(2, 7))).terms),
+        (3, (XYZ.var("x") * Fraction(5, 4)).terms, y),
+    ]
+    _assert_dot(triples)
+    assert list(_dot_terms(triples, 3)) == [(1, 0, 1), (1, 1, 0)]
+    # a sum that cancels to nothing
+    assert _dot_terms([(1, x, y), (-1, y, x)], 3) == {}
+    # empty and zero operands, and a zero multiplier, add nothing
+    assert _dot_terms((), 3) == {}
+    assert _dot_terms([(1, {}, x), (4, x, {})], 3) == {}
+    _assert_dot([(1, {}, x), (0, x, y), (5, third, z), (1, x, {})])
+    # one triple past the 8-bit field widens the field for all of them
+    big = XYZ.var("x", 300).terms
+    _assert_dot([(2, x, y), (-1, big, third), (1, z, x)])
+    assert _dot_terms([(1, x, y), (1, big, x)], 3) == {
+        (1, 1, 0): GaussRat(1), (301, 0, 0): GaussRat(1)
+    }
+
+
+def test_dot_kernel_rejects_unpackable_exponents():
+    import pytest
+
+    x = XYZ.var("x").terms
+    bad = {(0, -1, 0): GaussRat(1)}
+    with pytest.raises(CoeffRingError):
+        _dot_terms([(1, x, x), (2, bad, x)], 3)
+    with pytest.raises(CoeffRingError):
+        _dot_terms([(1, x, x), (2, x, bad)], 3)
+    # a sum past the widest 64-bit field raises instead of wrapping
+    with pytest.raises(CoeffRingError):
+        _dot_terms([(1, x, x), (1, XYZ.var("x", 2**64 - 1).terms, x)], 3)
+
+
+def test_sum_products_matches_expr_arithmetic():
+    """Grouping by denominator pair, adjunct reduction and the final Expr
+    sum give the same canonical Expr as term-by-term arithmetic."""
+    rng = random.Random(1313)
+    r = R3.var("r")
+    s2 = R3.var("x") ** 2 + R3.var("y") ** 2 + R3.var("z") ** 2
+    dens = [R3.one(), r, s2, R3.var("x") + R3.var("y")]
+    for _ in range(60):
+        exprs = [
+            Expr.make(
+                random_poly(R3, rng, symbols=("x", "y", "r"), terms=2, degree=2),
+                rng.choice(dens),
+            )
+            for _ in range(3)
+        ]
+        items = [
+            (rng.choice((1, 2, -3)), rng.choice(exprs), rng.choice(exprs))
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = _sum_products(R3, items)
+        want = Expr.of_poly(R3.zero())
+        for m, c, e in items:
+            want = want + c * e * m
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms

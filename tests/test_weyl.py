@@ -7,7 +7,7 @@ from fractions import Fraction
 from randops import random_expr, random_fraction, random_op, random_poly
 
 from weylcalc.coeffring import Expr, GaussRat
-from weylcalc.spaces import RRP, RRP_SPEC, RU, RU_SPEC
+from weylcalc.spaces import R3, R3_SPEC, RRP, RRP_SPEC, RU, RU_SPEC
 from weylcalc.weyl import (
     DiffOp,
     GaugeData,
@@ -67,6 +67,57 @@ def test_compose_associative():
         b = random_op(rng)
         c = random_op(rng)
         assert (a.compose(b).compose(c) - a.compose(b.compose(c))).is_zero()
+
+
+def _rational_op(spec, rng, atoms):
+    """Operator of order <= 1 whose coefficients are random rational
+    multiples of rational-function atoms."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        idx = [0] * spec.nspace
+        if rng.randint(0, 2):
+            idx[rng.randrange(spec.nspace)] = 1
+        terms[tuple(idx)] = rng.choice(atoms) * random_fraction(rng, 4, nonzero=True)
+    return DiffOp(spec, terms)
+
+
+def _rational_cases():
+    """(spec, coefficient atoms, test functions, cases) for the 3D chart,
+    with non-constant denominators and the r adjunct, and for the
+    cylindrical chart with 1/rho.  The 3D functions are polynomials: with
+    rational ones a single apply can take minutes."""
+    x, y, z, r = (R3.var(s) for s in ("x", "y", "z", "r"))
+    s2 = x * x + y * y + z * z
+    rho, rr, phi, beta = (RRP.var(s) for s in ("rho", "r", "phi", "beta"))
+    return [
+        (
+            R3_SPEC,
+            [Expr.make(x, s2), Expr.make(y, r), Expr.of_poly(r), Expr.of_poly(z)],
+            [Expr.of_poly(r * z + x), Expr.of_poly(x * y)],
+            12,
+        ),
+        (
+            RRP_SPEC,
+            [Expr.make(RRP.one(), rho), Expr.make(rr, rho), Expr.of_poly(beta * rr)],
+            [Expr.of_poly(rr * rho * rho + phi), Expr.make(phi, rho)],
+            40,
+        ),
+    ]
+
+
+def test_compose_rational_coefficients():
+    """Compose against nested application, and associativity, when the
+    coefficients carry non-constant denominators and adjunct roots."""
+    rng = random.Random(1515)
+    for spec, atoms, functions, cases in _rational_cases():
+        for _ in range(cases):
+            a, b, c = (_rational_op(spec, rng, atoms) for _ in range(3))
+            f = rng.choice(functions)
+            ab = a.compose(b)
+            assert (ab.apply(f) - a.apply(b.apply(f))).is_zero(), (
+                "compose/apply mismatch:\nA=%s\nB=%s\nf=%s" % (format_op(a), format_op(b), f)
+            )
+            assert (ab.compose(c) - a.compose(b.compose(c))).is_zero()
 
 
 def test_commutator_jacobi():
