@@ -10,7 +10,6 @@ from .coeffring import (
     UnknownSymbol,
     ZeroDenominator,
     poly_gcd,
-    reduce,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "UnknownSymbol",
     "ZeroDenominator",
     "poly_gcd",
-    "reduce",
 ]

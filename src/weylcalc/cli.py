@@ -138,6 +138,9 @@ def cmd_decompose(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.degree is not None and args.degree < 0:
+        print("bad --degree: must be at least 0, got %d" % args.degree, file=sys.stderr)
+        return 2
     names = LOWERING_GL2 if args.subset == "lowering" else None
     dec = decompose_family(tag, names=names, degree=args.degree)
     payload = {
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="enveloping-algebra decomposition as JSON")
     p.add_argument("opname")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=int, default=None, help="monomial degree bound (at least 0)")
     p.add_argument("--subset", choices=("lowering",), default=None)
     p.set_defaults(func=cmd_decompose)
 

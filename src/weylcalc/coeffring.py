@@ -451,9 +451,6 @@ class MultiPoly:
             return self.terms[self.ring._zero_exps]
         raise NotPolynomial("not a constant: %s" % self)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, symbol) -> int:
         idx = self.ring.index_of(symbol)
         return max((e[idx] for e in self.terms), default=0)
@@ -1112,11 +1109,6 @@ class Expr:
 
     def __repr__(self):
         return "Expr(%s)" % self
-
-
-def reduce(num: MultiPoly, den: MultiPoly) -> Expr:
-    """Reduced rational function; rejects a zero denominator."""
-    return Expr.make(num, den)
 
 
 def _sum_products(ring: PolyRing, items) -> Expr:

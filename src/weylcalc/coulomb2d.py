@@ -14,7 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr
-from .linsolve import Decomposition, decompose, idempotent_reduce, idempotent_reduce_op
+from .linsolve import (
+    Decomposition,
+    decompose,
+    idempotent_reduce,
+    idempotent_reduce_op,
+    monomial_ops,
+)
 from .reports import CheckResult, merge_checks, residual_check, witness_terms
 from .spaces import RR2_SPEC, RRP, RU, RU_SPEC
 from .weyl import DiffOp, GaugeData, VariableChange, mul_op, partial
@@ -181,16 +187,29 @@ def parity_check(name: str, residual: DiffOp) -> CheckResult:
     )
 
 
+def parity_solve(target: DiffOp, generators, ops: dict, target_name: str) -> tuple:
+    """(Decomposition, note): the graded solve over the products ops of
+    generators with coefficients polynomial in (beta, mu, p), retried modulo
+    p^2 - p only when symbolic p admits no solution.
+    """
+    solve = dict(params=("mu", "p"), param_bound=4, weights=GRADING, target_name=target_name)
+    dec = decompose(target, generators, ops, **solve)
+    if dec.success:
+        return dec, "coefficients polynomial in (beta, mu, p)"
+    dec = decompose(target, generators, ops, idempotents=("p",), **solve)
+    return dec, "no solution with symbolic p; solved modulo p^2 - p (parities p=0,1)"
+
+
 def verify_integrals():
     """[h_a, l_a] = [h_a, b_a] = 0, and [h_a, c] = 0 as a consistency check."""
     from .flagrep import equality_oracle
 
     h, l, b, c = h_a(), l_a(), b_a(), c_op()
     out = []
-    hl = h.commutator(l)
-    r1 = parity_check("2d.comm.hl", hl)
+    hl, lh = h.compose(l), l.compose(h)
+    r1 = parity_check("2d.comm.hl", hl - lh)
     if r1.passed:
-        agreed = equality_oracle(h.compose(l), l.compose(h), 12)
+        agreed = equality_oracle(hl, lh, 12)
         r1.witnesses.append(
             "flag oracle at bound 12 agrees" if agreed else "flag oracle disagrees"
         )
@@ -293,6 +312,7 @@ def verify_cubic():
     """
     c = c_op()
     gens = [(name, build()) for name, build in CUBIC_GENERATORS]
+    ops = monomial_ops(gens, 3)
     results = []
     decs = {}
     for tag, other, table in (
@@ -302,30 +322,7 @@ def verify_cubic():
         target = c.commutator(other)
         printed = evaluate_monomial_table(table)
         results.append(parity_check("2d.cubic.%s.printed" % tag, target - printed))
-        dec = decompose(
-            target,
-            gens,
-            degree_bound=3,
-            params=("mu", "p"),
-            param_bound=4,
-            weights=GRADING,
-            target_name="[c,%s_a]" % tag,
-        )
-        ring_note = "coefficients polynomial in (beta, mu, p)"
-        if not dec.success:
-            dec = decompose(
-                target,
-                gens,
-                degree_bound=3,
-                params=("mu", "p"),
-                param_bound=4,
-                weights=GRADING,
-                target_name="[c,%s_a]" % tag,
-                idempotents=("p",),
-            )
-            ring_note = (
-                "no solution with symbolic p; solved modulo p^2 - p (parities p=0,1)"
-            )
+        dec, ring_note = parity_solve(target, gens, ops, "[c,%s_a]" % tag)
         decs[tag] = dec
         wit = [
             ring_note,

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .coeffring import Expr, GaussRat, MultiPoly, PolyRing
+from .coeffring import Expr, MultiPoly, PolyRing
 from .reports import CheckResult, residual_check, witness_terms
 from .spaces import AMB, RRP, RU, RU_SPEC
-from .weyl import DiffOp, VariableSpec, identity, mul_op, partial
+from .weyl import DiffOp, VariableSpec, mul_op
 
 
 class DiffGeoError(Exception):
@@ -155,7 +156,8 @@ def _det(entries) -> Expr:
     raise DiffGeoError("determinant implemented for dimensions 1..3")
 
 
-def _inverse(entries):
+def invert_and_det(entries):
+    """Inverse and determinant of a 1x1 to 3x3 matrix of Exprs (rows)."""
     n = len(entries)
     det = _det(entries)
     if det.is_zero():
@@ -184,12 +186,6 @@ def _inverse(entries):
                 cof[j][i] = minor * sign / det
         return cof, det
     raise DiffGeoError("inverse implemented for dimensions 1..3")
-
-
-def invert_and_det(g: CoMetric):
-    """Lower-index metric g_{mu nu} and det of the cometric."""
-    inv, det = _inverse(g.entries)
-    return inv, det
 
 
 # -- Laplace-Beltrami ------------------------------------------------------------
@@ -248,7 +244,7 @@ def scalar_curvature(metric, spec: VariableSpec) -> CurvatureReport:
     Sign convention: the round unit 2-sphere has scalar curvature +2.
     """
     n = spec.nspace
-    ginv, _ = _inverse(metric)
+    ginv, _ = invert_and_det(metric)
     syms = spec.space
     dg = [
         [[metric[i][j].differentiate(syms[k]) for k in range(n)] for j in range(n)]
@@ -326,14 +322,9 @@ def brioschi_curvature(metric, spec: VariableSpec) -> Expr:
 
 # -- named charts -----------------------------------------------------------------
 
-_CYL_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def cylindrical_cometric() -> CoMetric:
     """Chart (r, rho, phi): spherical radius, cylindrical radius, azimuth."""
-    got = _CYL_CACHE.get("cyl")
-    if got is not None:
-        return got
     from .spaces import RRP_SPEC
 
     x, y = AMB.var("x"), AMB.var("y")
@@ -343,7 +334,7 @@ def cylindrical_cometric() -> CoMetric:
         Expr.make(x, rho2),
         Expr.of_poly(AMB.zero()),
     )
-    g = cometric_from_embedding(
+    return cometric_from_embedding(
         [
             ("r", Expr.of_poly(AMB.var("r"))),
             ("rho", Expr.of_poly(AMB.var("rho"))),
@@ -351,8 +342,6 @@ def cylindrical_cometric() -> CoMetric:
         ],
         RRP_SPEC,
     )
-    _CYL_CACHE["cyl"] = g
-    return g
 
 
 def radial_parabolic_cometric() -> CoMetric:
@@ -465,7 +454,7 @@ def verify_geometry():
     )
 
     displayed = radial_parabolic_cometric()
-    _, det = invert_and_det(displayed)
+    _, det = invert_and_det(displayed.entries)
     ru, uu = RU.var("r"), RU.var("u")
     out.append(
         residual_check("geom.det", det - Expr.of_poly(uu * (ru * ru - uu)))
@@ -482,7 +471,7 @@ def verify_geometry():
         "Brioschi formula agrees" if (bri - rep.scalar).is_zero()
         else "Brioschi formula disagrees: %s" % bri
     )
-    inv_metric, _ = invert_and_det(displayed)
+    inv_metric, _ = invert_and_det(displayed.entries)
     flat = scalar_curvature(inv_metric, RU_SPEC).scalar
     ck.witnesses.append(
         "matrix read as the metric; the inverse-cometric geometry has R = %s"
@@ -503,31 +492,3 @@ def verify_geometry():
         )
     )
     return out
-
-
-def cometric_from_json(text: str) -> CoMetric:
-    """Chart + entries from JSON: {"coords": [...], "entries": [[...]]}.
-
-    Entry strings use the operator expression grammar restricted to order
-    zero (no D[...] factors).
-    """
-    import json
-
-    from .exprparse import parse_scalar, workspace_spec
-
-    data = json.loads(text)
-    coords = data["coords"]
-    rows = data["entries"]
-    ws = workspace_spec()
-    for c in coords:
-        ws.slot(c)
-    spec = VariableSpec(ws.ring, tuple(coords))
-    n = len(coords)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ChartError("entries must form a %dx%d matrix" % (n, n))
-    entries = [[parse_scalar(rows[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if entries[i][j] != entries[j][i]:
-                raise ChartError("cometric must be symmetric")
-    return CoMetric(spec=spec, entries=entries)

@@ -151,10 +151,7 @@ class _Parser:
             kind, value, col = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an unsigned integer", col)
-            out = identity(_WS_SPEC)
-            for _ in range(value):
-                out = out.compose(op)
-            return out
+            return op ** value
         return op
 
     def atom(self) -> DiffOp:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffring import Expr, GR_ONE, GaussRat, MultiPoly, NotPolynomial
+from .coeffring import Expr, GR_ONE, GaussRat, MultiPoly
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
 
@@ -55,24 +55,9 @@ class MonomialBasis:
         a, b = self.pairs[i]
         return RU.monomial(1, r=a, u=b)
 
-    def labels(self):
-        out = []
-        for a, b in self.pairs:
-            parts = []
-            if a:
-                parts.append("r" if a == 1 else "r^%d" % a)
-            if b:
-                parts.append("u" if b == 1 else "u^%d" % b)
-            out.append("*".join(parts) if parts else "1")
-        return out
-
 
 def flag_dim(n: int) -> int:
     return sum(k // 2 + 1 for k in range(n + 1))
-
-
-def flag_basis(n: int) -> MonomialBasis:
-    return MonomialBasis(n)
 
 
 _R_POS = RU.index_of("r")
@@ -101,7 +86,7 @@ def is_invariant(op: DiffOp, n: int):
     """(True, None) if op maps P_n into P_n, else (False, witness)."""
     if op.spec != RU_SPEC:
         raise FlagError("flag representation requires the (r, u) chart")
-    basis = flag_basis(n)
+    basis = MonomialBasis(n)
     for i in range(len(basis)):
         mono = basis.monomial(i)
         image = op.apply(Expr.of_poly(mono))
@@ -130,15 +115,12 @@ class OperatorMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def entry_strings(self) -> list:
-        return [[str(e) for e in row] for row in self.entries]
-
 
 def matrix_of(op: DiffOp, n: int) -> OperatorMatrix:
     ok, witness = is_invariant(op, n)
     if not ok:
         raise NotInvariant(witness)
-    basis = flag_basis(n)
+    basis = MonomialBasis(n)
     dim = len(basis)
     entries = [[RU.zero() for _ in range(dim)] for _ in range(dim)]
     for j in range(dim):
@@ -383,17 +365,16 @@ def eigenpolynomials(n: int, k: int, point: dict | None = None) -> list:
 
 
 def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:
-    """Probe a == b by acting on all monomials with exponents <= bound.
+    """Probe a == b by comparing a.apply(m) with b.apply(m) on all
+    monomials m with exponents <= bound.
 
     For operators of order at most bound in each variable this is a proof,
     not a heuristic: a normal-ordered operator vanishing on that grid has
-    every coefficient annihilated by an invertible Vandermonde system.
+    every coefficient annihilated by an invertible Vandermonde system.  The
+    operators are never subtracted, so equal pairs go through the probe too.
     """
     if a.spec != b.spec:
         raise FlagError("operators over different variable specs")
-    diff = a - b
-    if diff.is_zero():
-        return True
     spec = a.spec
     ring = spec.ring
     nv = spec.nspace
@@ -405,7 +386,7 @@ def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:
         for var, k in zip(spec.space, e):
             if k:
                 powers[var] = k
-        mono = ring.monomial(1, **powers)
-        if not diff.apply(Expr.of_poly(mono)).is_zero():
+        f = Expr.of_poly(ring.monomial(1, **powers))
+        if a.apply(f) != b.apply(f):
             return False
     return True

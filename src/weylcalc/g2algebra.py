@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .coeffring import Expr, MultiPoly
-from .coulomb2d import GRADING, b_a, c_op, h_a, l_a
+from .coulomb2d import b_a, c_op, h_a, l_a, parity_solve
 from .flagrep import is_invariant
-from .linsolve import Decomposition, decompose
+from .linsolve import Decomposition, decompose, monomial_ops
 from .reports import CheckResult, merge_checks, residual_check
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp, identity, mul_op, partial
@@ -167,20 +168,22 @@ def structure_table(names=LOWERING_GL2, mark=None):
     Returns {(name_a, name_b): Decomposition} with coefficients polynomial
     in the symbolic mark n.
     """
-    gens = generator_set(mark, names)
-    table = {}
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            com = gens[i][1].commutator(gens[j][1])
-            table[(gens[i][0], gens[j][0])] = decompose(
-                com,
-                gens,
-                degree_bound=1,
-                params=("n",),
-                param_bound=2,
-                target_name="[%s,%s]" % (gens[i][0], gens[j][0]),
-            )
-    return table
+    return _commutator_table(generator_set(mark, names))
+
+
+def _commutator_table(gens) -> dict:
+    ops = monomial_ops(gens, 1)
+    return {
+        (a, b): decompose(
+            x.commutator(y),
+            gens,
+            ops,
+            params=("n",),
+            param_bound=2,
+            target_name="[%s,%s]" % (a, b),
+        )
+        for (a, x), (b, y) in combinations(gens, 2)
+    }
 
 
 def _closure_check(name: str, table) -> CheckResult:
@@ -209,29 +212,17 @@ def _closure_check(name: str, table) -> CheckResult:
 def verify_closure() -> list:
     """Linear closure of the first-order subset and of the sl(2) action,
     and the documented non-closure once raising generators join."""
-    out = [_closure_check("g2.closure.gl2", structure_table())]
-
-    sl2 = sl2_set()
-    table = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            com = sl2[i][1].commutator(sl2[j][1])
-            table[(sl2[i][0], sl2[j][0])] = decompose(
-                com,
-                sl2,
-                degree_bound=1,
-                params=("n",),
-                param_bound=2,
-                target_name="[%s,%s]" % (sl2[i][0], sl2[j][0]),
-            )
-    out.append(_closure_check("g2.closure.sl2", table))
+    out = [
+        _closure_check("g2.closure.gl2", structure_table()),
+        _closure_check("g2.closure.sl2", _commutator_table(sl2_set())),
+    ]
 
     gens = generator_set()
     probe = generator("T0").commutator(generator("R1"))
     dec = decompose(
         probe,
         gens,
-        degree_bound=1,
+        monomial_ops(gens, 1),
         params=("n",),
         param_bound=2,
         target_name="[T0,R1]",
@@ -296,31 +287,15 @@ def verify_lie_forms() -> list:
 FAMILY = {"h": (h_a, 2), "l": (l_a, 2), "b": (b_a, 4), "c": (c_op, 4)}
 
 
-def _solve(target, gens, degree, tag) -> tuple:
-    """Plain symbolic solve, then the quotient by p^2 - p if needed."""
-    dec = decompose(
-        target,
-        gens,
-        degree_bound=degree,
-        params=("mu", "p"),
-        param_bound=4,
-        weights=GRADING,
-        target_name=tag,
-    )
-    note = "coefficients polynomial in (beta, mu, p)"
-    if not dec.success:
-        dec = decompose(
-            target,
-            gens,
-            degree_bound=degree,
-            params=("mu", "p"),
-            param_bound=4,
-            weights=GRADING,
-            target_name=tag,
-            idempotents=("p",),
-        )
-        note = "no solution with symbolic p; solved modulo p^2 - p (parities p=0,1)"
-    return dec, note
+def _family_solves(gens, degree: int, tags) -> list:
+    """[(tag, target, Decomposition, note)] over one product table, which
+    is freed on return, so callers never hold two tables at once."""
+    ops = monomial_ops(gens, degree)
+    out = []
+    for tag in tags:
+        target = FAMILY[tag][0]()
+        out.append((tag, target) + parity_solve(target, gens, ops, tag))
+    return out
 
 
 def decompose_family(tag: str, names=None, degree=None) -> Decomposition:
@@ -328,12 +303,12 @@ def decompose_family(tag: str, names=None, degree=None) -> Decomposition:
 
     h and l need only the first-order subset; b and c need all eleven.
     """
-    build, default_degree = FAMILY[tag]
     if degree is None:
-        degree = default_degree
+        degree = FAMILY[tag][1]
     if names is None:
         names = LOWERING_GL2 if tag in ("h", "l") else ALL_GENERATORS
-    dec, note = _solve(build(), generator_set(0, names), degree, tag)
+    gens = generator_set(0, names)
+    dec, note = parity_solve(FAMILY[tag][0](), gens, monomial_ops(gens, degree), tag)
     dec.message = dec.message or note
     return dec
 
@@ -344,19 +319,14 @@ def verify_decompositions() -> list:
     the first-order-subset attempts for b and c, which fail provably."""
     out = []
     gl2 = generator_set(0, LOWERING_GL2)
-    full = generator_set(0, ALL_GENERATORS)
-    for tag in ("h", "l", "b", "c"):
-        build, degree = FAMILY[tag]
-        target = build()
-        if tag in ("h", "l"):
-            dec, note = _solve(target, gl2, degree, tag)
-            wit = [note]
-        else:
-            dec, note = _solve(target, full, degree, tag)
-            wit = [note, "raising generators included"]
+    solved = _family_solves(gl2, 2, ("h", "l"))
+    solved += _family_solves(generator_set(0, ALL_GENERATORS), 4, ("b", "c"))
+    for tag, target, dec, note in solved:
+        wit = [note] if tag in ("h", "l") else [note, "raising generators included"]
         wit.append(
             "degree %d, %d monomials, %d unknowns, rank %d, %d free columns"
-            % (degree, dec.monomials_considered, dec.unknowns, dec.rank, dec.free_columns)
+            % (dec.degree_bound, dec.monomials_considered, dec.unknowns, dec.rank,
+               dec.free_columns)
         )
         if not dec.success:
             wit.append(dec.message)
@@ -368,14 +338,13 @@ def verify_decompositions() -> list:
                 witnesses=wit,
             )
         )
-    for tag in ("b", "c"):
-        build, degree = FAMILY[tag]
-        target = build()
-        dec, note = _solve(target, gl2, degree, tag)
+    for tag, target, dec, note in _family_solves(gl2, 4, ("b", "c")):
         excess, term = u_excess(target)
         wit = []
         if not dec.success:
-            wit.append("infeasible at degree %d: %s" % (degree, dec.message or note))
+            wit.append(
+                "infeasible at degree %d: %s" % (dec.degree_bound, dec.message or note)
+            )
             if excess is not None and excess > 0:
                 wit.append(
                     "provably infeasible at every degree: target contains %s "
@@ -390,13 +359,4 @@ def verify_decompositions() -> list:
                 witnesses=wit,
             )
         )
-    return out
-
-
-def verify_hidden_algebra() -> list:
-    """Every check of this module, in report order."""
-    out = [verify_flag()]
-    out.extend(verify_closure())
-    out.extend(verify_lie_forms())
-    out.extend(verify_decompositions())
     return out

@@ -11,7 +11,9 @@ On top of it, decompose() writes a target operator as
 
 over ordered monomials M in a list of named generator operators, with the
 parameter polynomials pi_M found by exact elimination and the result checked
-by reconstructing the operator and subtracting.
+by reconstructing the operator and subtracting.  The products op(M) come
+from monomial_ops(), which the caller runs once per generator set and
+degree and hands to every decompose() over that set.
 """
 
 from __future__ import annotations
@@ -212,15 +214,16 @@ def idempotent_reduce_op(op: DiffOp, symbols) -> DiffOp:
 def decompose(
     target: DiffOp,
     generators,
-    degree_bound: int,
+    ops: dict,
     params=(),
     param_bound: int = 4,
     weights: dict | None = None,
     target_name: str = "target",
     idempotents=(),
 ) -> Decomposition:
-    """Write target as a parameter-polynomial combination of generator
-    monomials up to degree_bound.
+    """Write target as a parameter-polynomial combination of the generator
+    monomials in ops = monomial_ops(generators, degree_bound); the degree
+    bound is the longest monomial in ops.
 
     params lists the symbols the unknown coefficients may involve, with
     total degree at most param_bound.  When weights grade both target and
@@ -234,6 +237,7 @@ def decompose(
     if not target.is_polynomial():
         raise NotPolynomial("decomposition target must have polynomial coefficients")
     names = [n for n, _ in generators]
+    degree_bound = max(map(len, ops))
     result = Decomposition(
         target=target_name,
         generator_names=names,
@@ -273,7 +277,6 @@ def decompose(
         return [m for m in out if sum(m) <= param_bound]
 
     pmonos = param_monomials()
-    ops = monomial_ops(generators, degree_bound)
     mono_list = sorted(ops, key=lambda m: (len(m), m))
 
     columns = {}  # col key -> (mono, graded power, param exps)

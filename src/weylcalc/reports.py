@@ -7,7 +7,6 @@ printed witness terms, so a failure is diagnosable from the report alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 WITNESS_CAP = 8
@@ -33,9 +32,6 @@ class CheckResult:
             "witnesses": list(self.witnesses),
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def witness_terms(op, cap: int = WITNESS_CAP) -> list:

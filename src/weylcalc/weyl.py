@@ -11,13 +11,11 @@ coefficient maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .coeffring import (
     Expr,
     GR_I,
-    GR_ONE,
     GaussRat,
     MultiPoly,
     PolyRing,
@@ -297,34 +295,12 @@ class DiffOp:
         if gauge.spec != self.spec:
             raise WeylError("gauge over a different variable spec")
         spec = self.spec
-        shifted = {}
+        steps = []
         for v in spec.space:
             w = gauge.shift(v)
             d = partial(spec, v)
-            shifted[v] = d if w is None else d + mul_op(spec, w)
-        pow_cache = {}
-
-        def shifted_power(v, k):
-            key = (v, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = identity(spec) if k == 0 else shifted_power(v, k - 1).compose(shifted[v])
-                pow_cache[key] = got
-            return got
-
-        prod_cache = {spec.zero_index: identity(spec)}
-
-        def index_product(a):
-            got = prod_cache.get(a)
-            if got is not None:
-                return got
-            j = next(i for i in range(len(a) - 1, -1, -1) if a[i])
-            prev = list(a)
-            prev[j] = 0
-            got = index_product(tuple(prev)).compose(shifted_power(spec.space[j], a[j]))
-            prod_cache[a] = got
-            return got
-
+            steps.append(d if w is None else d + mul_op(spec, w))
+        index_product = _index_products(identity(spec), steps)
         total = zero_op(spec)
         for a, c in self.terms.items():
             total = total + index_product(a).scale(c)
@@ -370,19 +346,9 @@ class DiffOp:
         if change.src != self.spec:
             raise WeylError("change of variables has a different source spec")
         dst = change.dst
-        prod_cache = {self.spec.zero_index: identity(dst)}
-
-        def index_product(a):
-            got = prod_cache.get(a)
-            if got is not None:
-                return got
-            j = next(i for i in range(len(a) - 1, -1, -1) if a[i])
-            prev = list(a)
-            prev[j] -= 1
-            got = index_product(tuple(prev)).compose(change.deriv_map[self.spec.space[j]])
-            prod_cache[a] = got
-            return got
-
+        index_product = _index_products(
+            identity(dst), [change.deriv_map[v] for v in self.spec.space]
+        )
         total = zero_op(dst)
         for a, c in self.terms.items():
             cc = c.map_ring(dst.ring, change.coord_map)
@@ -448,13 +414,6 @@ class GaugeData:
         """
         return self.loggrad.get(var)
 
-    def inverse(self) -> "GaugeData":
-        inv = {v: -w for v, w in self.loggrad.items()}
-        ang = None
-        if self.angular_var is not None:
-            ang = (self.angular_var, -self.angular_charge)
-        return GaugeData(self.spec, inv, ang)
-
 
 class VariableChange:
     """Forward coordinate change: old coefficients and derivatives rewritten
@@ -506,6 +465,23 @@ class VariableChange:
             for j in range(i + 1, len(ops)):
                 if not ops[i].commutator(ops[j]).is_zero():
                     raise WeylError("rewritten derivatives do not commute")
+
+
+def _index_products(one: DiffOp, steps):
+    """a -> steps[0]^a_0 . steps[1]^a_1 ..., memoized, as
+    product(a) = product(a - e_j) . steps[j] with j the last nonzero slot."""
+    cache = {(0,) * len(steps): one}
+
+    def product(a):
+        got = cache.get(a)
+        if got is None:
+            j = max(i for i, k in enumerate(a) if k)
+            prev = list(a)
+            prev[j] -= 1
+            got = cache[a] = product(tuple(prev)).compose(steps[j])
+        return got
+
+    return product
 
 
 # -- constructors ---------------------------------------------------------------------

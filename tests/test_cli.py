@@ -207,6 +207,14 @@ def test_decompose_lowering_subset_fails_for_b(capsys):
     assert payload["success"] is False
 
 
+def test_decompose_rejects_negative_degree(capsys):
+    code = main(["decompose", "h_a", "--degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--degree" in captured.err
+
+
 def test_parse_command(capsys):
     code = main(["parse", "D[r]*r - r*D[r]"])
     out = capsys.readouterr().out

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from weylcalc import coulomb2d, linsolve
+from weylcalc.coeffring import Expr
 from weylcalc.coulomb2d import (
     b_a,
     c_op,
@@ -12,14 +14,15 @@ from weylcalc.coulomb2d import (
     derive_h_pipeline,
     h_a,
     l_a,
+    parity_solve,
     relate_h_ha,
     verify_cubic,
     verify_integrals,
 )
 from weylcalc.flagrep import is_invariant
-from weylcalc.linsolve import idempotent_reduce_op
+from weylcalc.linsolve import idempotent_reduce_op, monomial_ops
 from weylcalc.spaces import RU, RU_SPEC
-from weylcalc.weyl import format_op
+from weylcalc.weyl import format_op, partial
 
 
 def test_pipeline_reproduces_algebraic_operator():
@@ -110,3 +113,24 @@ def test_cubic_decompositions_rebuild_targets():
     for tag, dec in decs.items():
         assert dec.success
         assert dec.residual is not None and dec.residual.is_zero()
+
+
+def test_parity_solve_falls_back_to_the_quotient_only_when_needed(monkeypatch):
+    gens = [("J1", partial(RU_SPEC, "r"))]
+    ops = monomial_ops(gens, 1)
+
+    def refuse(*args):
+        raise AssertionError("the solve rebuilt the generator products")
+
+    monkeypatch.setattr(linsolve, "monomial_ops", refuse)
+    monkeypatch.setattr(coulomb2d, "monomial_ops", refuse)
+    p = RU.var("p")
+    dec, note = parity_solve(gens[0][1].scale(Expr.of_poly(p ** 2)), gens, ops, "p^2 J1")
+    assert dec.success, dec.message
+    assert note == "coefficients polynomial in (beta, mu, p)"
+    assert dec.coefficient_strings() == {"J1": "p^2"}
+    # p^5 is past the parameter bound 4, so only the quotient by p^2 - p solves it
+    dec, note = parity_solve(gens[0][1].scale(Expr.of_poly(p ** 5)), gens, ops, "p^5 J1")
+    assert dec.success, dec.message
+    assert note == "no solution with symbolic p; solved modulo p^2 - p (parities p=0,1)"
+    assert dec.coefficient_strings() == {"J1": "p"}

@@ -61,7 +61,7 @@ def test_displayed_matrix_entries():
 
 def test_determinant_and_inverse():
     g = radial_parabolic_cometric()
-    inv, det = invert_and_det(g)
+    inv, det = invert_and_det(g.entries)
     r, u = RU.var("r"), RU.var("u")
     sep = r * r - u
     assert (det - Expr.of_poly(u * sep)).is_zero()
@@ -90,7 +90,7 @@ def test_scalar_curvature_two_readings():
     want = Expr.make(r * (u * 4 - RU.one()), u * sep * sep * 2)
     assert (printed - want).is_zero()
     # the geometry whose cometric is the displayed matrix is flat
-    inv, _ = invert_and_det(g)
+    inv, _ = invert_and_det(g.entries)
     assert scalar_curvature(inv, RU_SPEC).scalar.is_zero()
 
 

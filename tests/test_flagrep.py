@@ -12,10 +12,10 @@ from weylcalc.flagrep import (
     DEFAULT_POINT,
     EigenvalueCollision,
     FlagError,
+    MonomialBasis,
     char_poly,
     eigenpolynomials,
     equality_oracle,
-    flag_basis,
     flag_dim,
     is_invariant,
     level_eigenvalue,
@@ -23,7 +23,7 @@ from weylcalc.flagrep import (
     verify_spectrum,
 )
 from weylcalc.spaces import RU, RU_SPEC
-from weylcalc.weyl import format_op, mul_op, partial
+from weylcalc.weyl import DiffOp, format_op, mul_op, partial
 
 REPS = 1000
 
@@ -35,10 +35,10 @@ def test_flag_dimensions():
 
 
 def test_flag_basis_is_weight_graded():
-    pairs = flag_basis(3).pairs
+    pairs = MonomialBasis(3).pairs
     assert pairs == ((0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1))
     for n in range(9):
-        basis = flag_basis(n).pairs
+        basis = MonomialBasis(n).pairs
         assert len(basis) == flag_dim(n)
         assert all(a + 2 * b <= n for a, b in basis)
         weights = [a + 2 * b for a, b in basis]
@@ -148,3 +148,16 @@ def test_equality_oracle_agrees_with_term_maps():
         else:
             disagree += 1
     assert agree > 100 and disagree > 100, "the sample must exercise both outcomes"
+
+
+def test_equality_oracle_never_subtracts_operators(monkeypatch):
+    # an equal pair must be settled by the probe, not by a - b normal-ordering to zero
+    a = h_a().compose(mul_op(RU_SPEC, RU.var("u")))
+    b = h_a().compose(mul_op(RU_SPEC, RU.var("u")))
+
+    def refuse(self, other):
+        raise AssertionError("the oracle subtracted the operators")
+
+    monkeypatch.setattr(DiffOp, "__sub__", refuse)
+    assert equality_oracle(a, b, 4)
+    assert not equality_oracle(a, h_a(), 4)

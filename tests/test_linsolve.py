@@ -35,7 +35,8 @@ def test_decompose_recovers_known_combination():
         + _R1().scale(Expr.of_poly(mu + RU.one()))
         - identity(RU_SPEC).scale(Fraction(3))
     )
-    dec = decompose(target, [("J1", _J1()), ("R1", _R1())], 2, params=("mu",))
+    gens = [("J1", _J1()), ("R1", _R1())]
+    dec = decompose(target, gens, monomial_ops(gens, 2), params=("mu",))
     assert dec.success, dec.message
     assert dec.residual is not None and dec.residual.is_zero()
     assert dec.coefficient_strings() == {"1": "-3", "J1*J1": "2", "R1": "mu + 1"}
@@ -43,7 +44,8 @@ def test_decompose_recovers_known_combination():
 
 def test_decompose_reports_infeasible():
     target = mul_op(RU_SPEC, RU.var("u")).compose(_J1())
-    dec = decompose(target, [("J1", _J1())], 3)
+    gens = [("J1", _J1())]
+    dec = decompose(target, gens, monomial_ops(gens, 3))
     assert not dec.success
     assert "degree bound" in dec.message
 
@@ -52,10 +54,10 @@ def test_decompose_exact_reconstruction_is_authoritative():
     # the returned coefficients rebuild the target exactly
     target = _J1().compose(_R1()) + _R1().scale(Fraction(5))
     gens = [("J1", _J1()), ("R1", _R1())]
-    dec = decompose(target, gens, 2)
+    table = monomial_ops(gens, 2)
+    dec = decompose(target, gens, table)
     assert dec.success
     assert dec.residual is not None and dec.residual.is_zero()
-    table = monomial_ops(gens, 2)
     name_to_idx = {"J1": 0, "R1": 1}
     rebuilt = None
     for key, coeff in dec.coefficients.items():
@@ -78,11 +80,11 @@ def test_decompose_modulo_idempotent():
     # once p^2 - p is quotiented away
     p = RU.var("p")
     target = _J1().scale(Expr.of_poly(p * p))
-    plain = decompose(target, [("J1", _J1())], 1, params=("p",), param_bound=1)
+    gens = [("J1", _J1())]
+    ops = monomial_ops(gens, 1)
+    plain = decompose(target, gens, ops, params=("p",), param_bound=1)
     assert not plain.success
-    quotient = decompose(
-        target, [("J1", _J1())], 1, params=("p",), param_bound=1, idempotents=("p",)
-    )
+    quotient = decompose(target, gens, ops, params=("p",), param_bound=1, idempotents=("p",))
     assert quotient.success, quotient.message
     assert quotient.coefficient_strings() == {"J1": "p"}
 
@@ -91,10 +93,11 @@ def test_weighted_pruning_still_finds_solutions():
     weights = {"r": 1, "u": 2, "beta": -1}
     beta = RU.var("beta")
     target = _R1().scale(Expr.of_poly(beta)) + _J1().compose(_J1())
+    gens = [("J1", _J1()), ("R1", _R1())]
     dec = decompose(
         target,
-        [("J1", _J1()), ("R1", _R1())],
-        2,
+        gens,
+        monomial_ops(gens, 2),
         params=("beta",),
         weights=weights,
     )
