@@ -784,12 +784,6 @@ def format_poly(p: MultiPoly, mul="*", pow_="^") -> str:
 # -- gcd over the coefficient field -----------------------------------------
 
 
-def _content_gr(p: MultiPoly) -> GaussRat:
-    for _, c in p.sorted_terms():
-        return c
-    return GR_ONE
-
-
 def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p

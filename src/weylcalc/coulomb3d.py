@@ -160,18 +160,6 @@ def b_candidates():
     return out
 
 
-def build_all() -> dict:
-    """Every named operator of the family, for display and reuse."""
-    ops = {"H": hamiltonian(), "K": sturm_operator()}
-    for i, v in enumerate(AXES):
-        ops["p_%s" % v] = momentum()[i]
-        ops["L_%s" % v] = angular_momentum()[i]
-        ops["D_%s" % v] = kinetic_lenz()[i]
-        ops["A_%s" % v] = runge_lenz()[i]
-        ops["B_%s" % v] = spectral_lenz()[i]
-    return ops
-
-
 def _eps_combination(vec, i, j) -> DiffOp:
     """i * eps_{ijk} vec_k summed over k (at most one term survives)."""
     hit = _EPS.get((i, j))

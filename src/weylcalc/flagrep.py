@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffring import Expr, GR_ONE, GaussRat, MultiPoly
+from .coeffring import Expr, GR_ONE, GR_ZERO, MultiPoly
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
 
@@ -75,7 +75,7 @@ def _split_image(image: Expr):
         rest[_U_POS] = 0
         d = out.setdefault(ab, {})
         key = tuple(rest)
-        d[key] = d.get(key, GaussRat(0)) + c
+        d[key] = d.get(key, GR_ZERO) + c
     return {
         ab: MultiPoly(RU, {e: c for e, c in d.items() if not c.is_zero()})
         for ab, d in out.items()
@@ -312,7 +312,7 @@ def _kernel(rows) -> list:
     free = [c for c in range(dim) if c not in pivot_of_col]
     basis = []
     for fc in free:
-        v = [GaussRat(0)] * dim
+        v = [GR_ZERO] * dim
         v[fc] = GR_ONE
         for c, pr in pivot_of_col.items():
             v[c] = -m[pr][fc]
@@ -346,7 +346,7 @@ def eigenpolynomials(n: int, k: int, point: dict | None = None) -> list:
     dense = _specialize_matrix(matrix, point)
     dim = len(dense)
     shifted = [
-        [dense[i][j] - (eigs[k] if i == j else GaussRat(0)) for j in range(dim)]
+        [dense[i][j] - eigs[k] if i == j else dense[i][j] for j in range(dim)]
         for i in range(dim)
     ]
     vectors = _kernel(shifted)

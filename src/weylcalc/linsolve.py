@@ -1,9 +1,11 @@
 """Sparse exact linear solving and decomposition into generator monomials.
 
 The solver keeps a reduced row echelon basis of pivot rows keyed by column,
-so adding an equation costs one pass over its support.  Everything is done
-over the Gaussian rationals; there is no pivoting heuristic to tune and no
-tolerance anywhere.
+so adding an equation costs one pass over its support.  It eliminates
+fraction-free over the Gaussian integers: each row is scaled once to
+integral entries, and each pivot row carries its own integer pivot entry
+instead of being divided by it.  There is no pivoting heuristic to tune and
+no tolerance anywhere.
 
 On top of it, decompose() writes a target operator as
 
@@ -20,82 +22,165 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
-from .coeffring import GR_ONE, Expr, GaussRat, MultiPoly, NotPolynomial
+from .coeffring import GR_ZERO, Expr, GaussRat, MultiPoly, NotPolynomial
 from .weyl import DiffOp, identity
 
 
 class SparseSolver:
-    """Incremental exact Gaussian elimination over sparse rows.
+    """Incremental fraction-free Gaussian elimination over sparse rows.
 
     Columns are arbitrary comparable hashables.  Rows are added one at a
-    time; the pivot basis is kept fully reduced, so consistency is known as
-    soon as a contradictory row arrives.
+    time.  add() lifts each row once to the Gaussian integers Z[i] by the
+    lcm of its denominators: a real entry is a plain int, a non-real one a
+    GaussRat with integral parts.  Each pivot row keeps its own integer
+    pivot entry d > 0, so it stands for d*x_pivot + sum row[c]*x_c = rhs.
+    Eliminating an entry f against it forms d*row - f*prow, so nothing is
+    ever divided by a pivot; a pivot row is divided by the integer content
+    of its entries after it is formed and after each back-reduction, which
+    keeps its entries small.
+
+    The pivot rule is the largest column of the reduced row, and the pivot
+    basis is kept fully reduced, so consistency is known as soon as a
+    contradictory row arrives.  Every row stays a nonzero multiple of the
+    row that elimination over the Gaussian rationals would form, so the
+    pivots, the contradictions and the solution are the same.
     """
 
     def __init__(self):
-        self.pivots = {}        # col -> (row dict, rhs)
+        self.pivots = {}        # col -> (row dict without col, rhs, pivot entry d)
         self.occ = {}           # col -> set of pivot cols whose rows touch it
         self.contradictions = 0
 
     def add(self, coeffs: dict, rhs) -> bool:
         """Add equation sum coeffs[c]*x_c = rhs; False on contradiction."""
-        row = {c: v for c, v in coeffs.items() if v}
-        rhs = GaussRat.of(rhs)
+        pivots = self.pivots
+        occ = self.occ
+        row, rhs = _lift(coeffs, rhs)
         for col in list(row):
-            piv = self.pivots.get(col)
-            if piv is None or col not in row:
+            piv = pivots.get(col)
+            if piv is None:
                 continue
-            factor = row.pop(col)
-            prow, prhs = piv
+            prow, prhs, d = piv
+            f = row.pop(col)
+            if d != 1:
+                for c2 in row:
+                    row[c2] *= d
+                rhs *= d
             for c2, v2 in prow.items():
-                if c2 == col:
-                    continue
-                nv = row.get(c2, GaussRat(0)) - factor * v2
+                nv = row.get(c2, 0) - f * v2
                 if nv:
                     row[c2] = nv
                 else:
                     row.pop(c2, None)
-            rhs = rhs - factor * prhs
+            rhs -= f * prhs
         if not row:
             if rhs:
                 self.contradictions += 1
                 return False
             return True
         pivot_col = max(row)
-        inv = GR_ONE / row[pivot_col]
-        prow = {c: v * inv for c, v in row.items()}
-        prhs = rhs * inv
-        del prow[pivot_col]
+        d = row.pop(pivot_col)
+        if type(d) is not int:
+            if d.im:
+                # a non-real pivot: multiply through by its conjugate
+                conj = d.conj()
+                row = {c: v * conj for c, v in row.items()}
+                rhs *= conj
+                d *= conj
+            d = d.re.numerator
+        prow, prhs, d = _primitive(row, rhs, d)
         # keep existing pivot rows reduced against the new pivot
-        for owner in list(self.occ.get(pivot_col, ())):
-            orow, orhs = self.pivots[owner]
+        for owner in list(occ.get(pivot_col, ())):
+            orow, orhs, od = pivots[owner]
             f = orow.pop(pivot_col, None)
             if f is None:
                 continue
+            if d != 1:
+                for c2 in orow:
+                    orow[c2] *= d
+                orhs *= d
+                od *= d
             for c2, v2 in prow.items():
-                nv = orow.get(c2, GaussRat(0)) - f * v2
+                nv = orow.get(c2, 0) - f * v2
                 if nv:
                     if c2 not in orow:
-                        self.occ.setdefault(c2, set()).add(owner)
+                        occ.setdefault(c2, set()).add(owner)
                     orow[c2] = nv
                 else:
                     if c2 in orow:
                         del orow[c2]
-                        self.occ[c2].discard(owner)
-            self.pivots[owner] = (orow, orhs - f * prhs)
-        self.occ.pop(pivot_col, None)
-        self.pivots[pivot_col] = (prow, prhs)
+                        occ[c2].discard(owner)
+            pivots[owner] = _primitive(orow, orhs - f * prhs, od)
+        occ.pop(pivot_col, None)
+        pivots[pivot_col] = (prow, prhs, d)
         for c2 in prow:
-            self.occ.setdefault(c2, set()).add(pivot_col)
+            occ.setdefault(c2, set()).add(pivot_col)
         return True
-
-    def consistent(self) -> bool:
-        return self.contradictions == 0
 
     def solution(self) -> dict:
         """Particular solution with all free columns set to zero."""
-        return {col: rhs for col, (_, rhs) in self.pivots.items()}
+        return {col: GaussRat.of(rhs) / d for col, (_, rhs, d) in self.pivots.items()}
+
+
+def _lift(coeffs: dict, rhs):
+    """Row and right-hand side scaled into Z[i] by their common denominator."""
+    rhs = GaussRat.of(rhs)
+    dens = {rhs.re.denominator, rhs.im.denominator}
+    entries = []    # (col, numerator, denominator) if real, else (col, GaussRat, None)
+    for c, v in coeffs.items():
+        if type(v) is not GaussRat:
+            v = GaussRat.of(v)
+        re, im = v.re, v.im
+        if im:
+            dens.add(re.denominator)
+            dens.add(im.denominator)
+            entries.append((c, v, None))
+        elif re:
+            q = re.denominator
+            dens.add(q)
+            entries.append((c, re.numerator, q))
+    den = lcm(*dens)
+    row = {c: _integral(n, den) if q is None else n * (den // q) for c, n, q in entries}
+    return row, _integral(rhs, den)
+
+
+def _integral(v: GaussRat, den: int):
+    """den*v, an element of Z[i]: an int when real."""
+    re = v.re.numerator * (den // v.re.denominator)
+    if not v.im:
+        return re
+    return GaussRat(re, v.im.numerator * (den // v.im.denominator))
+
+
+def _parts(v) -> tuple:
+    """The integer parts of a Gaussian integer."""
+    return (v,) if type(v) is int else (v.re.numerator, v.im.numerator)
+
+
+def _divided(v, c: int):
+    """v/c for a Gaussian integer v divisible by the integer c."""
+    if type(v) is int:
+        return v // c
+    re, im = v.re.numerator // c, v.im.numerator // c
+    return GaussRat(re, im) if im else re
+
+
+def _primitive(row: dict, rhs, d: int):
+    """A pivot row over the integer content of its entries, with d > 0."""
+    try:
+        c = gcd(d, rhs, *row.values())
+    except TypeError:
+        # non-real entries: the content is the gcd of all their parts, and
+        # dividing by it also turns entries that became real back into ints
+        c = gcd(d, *_parts(rhs), *(p for v in row.values() for p in _parts(v)))
+    else:
+        if c == 1 and d > 0:
+            return row, rhs, d
+    if d < 0:
+        c = -c
+    return {k: _divided(v, c) for k, v in row.items()}, _divided(rhs, c), d // c
 
 
 # -- weight grading ------------------------------------------------------------
@@ -311,7 +396,8 @@ def decompose(
                             ee[pos] = 1
                     key = (a, tuple(ee))
                     row = rows.setdefault(key, {})
-                    row[col] = row.get(col, GaussRat(0)) + v
+                    old = row.get(col)
+                    row[col] = v if old is None else old + v
         result.monomials_considered += 1
 
     result.unknowns = len(columns)
@@ -322,7 +408,8 @@ def decompose(
             if ee[pos] > 1:
                 ee[pos] = 1
         key = (a, tuple(ee))
-        rhs_map[key] = rhs_map.get(key, GaussRat(0)) + v
+        old = rhs_map.get(key)
+        rhs_map[key] = v if old is None else old + v
     for key in list(rhs_map):
         if not rhs_map[key]:
             del rhs_map[key]
@@ -332,8 +419,7 @@ def decompose(
     solver = SparseSolver()
     ok = True
     for key in sorted(rows, key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]), reverse=True):
-        rhs = rhs_map.get(key, GaussRat(0))
-        if not solver.add(rows[key], rhs):
+        if not solver.add(rows[key], rhs_map.get(key, GR_ZERO)):
             ok = False
     result.rank = len(solver.pivots)
     if not ok:

@@ -64,11 +64,6 @@ class VariableSpec:
     def __hash__(self):
         return hash((id(self.ring), self.space))
 
-    def unit_index(self, var):
-        idx = [0] * self.nspace
-        idx[self.slot(var)] = 1
-        return tuple(idx)
-
     def without(self, var) -> "VariableSpec":
         return VariableSpec(self.ring, tuple(s for s in self.space if s != var))
 

@@ -1,10 +1,12 @@
 """Exact linear decomposition over ordered generator monomials, with and
 without idempotent parameter quotients."""
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
-from weylcalc.coeffring import Expr
-from weylcalc.linsolve import decompose, idempotent_reduce, monomial_ops
+from weylcalc.coeffring import Expr, GaussRat
+from weylcalc.linsolve import SparseSolver, decompose, idempotent_reduce, monomial_ops
 from weylcalc.spaces import RU, RU_SPEC
 from weylcalc.weyl import format_op, identity, mul_op, partial
 
@@ -103,3 +105,180 @@ def test_weighted_pruning_still_finds_solutions():
     )
     assert dec.success, dec.message
     assert dec.coefficient_strings() == {"J1*J1": "1", "R1": "beta"}
+
+
+
+def test_decompose_with_gaussian_coefficients():
+    # a non-real generator and target put non-real entries, right-hand sides
+    # and pivots through the solver: (1/3 - 2i)/(1 + 2i) = -11/15 - 8/15 i
+    target = _J1().compose(_J1()).scale(GaussRat(0, 1)) + _R1().scale(
+        GaussRat(Fraction(1, 3), -2)
+    )
+    gens = [("J1", _J1()), ("S", _R1().scale(GaussRat(1, 2)))]
+    dec = decompose(target, gens, monomial_ops(gens, 2), params=("mu",))
+    assert dec.success, dec.message
+    assert dec.residual is not None and dec.residual.is_zero()
+    assert dec.coefficient_strings() == {"J1*J1": "i", "S": "(-11/15-8/15*i)"}
+
+
+# -- SparseSolver against a dense reference ------------------------------------
+#
+# The reference eliminates dense rows of (re, im) Fraction pairs with its own
+# Gaussian-rational arithmetic, in the same row order and with the same pivot
+# rule (largest nonzero column of the reduced row), keeping the basis fully
+# reduced.  It shares no code with weylcalc.
+
+_G0 = (Fraction(0), Fraction(0))
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _ginv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def _dense_rref(rows, ncols):
+    """(accepted per row, pivot cols in creation order, contradictions, solution)."""
+    basis = {}  # pivot col -> (dense row with 1 at the pivot, rhs)
+    accepted, order, contradictions = [], [], 0
+    for coeffs, rhs in rows:
+        vec = [coeffs.get(c, _G0) for c in range(ncols)]
+        for pc, (prow, prhs) in basis.items():
+            f = vec[pc]
+            if f != _G0:
+                vec = [_gsub(v, _gmul(f, p)) for v, p in zip(vec, prow)]
+                rhs = _gsub(rhs, _gmul(f, prhs))
+        support = [c for c in range(ncols) if vec[c] != _G0]
+        if not support:
+            accepted.append(rhs == _G0)
+            contradictions += rhs != _G0
+            continue
+        pc = max(support)
+        inv = _ginv(vec[pc])
+        prow, prhs = [_gmul(v, inv) for v in vec], _gmul(rhs, inv)
+        for oc, (orow, orhs) in basis.items():
+            f = orow[pc]
+            if f != _G0:
+                basis[oc] = (
+                    [_gsub(v, _gmul(f, p)) for v, p in zip(orow, prow)],
+                    _gsub(orhs, _gmul(f, prhs)),
+                )
+        basis[pc] = (prow, prhs)
+        accepted.append(True)
+        order.append(pc)
+    return accepted, order, contradictions, {pc: basis[pc][1] for pc in order}
+
+
+def _random_system(rng, nrows, ncols, gaussian):
+    """Sparse rows over small Gaussian rationals with mixed denominators, mixed
+    with repeated rows and with combinations of two earlier rows whose
+    right-hand side is kept (consistent) or perturbed (contradictory).  Some
+    rows carry a common factor such as 12 or 35/5, which the solver divides
+    out of its integer rows."""
+
+    def number():
+        re = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+        im = Fraction(0)
+        if gaussian and rng.random() < 0.4:
+            im = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 5)))
+        return (re, im)
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+        elif len(rows) >= 2 and kind < 0.45:
+            (c1, r1), (c2, r2) = rng.sample(rows, 2)
+            m1, m2 = number(), number()
+            coeffs = {}
+            for c in sorted(set(c1) | set(c2)):
+                v = _gsub(_gmul(m1, c1.get(c, _G0)), _gmul(m2, c2.get(c, _G0)))
+                if v != _G0:
+                    coeffs[c] = v
+            rhs = _gsub(_gmul(m1, r1), _gmul(m2, r2))
+            if rng.random() < 0.5:
+                rhs = _gsub(rhs, number())
+            rows.append((coeffs, rhs))
+        else:
+            scale = (Fraction(rng.choice((1, 1, 6, 12, 35)), rng.choice((1, 5))), Fraction(0))
+            coeffs = {}
+            for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols))):
+                v = _gmul(number(), scale)
+                if v != _G0:
+                    coeffs[c] = v
+            rows.append((coeffs, _gmul(number(), scale)))
+    return rows
+
+
+def _lifted_content(coeffs, rhs):
+    """gcd of a row's parts once scaled to integers by their common denominator."""
+    parts = [p for v in (*coeffs.values(), rhs) for p in v]
+    den = lcm(*(p.denominator for p in parts))
+    return gcd(*(p.numerator * (den // p.denominator) for p in parts))
+
+
+def _assert_primitive(solver):
+    # every pivot row is over Z[i] with an integer pivot entry d > 0 and no
+    # common integer factor, and its real entries are plain ints
+    for prow, prhs, d in solver.pivots.values():
+        assert type(d) is int and d > 0
+        parts = [d]
+        for v in list(prow.values()) + [prhs]:
+            if type(v) is int:
+                parts.append(v)
+            else:
+                assert v.im and v.re.denominator == 1 and v.im.denominator == 1
+                parts += [v.re.numerator, v.im.numerator]
+        assert gcd(*parts) == 1
+
+
+def test_sparse_solver_matches_dense_reference():
+    rng = random.Random(20231)
+    seen = {"contradictory": 0, "underdetermined": 0, "non-real": 0, "content": 0}
+    for trial in range(300):
+        ncols = rng.randint(1, 7)
+        rows = _random_system(rng, rng.randint(1, 10), ncols, gaussian=trial % 3 != 0)
+        solver = SparseSolver()
+        added = [
+            solver.add({c: GaussRat(*v) for c, v in coeffs.items()}, GaussRat(*rhs))
+            for coeffs, rhs in rows
+        ]
+        accepted, order, contradictions, solution = _dense_rref(rows, ncols)
+        assert added == accepted
+        assert list(solver.pivots) == order
+        assert solver.contradictions == contradictions
+        assert {c: (v.re, v.im) for c, v in solver.solution().items()} == solution
+        _assert_primitive(solver)
+        seen["contradictory"] += contradictions > 0
+        seen["underdetermined"] += len(order) < ncols
+        seen["non-real"] += any(v[1] for v in solution.values())
+        seen["content"] += any(_lifted_content(c, r) > 1 for c, r in rows)
+    # the seeded systems cover every case many times over
+    assert min(seen.values()) >= 20, seen
+
+
+def test_sparse_solver_keeps_primitive_integer_rows():
+    solver = SparseSolver()
+    # 6x + 12y = 18: lifted as is, pivot y, divided by the content 6
+    assert solver.add({0: 6, 1: 12}, 18)
+    assert solver.pivots[1] == ({0: 1}, 3, 2)
+    # (4/5)y + (2/5)(1+i)z = 2i: lifted by 5 and reduced against y to a
+    # multiple of (1+i)z - x = -3+5i, multiplied by the conjugate of its
+    # pivot entry, then divided by the content: 2z + (-1+i)x = 2+8i
+    assert solver.add({1: Fraction(4, 5), 2: GaussRat(Fraction(2, 5), Fraction(2, 5))}, GaussRat(0, 2))
+    assert solver.pivots[2] == ({0: GaussRat(-1, 1)}, GaussRat(2, 8), 2)
+    _assert_primitive(solver)
+    # 3x + 6y = 10 reduces to 0 = 1
+    assert not solver.add({0: 3, 1: 6}, 10)
+    assert solver.contradictions == 1
+    assert list(solver.pivots) == [1, 2]
+    # free x = 0: y = 3/2 and z = (-3+5i)/(1+i) = 1+4i
+    assert solver.solution() == {1: GaussRat(Fraction(3, 2)), 2: GaussRat(1, 4)}
