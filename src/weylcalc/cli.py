@@ -1,16 +1,17 @@
 """Command-line front end: check runner, operator display, matrix and
 decomposition export, and the expression parser.
 
-Exit codes: 0 all requested checks pass, 1 any failure or error, 2 usage
-problems (unknown names, syntax errors, no matching checks).
+Exit codes: 0 all requested checks pass, 1 any failure or error (a closed
+output pipe included), 2 usage problems (unknown names, syntax errors, no
+matching checks).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import registry
@@ -58,22 +59,7 @@ def cmd_verify(args) -> int:
     if not names:
         print("no checks matched %s" % args.pattern, file=sys.stderr)
         return 2
-    wanted = set(names)
-    indices = [
-        i for i, (gnames, _) in enumerate(registry.GROUPS) if wanted & set(gnames)
-    ]
-    by_name = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(registry.run_group_index, i, params) for i in indices]
-            for future in futures:
-                for res in future.result():
-                    by_name[res.check] = res
-    else:
-        for i in indices:
-            for res in registry.run_group_index(i, params):
-                by_name[res.check] = res
-    results = [by_name[name] for name in sorted(names)]
+    results = registry.run_checks(sorted(names), params, args.jobs)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
     else:
@@ -217,7 +203,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # flush here, so a closed pipe raises inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`); send the rest to devnull so the
+        # flush at interpreter exit cannot fail again, and exit like EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
     P_n = span{ r^a u^b : a + 2b <= n },   dim P_n = sum_{k<=n} (floor(k/2)+1).
 
 Operators that preserve P_n get exact matrices in the graded monomial basis
-(sorted by (a+2b, b)), characteristic polynomials via a fraction-free
-elimination with a fast path for triangular matrices, and exact eigenspace
-kernels at specialized rational parameter points.
+(sorted by (a+2b, b)), from one application of the operator per basis
+monomial, and characteristic polynomials via a fraction-free elimination with
+a fast path for triangular matrices.  Eigenspaces at a rational parameter
+point come from linsolve.SparseSolver with leftmost pivots, i.e. from the
+unique reduced row echelon form; flagrep does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffring import Expr, GR_ONE, GR_ZERO, MultiPoly
+from .coeffring import Expr, GaussRat, GR_ONE, GR_ZERO, MultiPoly
+from .linsolve import SparseSolver
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
 
@@ -65,7 +68,7 @@ _U_POS = RU.index_of("u")
 
 
 def _split_image(image: Expr):
-    """Image polynomial -> {(a, b): parameter-coefficient poly}."""
+    """Image polynomial -> {(a, b): nonzero parameter-coefficient poly}."""
     poly = image.as_poly()
     out = {}
     for e, c in poly.terms.items():
@@ -76,31 +79,44 @@ def _split_image(image: Expr):
         d = out.setdefault(ab, {})
         key = tuple(rest)
         d[key] = d.get(key, GR_ZERO) + c
-    return {
-        ab: MultiPoly(RU, {e: c for e, c in d.items() if not c.is_zero()})
-        for ab, d in out.items()
-    }
+    split = {}
+    for ab, d in out.items():
+        terms = {e: c for e, c in d.items() if not c.is_zero()}
+        if terms:
+            split[ab] = MultiPoly(RU, terms)
+    return split
 
 
-def is_invariant(op: DiffOp, n: int):
-    """(True, None) if op maps P_n into P_n, else (False, witness)."""
+def _images(op: DiffOp, n: int):
+    """The basis of P_n and the split image of each of its monomials, one
+    application of op per monomial; NotInvariant names the first image that
+    leaves P_n."""
     if op.spec != RU_SPEC:
         raise FlagError("flag representation requires the (r, u) chart")
     basis = MonomialBasis(n)
+    images = []
     for i in range(len(basis)):
         mono = basis.monomial(i)
         image = op.apply(Expr.of_poly(mono))
         if not image.is_poly():
-            return False, "image of %s is not polynomial: %s" % (mono, image)
-        for ab, coeff in _split_image(image).items():
-            if coeff.is_zero():
-                continue
-            if ab[0] + 2 * ab[1] > n:
-                return (
-                    False,
+            raise NotInvariant("image of %s is not polynomial: %s" % (mono, image))
+        split = _split_image(image)
+        for (a, b), coeff in split.items():
+            if a + 2 * b > n:
+                raise NotInvariant(
                     "image of %s leaves P_%d at r^%d*u^%d (coefficient %s)"
-                    % (mono, n, ab[0], ab[1], coeff),
+                    % (mono, n, a, b, coeff)
                 )
+        images.append(split)
+    return basis, images
+
+
+def is_invariant(op: DiffOp, n: int):
+    """(True, None) if op maps P_n into P_n, else (False, witness)."""
+    try:
+        _images(op, n)
+    except NotInvariant as exc:
+        return False, str(exc)
     return True, None
 
 
@@ -117,15 +133,11 @@ class OperatorMatrix:
 
 
 def matrix_of(op: DiffOp, n: int) -> OperatorMatrix:
-    ok, witness = is_invariant(op, n)
-    if not ok:
-        raise NotInvariant(witness)
-    basis = MonomialBasis(n)
+    basis, images = _images(op, n)
     dim = len(basis)
     entries = [[RU.zero() for _ in range(dim)] for _ in range(dim)]
-    for j in range(dim):
-        image = op.apply(Expr.of_poly(basis.monomial(j)))
-        for ab, coeff in _split_image(image).items():
+    for j, split in enumerate(images):
+        for ab, coeff in split.items():
             entries[basis.index[ab]][j] = coeff
     return OperatorMatrix(basis=basis, entries=entries)
 
@@ -272,69 +284,43 @@ DEFAULT_POINT = {
 }
 
 
-def _specialize_matrix(matrix: OperatorMatrix, point: dict):
-    vals = dict(point)
+def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
+    """Nullspace of dense - lam*I as polynomials with leading coefficient 1.
+
+    Column c goes into the solver under the key -c, so its largest-key pivot
+    is the leftmost column and its fully reduced basis is the unique RREF:
+    each free column f, in increasing order, gives x_f = 1 and
+    x_p = -row_p[f]/d_p on the pivot columns p.
+    """
+    solver = SparseSolver()
+    for i, row in enumerate(dense):
+        shifted = {-j: v for j, v in enumerate(row)}
+        shifted[-i] = row[i] - lam
+        solver.add(shifted, GR_ZERO)
     out = []
-    for row in matrix.entries:
-        vrow = []
-        for e in row:
-            v = e.substitute({k: Fraction(v) for k, v in vals.items()})
-            vrow.append(v.const_value())
-        out.append(vrow)
+    for f in range(len(dense)):
+        if -f in solver.pivots:
+            continue
+        poly = basis.monomial(f)
+        for key, (prow, _, d) in solver.pivots.items():
+            if -f in prow:
+                poly = poly - basis.monomial(-key) * (GaussRat.of(prow[-f]) / d)
+        _, lc = poly.leading()
+        if lc != 1:
+            poly = poly * (GR_ONE / lc)
+        out.append(poly)
     return out
 
 
-def _kernel(rows) -> list:
-    """Nullspace basis of a dense square GaussRat matrix, exact."""
-    dim = len(rows)
-    m = [row[:] for row in rows]
-    pivot_of_col = {}
-    r = 0
-    for c in range(dim):
-        pr = None
-        for i in range(r, dim):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = GR_ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(dim):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == dim:
-            break
-    free = [c for c in range(dim) if c not in pivot_of_col]
-    basis = []
-    for fc in free:
-        v = [GR_ZERO] * dim
-        v[fc] = GR_ONE
-        for c, pr in pivot_of_col.items():
-            v[c] = -m[pr][fc]
-        basis.append(v)
-    return basis
-
-
-def eigenpolynomials(n: int, k: int, point: dict | None = None) -> list:
-    """Exact basis of the level-k eigenspace of the radial operator on P_n,
-    at a rational parameter point, each normalized to leading coefficient 1.
+def eigenpolynomials(n: int, point: dict | None = None) -> list:
+    """Exact bases of the level-k eigenspaces of the radial operator on P_n,
+    k = 0..n, at a rational parameter point, each polynomial normalized to
+    leading coefficient 1.
     """
     from .coulomb2d import h_a
 
-    if not 0 <= k <= n:
-        raise FlagError("level k must satisfy 0 <= k <= n")
     point = dict(DEFAULT_POINT if point is None else point)
-    eigs = [
-        level_eigenvalue(j).substitute(
-            {s: Fraction(v) for s, v in point.items()}
-        ).const_value()
-        for j in range(n + 1)
-    ]
+    eigs = [level_eigenvalue(k).evaluate(point) for k in range(n + 1)]
     for a in range(n + 1):
         for b in range(a + 1, n + 1):
             if eigs[a] == eigs[b]:
@@ -343,25 +329,8 @@ def eigenpolynomials(n: int, k: int, point: dict | None = None) -> list:
                     "point with beta != 0 and distinct level shifts" % (a, b)
                 )
     matrix = matrix_of(h_a(), n)
-    dense = _specialize_matrix(matrix, point)
-    dim = len(dense)
-    shifted = [
-        [dense[i][j] - eigs[k] if i == j else dense[i][j] for j in range(dim)]
-        for i in range(dim)
-    ]
-    vectors = _kernel(shifted)
-    basis = matrix.basis
-    out = []
-    for v in vectors:
-        poly = RU.zero()
-        for i, coef in enumerate(v):
-            if coef:
-                poly = poly + basis.monomial(i) * coef
-        _, lc = poly.leading()
-        if lc != 1:
-            poly = poly * (GR_ONE / lc)
-        out.append(poly)
-    return out
+    dense = [[e.evaluate(point) for e in row] for row in matrix.entries]
+    return [_eigenspace(matrix.basis, dense, lam) for lam in eigs]
 
 
 def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:

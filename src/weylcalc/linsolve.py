@@ -361,46 +361,42 @@ def decompose(
             out = [m + (k,) for m in out for k in range(cap + 1)]
         return [m for m in out if sum(m) <= param_bound]
 
+    def graded_power(mono) -> int:
+        # the grading fixes the graded parameter's power in mono's coefficient
+        if w_target is None:
+            return 0
+        return sum(gen_weights[i] for i in mono) - w_target
+
     pmonos = param_monomials()
     mono_list = sorted(ops, key=lambda m: (len(m), m))
 
-    columns = {}  # col key -> (mono, graded power, param exps)
-    rows = {}     # flattened key -> {col: coeff}
+    rows = {}  # flattened key -> {(mono, param exps): coeff}
     nz = ring.nsyms
 
     for mono in mono_list:
         op = ops[mono]
-        if op.is_zero():
+        gpow = graded_power(mono)
+        if op.is_zero() or gpow < 0:
             continue
-        if w_target is not None:
-            w_mono = sum(gen_weights[i] for i in mono)
-            gpow = w_mono - w_target
-            if gpow < 0:
-                continue
-            gpows = [gpow]
-        else:
-            gpows = [None]
         flat = _flatten(op)
-        for gpow in gpows:
-            for pexp in pmonos:
-                col = (mono, gpow if gpow is not None else -1, pexp)
-                columns[col] = (mono, gpow, pexp)
-                for (a, e), v in flat.items():
-                    ee = list(e)
-                    for pos, k in zip(param_pos, pexp):
-                        ee[pos] += k
-                    if gpow:
-                        ee[graded_pos[0]] += gpow
-                    for pos in idem_pos:
-                        if ee[pos] > 1:
-                            ee[pos] = 1
-                    key = (a, tuple(ee))
-                    row = rows.setdefault(key, {})
-                    old = row.get(col)
-                    row[col] = v if old is None else old + v
+        for pexp in pmonos:
+            col = (mono, pexp)
+            for (a, e), v in flat.items():
+                ee = list(e)
+                for pos, k in zip(param_pos, pexp):
+                    ee[pos] += k
+                if gpow:
+                    ee[graded_pos[0]] += gpow
+                for pos in idem_pos:
+                    if ee[pos] > 1:
+                        ee[pos] = 1
+                key = (a, tuple(ee))
+                row = rows.setdefault(key, {})
+                old = row.get(col)
+                row[col] = v if old is None else old + v
         result.monomials_considered += 1
 
-    result.unknowns = len(columns)
+    result.unknowns = result.monomials_considered * len(pmonos)
     rhs_map = {}
     for (a, e), v in _flatten(target).items():
         ee = list(e)
@@ -431,14 +427,14 @@ def decompose(
 
     sol = solver.solution()
     coeff_polys = {}
-    for col, value in sol.items():
+    for (mono, pexp), value in sol.items():
         if not value:
             continue
-        mono, gpow, pexp = columns[col]
         exps = [0] * nz
         for pos, k in zip(param_pos, pexp):
             exps[pos] = k
-        if gpow and gpow > 0:
+        gpow = graded_power(mono)
+        if gpow:
             exps[graded_pos[0]] = gpow
         term = MultiPoly(ring, {tuple(exps): value})
         key = tuple(names[i] for i in mono)

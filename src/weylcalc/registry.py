@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import fnmatch
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .reports import CheckResult, merge_checks
@@ -127,7 +128,7 @@ def _run_2d_eigenbasis(params):
     point = _point_override(params)
     parts = []
     for n in range(9):
-        total = sum(len(eigenpolynomials(n, k, point)) for k in range(n + 1))
+        total = sum(map(len, eigenpolynomials(n, point)))
         want = flag_dim(n)
         parts.append(
             CheckResult(
@@ -288,23 +289,21 @@ def run_group(names, runner, params) -> list:
     ]
 
 
-def run_group_index(index: int, params=None) -> list:
-    """Run one group by position; the picklable unit for worker pools."""
-    names, runner = GROUPS[index]
-    return run_group(names, runner, params)
-
-
-def run_checks(requested, params=None) -> list:
-    """Run the named checks; each shared computation runs once."""
+def run_checks(requested, params=None, jobs: int = 1) -> list:
+    """Run the named checks, in the order requested; each shared computation
+    runs once.  With jobs > 1 the groups run in that many worker processes."""
     want = set(requested)
     unknown = want - set(ALL_CHECKS)
     if unknown:
         raise UnknownCheck(", ".join(sorted(unknown)))
-    results = {}
-    for names, runner in GROUPS:
-        if want & set(names):
-            for res in run_group(names, runner, params):
-                results[res.check] = res
+    groups = [(names, runner) for names, runner in GROUPS if want & set(names)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_group, names, runner, params) for names, runner in groups]
+            batches = [future.result() for future in futures]
+    else:
+        batches = [run_group(names, runner, params) for names, runner in groups]
+    results = {res.check: res for batch in batches for res in batch}
     return [results[name] for name in requested]
 
 

@@ -2,8 +2,12 @@
 operator inspection, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import weylcalc
 from weylcalc import registry
 from weylcalc.cli import main
 from weylcalc.reports import CheckResult
@@ -224,6 +228,28 @@ def test_parse_command(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "unknown symbol" in err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the read end is closed before the child writes, as `| head` does early
+    src = str(Path(weylcalc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylcalc", "show", "h_a"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
 
 
 def test_usage_errors(capsys):

@@ -98,8 +98,8 @@ def test_spectrum_reports():
 
 def test_eigenpolynomials_simple_point():
     point = {"beta": Fraction(1), "mu": Fraction(0), "p": Fraction(0)}
-    ground = eigenpolynomials(1, 0, point)
-    excited = eigenpolynomials(1, 1, point)
+    ground = eigenpolynomials(1, point)[0]
+    excited = eigenpolynomials(1, point)[1]
     assert [str(q) for q in ground] == ["1"]
     assert [str(q) for q in excited] == ["r - 1"]
 
@@ -110,7 +110,7 @@ def test_eigenpolynomials_are_eigenvectors():
     total = 0
     for k in range(n + 1):
         lam = level_eigenvalue(k).evaluate(DEFAULT_POINT)
-        for q in eigenpolynomials(n, k, DEFAULT_POINT):
+        for q in eigenpolynomials(n, DEFAULT_POINT)[k]:
             image = op.apply(Expr_of(q))
             assert (image - Expr_of(q * lam)).is_zero()
             total += 1
@@ -123,10 +123,87 @@ def Expr_of(poly):
     return Expr.of_poly(poly)
 
 
+def _dense_rref_eigenbasis(matrix, lam, point):
+    """Level eigenpolynomials from a dense Fraction RREF written here, which
+    shares no elimination code with weylcalc: leftmost pivots, one vector
+    per free column in increasing order, leading coefficient 1."""
+    rows = []
+    for i, row in enumerate(matrix.entries):
+        vals = []
+        for j, e in enumerate(row):
+            v = e.evaluate(point)
+            if i == j:
+                v = v - lam
+            assert not v.im
+            vals.append(Fraction(v.re))
+        rows.append(vals)
+    dim = len(rows)
+    pivots = []
+    for c in range(dim):
+        r = len(pivots)
+        pr = next((i for i in range(r, dim) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    out = []
+    for free in (c for c in range(dim) if c not in pivots):
+        poly = matrix.basis.monomial(free)
+        for row, c in zip(rows, pivots):
+            poly = poly - matrix.basis.monomial(c) * row[free]
+        _, lc = poly.leading()
+        out.append(poly * (1 / Fraction(lc.re)))
+    return out
+
+
+def test_eigenpolynomials_match_dense_rref():
+    points = [
+        DEFAULT_POINT,
+        {"beta": Fraction(3), "mu": Fraction(1, 2), "p": Fraction(0)},
+        {"beta": Fraction(-2, 5), "mu": Fraction(7, 3), "p": Fraction(1)},
+    ]
+    widest = 0
+    for point in points:
+        for n in range(9):
+            matrix = matrix_of(h_a(), n)
+            levels = eigenpolynomials(n, point)
+            assert len(levels) == n + 1
+            for k, got in enumerate(levels):
+                want = _dense_rref_eigenbasis(matrix, level_eigenvalue(k).evaluate(point), point)
+                assert [str(q) for q in got] == [str(q) for q in want], (point, n, k)
+                widest = max(widest, len(got))
+    # multi-dimensional eigenspaces are where the pivot rule shows
+    assert widest == 5
+
+
+def test_one_application_per_basis_monomial(monkeypatch):
+    op = h_a()
+    calls = []
+    apply = DiffOp.apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffOp, "apply", counting)
+    for n in (0, 3, 8):
+        calls.clear()
+        matrix_of(op, n)
+        assert len(calls) == flag_dim(n)
+        calls.clear()
+        eigenpolynomials(n, DEFAULT_POINT)
+        assert len(calls) == flag_dim(n)
+
+
 def test_eigenvalue_collision_guard():
     degenerate = {"beta": Fraction(0), "mu": Fraction(0), "p": Fraction(0)}
     with pytest.raises(EigenvalueCollision):
-        eigenpolynomials(2, 1, degenerate)
+        eigenpolynomials(2, degenerate)[1]
 
 
 def test_matrix_requires_invariance():
