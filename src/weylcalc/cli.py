@@ -3,7 +3,7 @@ decomposition export, and the expression parser.
 
 Exit codes: 0 all requested checks pass, 1 any failure or error (a closed
 output pipe included), 2 usage problems (unknown names, syntax errors, no
-matching checks).
+matching checks, a --param that no selected check reads).
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ def cmd_verify(args) -> int:
     names = registry.expand(args.pattern)
     if not names:
         print("no checks matched %s" % args.pattern, file=sys.stderr)
+        return 2
+    if params and "2d.eigenbasis" not in names:
+        print("bad --param: no selected check reads it; only 2d.eigenbasis does", file=sys.stderr)
         return 2
     results = registry.run_checks(sorted(names), params, args.jobs)
     if args.format == "json":

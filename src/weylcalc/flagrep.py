@@ -7,7 +7,8 @@ Operators that preserve P_n get exact matrices in the graded monomial basis
 monomial, and characteristic polynomials via a fraction-free elimination with
 a fast path for triangular matrices.  Eigenspaces at a rational parameter
 point come from linsolve.SparseSolver with leftmost pivots, i.e. from the
-unique reduced row echelon form; flagrep does no elimination of its own.
+unique reduced row echelon form of M - lam*I, each row scaled into Z[i] by
+its own lcm; flagrep does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffring import Expr, GaussRat, GR_ONE, GR_ZERO, MultiPoly
-from .linsolve import SparseSolver
+from .linsolve import SparseSolver, integral_form
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
 
@@ -296,7 +297,8 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
     for i, row in enumerate(dense):
         shifted = {-j: v for j, v in enumerate(row)}
         shifted[-i] = row[i] - lam
-        solver.add(shifted, GR_ZERO)
+        # the system is homogeneous, so scaling a row keeps the kernel
+        solver.add(integral_form(shifted)[1], 0)
     out = []
     for f in range(len(dense)):
         if -f in solver.pivots:

@@ -287,10 +287,11 @@ def verify_lie_forms() -> list:
 FAMILY = {"h": (h_a, 2), "l": (l_a, 2), "b": (b_a, 4), "c": (c_op, 4)}
 
 
-def _family_solves(gens, degree: int, tags) -> list:
-    """[(tag, target, Decomposition, note)] over one product table, which
-    is freed on return, so callers never hold two tables at once."""
-    ops = monomial_ops(gens, degree)
+def _family_solves(gens, ops: dict, degree: int, tags) -> list:
+    """[(tag, target, Decomposition, note)] over the products in ops of gens
+    up to degree.  ops may hold more generators after gens, so one table of
+    ALL_GENERATORS, which LOWERING_GL2 opens, serves every solve."""
+    ops = {m: op for m, op in ops.items() if len(m) <= degree and (not m or m[-1] < len(gens))}
     out = []
     for tag in tags:
         target = FAMILY[tag][0]()
@@ -318,9 +319,10 @@ def verify_decompositions() -> list:
     """Membership of all four family members in the enveloping algebra, plus
     the first-order-subset attempts for b and c, which fail provably."""
     out = []
-    gl2 = generator_set(0, LOWERING_GL2)
-    solved = _family_solves(gl2, 2, ("h", "l"))
-    solved += _family_solves(generator_set(0, ALL_GENERATORS), 4, ("b", "c"))
+    gens = generator_set(0, ALL_GENERATORS)
+    ops = monomial_ops(gens, 4)
+    gl2 = gens[: len(LOWERING_GL2)]
+    solved = _family_solves(gl2, ops, 2, ("h", "l")) + _family_solves(gens, ops, 4, ("b", "c"))
     for tag, target, dec, note in solved:
         wit = [note] if tag in ("h", "l") else [note, "raising generators included"]
         wit.append(
@@ -338,7 +340,7 @@ def verify_decompositions() -> list:
                 witnesses=wit,
             )
         )
-    for tag, target, dec, note in _family_solves(gl2, 4, ("b", "c")):
+    for tag, target, dec, note in _family_solves(gl2, ops, 4, ("b", "c")):
         excess, term = u_excess(target)
         wit = []
         if not dec.success:

@@ -1,11 +1,10 @@
 """Sparse exact linear solving and decomposition into generator monomials.
 
 The solver keeps a reduced row echelon basis of pivot rows keyed by column,
-so adding an equation costs one pass over its support.  It eliminates
-fraction-free over the Gaussian integers: each row is scaled once to
-integral entries, and each pivot row carries its own integer pivot entry
-instead of being divided by it.  There is no pivoting heuristic to tune and
-no tolerance anywhere.
+so adding an equation costs one pass over its support.  Its rows are over
+the Gaussian integers Z[i], and it eliminates fraction-free: each pivot row
+carries its own integer pivot entry instead of being divided by it.  There
+is no pivoting heuristic to tune and no tolerance anywhere.
 
 On top of it, decompose() writes a target operator as
 
@@ -15,16 +14,20 @@ over ordered monomials M in a list of named generator operators, with the
 parameter polynomials pi_M found by exact elimination and the result checked
 by reconstructing the operator and subtracting.  The products op(M) come
 from monomial_ops(), which the caller runs once per generator set and
-degree and hands to every decompose() over that set.
+degree and hands to every decompose() over that set.  Each column carries
+its product's Z[i] numerators over the product's own denominator (see
+integral_form), the right-hand side the target's, and each solved value is
+scaled back once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .coeffring import GR_ZERO, Expr, GaussRat, MultiPoly, NotPolynomial
+from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial
 from .weyl import DiffOp, identity
 
 
@@ -32,10 +35,11 @@ class SparseSolver:
     """Incremental fraction-free Gaussian elimination over sparse rows.
 
     Columns are arbitrary comparable hashables.  Rows are added one at a
-    time.  add() lifts each row once to the Gaussian integers Z[i] by the
-    lcm of its denominators: a real entry is a plain int, a non-real one a
-    GaussRat with integral parts.  Each pivot row keeps its own integer
-    pivot entry d > 0, so it stands for d*x_pivot + sum row[c]*x_c = rhs.
+    time, and every entry and right-hand side is an element of Z[i]: a
+    plain int when real, a GaussRat with integral parts otherwise.  Entries
+    are nonzero; the caller scales its rows (see integral_form) and the
+    solver takes them as given.  Each pivot row keeps its own integer pivot
+    entry d > 0, so it stands for d*x_pivot + sum row[c]*x_c = rhs.
     Eliminating an entry f against it forms d*row - f*prow, so nothing is
     ever divided by a pivot; a pivot row is divided by the integer content
     of its entries after it is formed and after each back-reduction, which
@@ -54,10 +58,11 @@ class SparseSolver:
         self.contradictions = 0
 
     def add(self, coeffs: dict, rhs) -> bool:
-        """Add equation sum coeffs[c]*x_c = rhs; False on contradiction."""
+        """Add equation sum coeffs[c]*x_c = rhs over Z[i]; False on
+        contradiction.  coeffs is copied, never changed."""
         pivots = self.pivots
         occ = self.occ
-        row, rhs = _lift(coeffs, rhs)
+        row = dict(coeffs)
         for col in list(row):
             piv = pivots.get(col)
             if piv is None:
@@ -124,26 +129,11 @@ class SparseSolver:
         return {col: GaussRat.of(rhs) / d for col, (_, rhs, d) in self.pivots.items()}
 
 
-def _lift(coeffs: dict, rhs):
-    """Row and right-hand side scaled into Z[i] by their common denominator."""
-    rhs = GaussRat.of(rhs)
-    dens = {rhs.re.denominator, rhs.im.denominator}
-    entries = []    # (col, numerator, denominator) if real, else (col, GaussRat, None)
-    for c, v in coeffs.items():
-        if type(v) is not GaussRat:
-            v = GaussRat.of(v)
-        re, im = v.re, v.im
-        if im:
-            dens.add(re.denominator)
-            dens.add(im.denominator)
-            entries.append((c, v, None))
-        elif re:
-            q = re.denominator
-            dens.add(q)
-            entries.append((c, re.numerator, q))
-    den = lcm(*dens)
-    row = {c: _integral(n, den) if q is None else n * (den // q) for c, n, q in entries}
-    return row, _integral(rhs, den)
+def integral_form(values: dict) -> tuple:
+    """(den, {k: den*v}) for the lcm den of the denominators of the
+    Gaussian rationals values, dropping zeros: each den*v is in Z[i]."""
+    den = lcm(*{q for v in values.values() for q in (v.re.denominator, v.im.denominator)})
+    return den, {k: _integral(v, den) for k, v in values.items() if v}
 
 
 def _integral(v: GaussRat, den: int):
@@ -257,13 +247,16 @@ def monomial_ops(generators, degree_bound: int):
     return ops
 
 
-def _flatten(op: DiffOp) -> dict:
-    out = {}
-    for a, c in op.terms.items():
-        p = c.as_poly()
-        for e, v in p.terms.items():
-            out[(a, e)] = v
-    return out
+def _flatten(op: DiffOp) -> tuple:
+    """integral_form of op's coefficients keyed by (derivative, exponents)."""
+    return integral_form(
+        {(a, e): v for a, c in op.terms.items() for e, v in c.as_poly().terms.items()}
+    )
+
+
+def _canonical(v):
+    """A nonzero element of Z[i] as the solver takes it: an int when real."""
+    return v if type(v) is int or v.im else v.re.numerator
 
 
 def idempotent_reduce(poly: MultiPoly, symbols) -> MultiPoly:
@@ -370,7 +363,8 @@ def decompose(
     pmonos = param_monomials()
     mono_list = sorted(ops, key=lambda m: (len(m), m))
 
-    rows = {}  # flattened key -> {(mono, param exps): coeff}
+    rows = {}  # flattened key -> {(mono, param exps): numerator in Z[i]}
+    dens = {}  # mono -> the denominator of its column numerators
     nz = ring.nsyms
 
     for mono in mono_list:
@@ -378,7 +372,7 @@ def decompose(
         gpow = graded_power(mono)
         if op.is_zero() or gpow < 0:
             continue
-        flat = _flatten(op)
+        dens[mono], flat = _flatten(op)
         for pexp in pmonos:
             col = (mono, pexp)
             for (a, e), v in flat.items():
@@ -397,25 +391,21 @@ def decompose(
         result.monomials_considered += 1
 
     result.unknowns = result.monomials_considered * len(pmonos)
-    rhs_map = {}
-    for (a, e), v in _flatten(target).items():
-        ee = list(e)
-        for pos in idem_pos:
-            if ee[pos] > 1:
-                ee[pos] = 1
-        key = (a, tuple(ee))
-        old = rhs_map.get(key)
-        rhs_map[key] = v if old is None else old + v
-    for key in list(rhs_map):
-        if not rhs_map[key]:
-            del rhs_map[key]
-            continue
+    den_target, rhs_map = _flatten(
+        idempotent_reduce_op(target, idempotents) if idempotents else target
+    )
+    if idempotents:
+        # the quotient merges terms, so a sum may vanish or turn real
+        for key, row in rows.items():
+            rows[key] = {c: _canonical(v) for c, v in row.items() if v}
+    for key in rhs_map:
         rows.setdefault(key, {})
 
+    # the solver's unknowns are y = den_target*x/den_mono
     solver = SparseSolver()
     ok = True
     for key in sorted(rows, key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]), reverse=True):
-        if not solver.add(rows[key], rhs_map.get(key, GR_ZERO)):
+        if not solver.add(rows[key], rhs_map.get(key, 0)):
             ok = False
     result.rank = len(solver.pivots)
     if not ok:
@@ -430,6 +420,7 @@ def decompose(
     for (mono, pexp), value in sol.items():
         if not value:
             continue
+        value *= Fraction(dens[mono], den_target)
         exps = [0] * nz
         for pos, k in zip(param_pos, pexp):
             exps[pos] = k

@@ -109,6 +109,15 @@ def test_verify_unknown_param_exits_two(capsys):
     assert "beta, mu, p" in err
 
 
+def test_verify_param_without_a_reader_exits_two(capsys):
+    # a value no selected check reads would otherwise be ignored silently
+    code = main(["verify", "2d.algebraic", "--param", "beta=3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "2d.eigenbasis" in captured.err
+
+
 def test_verify_param_help_names_its_reader(capsys):
     assert main(["verify", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())

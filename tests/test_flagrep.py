@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from randops import random_op
 
+from weylcalc import flagrep
 from weylcalc.coulomb2d import h_a
 from weylcalc.flagrep import (
     DEFAULT_POINT,
     EigenvalueCollision,
     FlagError,
     MonomialBasis,
+    OperatorMatrix,
     char_poly,
     eigenpolynomials,
     equality_oracle,
@@ -80,6 +82,62 @@ def test_char_poly_factors_over_levels():
             for _ in range(k // 2 + 1):
                 want = want * factor
         assert cp == want, "characteristic polynomial mismatch at n=%d" % n
+
+
+def _cofactor_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return RU.one()
+    det = RU.zero()
+    for j, a in enumerate(m[0]):
+        if not a.is_zero():
+            term = a * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+            det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def _char_poly_by_cofactors(entries):
+    lam = RU.var("lam")
+    return _cofactor_det([
+        [(lam if i == j else RU.zero()) - e for j, e in enumerate(row)]
+        for i, row in enumerate(entries)
+    ])
+
+
+def test_char_poly_swaps_rows_on_a_zero_leading_entry():
+    # M[0][0] = lam makes the leading entry of lam*I - M zero, so the
+    # fraction-free elimination must swap in row 1 and flip the sign
+    lam, beta, mu, p = (RU.var(s) for s in ("lam", "beta", "mu", "p"))
+    zero, one = RU.zero(), RU.one()
+    entries = [
+        [lam, beta, zero, mu],
+        [p, one * 2, beta * mu, one],
+        [mu + one, zero, p, beta],
+        [one * Fraction(1, 2), p * beta, mu, one * 3],
+    ]
+    cp = char_poly(OperatorMatrix(basis=MonomialBasis(2), entries=entries))
+    assert cp == _char_poly_by_cofactors(entries)
+    assert not cp.is_zero()
+
+
+def test_char_poly_of_a_lower_triangular_matrix(monkeypatch):
+    # the triangular shortcut multiplies the diagonal; no elimination runs
+    def no_elimination(m):
+        raise AssertionError("lower-triangular matrix reached the elimination")
+
+    monkeypatch.setattr(flagrep, "_bareiss_det", no_elimination)
+    beta, mu, p = (RU.var(s) for s in ("beta", "mu", "p"))
+    zero, one = RU.zero(), RU.one()
+    entries = [
+        [beta, zero, zero, zero],
+        [p, mu * 2, zero, zero],
+        [mu + one, beta * p, p - one, zero],
+        [one * Fraction(1, 3), mu, beta * beta, beta + mu],
+    ]
+    cp = char_poly(OperatorMatrix(basis=MonomialBasis(2), entries=entries))
+    assert cp == _char_poly_by_cofactors(entries)
+    lam = RU.var("lam")
+    assert cp == (lam - beta) * (lam - mu * 2) * (lam - p + one) * (lam - beta - mu)
 
 
 def test_level_eigenvalue_formula():

@@ -121,6 +121,40 @@ def test_decompose_with_gaussian_coefficients():
     assert dec.coefficient_strings() == {"J1*J1": "i", "S": "(-11/15-8/15*i)"}
 
 
+def test_decompose_over_products_with_their_own_denominators():
+    # the products have denominators 1, 3, 4, 9, 12 and 16, G2 is non-real,
+    # and the target's lcm is 16632, so every column and the right-hand side
+    # come with their own scale.  Modulo p^2 - p the coefficient of G2's R1
+    # part turns real, (1+i) + (2-i) = 3, and its J1 part i*(p^2 - p)
+    # vanishes, so the quotient rows merge numerators into ints and zeros.
+    p = RU.var("p")
+    g1 = _J1().scale(Fraction(1, 3))
+    g2 = _R1().scale(
+        Expr.of_poly(p * p * GaussRat(1, 1) + p * GaussRat(2, -1) + RU.const(Fraction(1, 4)))
+    ) + _J1().scale(Expr.of_poly((p * p - p) * GaussRat(0, 1)))
+    gens = [("G1", g1), ("G2", g2)]
+    ops = monomial_ops(gens, 2)
+    target = (
+        g1.compose(g2).scale(Fraction(5, 7))
+        + g1.scale(Expr.of_poly(p * p * Fraction(2, 9)))
+        + g2.scale(Expr.of_poly(p * Fraction(3, 2)))
+        + identity(RU_SPEC).scale(GaussRat(0, Fraction(-1, 11)))
+    )
+    symbolic = decompose(target, gens, ops, params=("p",), param_bound=2)
+    assert symbolic.success, symbolic.message
+    assert symbolic.coefficient_strings() == {
+        "1": "-1/11*i", "G1": "2/9*p^2", "G1*G2": "5/7", "G2": "3/2*p",
+    }
+    quotient = decompose(target, gens, ops, params=("p",), param_bound=2, idempotents=("p",))
+    assert quotient.success, quotient.message
+    assert quotient.coefficient_strings() == {
+        "1": "-1/11*i", "G1": "2/9*p", "G1*G2": "5/7", "G2": "3/2*p",
+    }
+    # full column rank: the coefficients are the only ones
+    assert (symbolic.rank, symbolic.unknowns) == (18, 18)
+    assert (quotient.rank, quotient.unknowns) == (12, 12)
+
+
 # -- SparseSolver against a dense reference ------------------------------------
 #
 # The reference eliminates dense rows of (re, im) Fraction pairs with its own
@@ -218,6 +252,18 @@ def _random_system(rng, nrows, ncols, gaussian):
     return rows
 
 
+def _gaussian_integer_row(coeffs, rhs):
+    """A row and its right-hand side times the lcm of all their denominators,
+    as the solver takes them: ints when real, GaussRat otherwise."""
+    den = lcm(*(p.denominator for v in (*coeffs.values(), rhs) for p in v))
+
+    def scaled(v):
+        re, im = (int(p * den) for p in v)
+        return GaussRat(re, im) if im else re
+
+    return {c: scaled(v) for c, v in coeffs.items()}, scaled(rhs)
+
+
 def _lifted_content(coeffs, rhs):
     """gcd of a row's parts once scaled to integers by their common denominator."""
     parts = [p for v in (*coeffs.values(), rhs) for p in v]
@@ -247,10 +293,7 @@ def test_sparse_solver_matches_dense_reference():
         ncols = rng.randint(1, 7)
         rows = _random_system(rng, rng.randint(1, 10), ncols, gaussian=trial % 3 != 0)
         solver = SparseSolver()
-        added = [
-            solver.add({c: GaussRat(*v) for c, v in coeffs.items()}, GaussRat(*rhs))
-            for coeffs, rhs in rows
-        ]
+        added = [solver.add(*_gaussian_integer_row(coeffs, rhs)) for coeffs, rhs in rows]
         accepted, order, contradictions, solution = _dense_rref(rows, ncols)
         assert added == accepted
         assert list(solver.pivots) == order
@@ -267,13 +310,13 @@ def test_sparse_solver_matches_dense_reference():
 
 def test_sparse_solver_keeps_primitive_integer_rows():
     solver = SparseSolver()
-    # 6x + 12y = 18: lifted as is, pivot y, divided by the content 6
+    # 6x + 12y = 18: pivot y, divided by the content 6
     assert solver.add({0: 6, 1: 12}, 18)
     assert solver.pivots[1] == ({0: 1}, 3, 2)
-    # (4/5)y + (2/5)(1+i)z = 2i: lifted by 5 and reduced against y to a
-    # multiple of (1+i)z - x = -3+5i, multiplied by the conjugate of its
-    # pivot entry, then divided by the content: 2z + (-1+i)x = 2+8i
-    assert solver.add({1: Fraction(4, 5), 2: GaussRat(Fraction(2, 5), Fraction(2, 5))}, GaussRat(0, 2))
+    # 4y + (2+2i)z = 10i: reduced against y to a multiple of
+    # (1+i)z - x = -3+5i, multiplied by the conjugate of its pivot entry,
+    # then divided by the content: 2z + (-1+i)x = 2+8i
+    assert solver.add({1: 4, 2: GaussRat(2, 2)}, GaussRat(0, 10))
     assert solver.pivots[2] == ({0: GaussRat(-1, 1)}, GaussRat(2, 8), 2)
     _assert_primitive(solver)
     # 3x + 6y = 10 reduces to 0 = 1
