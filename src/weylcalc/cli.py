@@ -26,7 +26,10 @@ def _parse_params(pairs) -> dict:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise ValueError("expected name=value, got %r" % pair)
-        out[name] = Fraction(value)
+        try:
+            out[name] = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError("%s: zero denominator" % pair) from None
     unknown = sorted(set(out) - set(DEFAULT_POINT))
     if unknown:
         raise ValueError(
@@ -49,7 +52,7 @@ def _emit_text(results, out):
 def cmd_verify(args) -> int:
     try:
         params = _parse_params(args.param)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print("bad --param: %s" % exc, file=sys.stderr)
         return 2
     if args.jobs < 1:

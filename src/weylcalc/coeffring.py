@@ -814,19 +814,15 @@ def _main_symbol(a: MultiPoly, b: MultiPoly):
 
 
 def _split_by(p: MultiPoly, idx: int) -> dict:
-    """Degree in symbol idx -> coefficient poly (exponent at idx zeroed)."""
+    """Degree in symbol idx -> coefficient poly (exponent at idx zeroed).
+
+    Distinct terms of one degree stay distinct with that exponent zeroed,
+    so each coefficient is copied, never summed.
+    """
     out = {}
     for e, c in p.terms.items():
-        k = e[idx]
-        rest = list(e)
-        rest[idx] = 0
-        d = out.setdefault(k, {})
-        key = tuple(rest)
-        d[key] = d.get(key, GR_ZERO) + c
-    return {
-        k: MultiPoly(p.ring, {e: c for e, c in d.items() if not c.is_zero()})
-        for k, d in out.items()
-    }
+        out.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1:]] = c
+    return {k: MultiPoly(p.ring, d) for k, d in out.items()}
 
 
 def _join_by(parts: dict, idx: int, ring: PolyRing) -> MultiPoly:
@@ -840,7 +836,15 @@ def _join_by(parts: dict, idx: int, ring: PolyRing) -> MultiPoly:
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic gcd of adjunct-free polynomials over the Gaussian rationals."""
+    """Monic gcd of adjunct-free polynomials over the Gaussian rationals.
+
+    Recursive in the main (highest-index) symbol: gcd = gcd of the contents
+    times the primitive gcd from the subresultant PRS (Brown, J. ACM 1971;
+    Geddes, Czapor & Labahn, ch. 7).  The content of the argument with fewer
+    terms is taken first; when it is 1 the gcd is primitive, so the other
+    argument's content cannot change it and is never computed: the PRS
+    takes that argument as it is.
+    """
     if a.is_zero():
         return _monic(b)
     if b.is_zero():
@@ -867,25 +871,29 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             if g.is_const():
                 return a.ring.one()
         return _monic(g)
-    f, g = (a, b) if da >= db else (b, a)
-    cf, pf = _content_and_primitive(f, idx)
-    cg, pg = _content_and_primitive(g, idx)
-    cont = poly_gcd(cf, cg)
-    pp = _primitive_prs(pf, pg, idx)
-    return _monic(cont * pp)
+    small, large = (a, b) if len(a.terms) < len(b.terms) else (b, a)
+    c_small, p_small = _content_and_primitive(small, idx)
+    if c_small.is_const():
+        return _monic(_primitive_prs(large, small, idx))
+    c_large, p_large = _content_and_primitive(large, idx)
+    return _monic(poly_gcd(c_small, c_large) * _primitive_prs(p_large, p_small, idx))
 
 
 def _content_and_primitive(p: MultiPoly, idx: int):
+    """(content, primitive part) of p in symbol idx; the content is monic.
+
+    A nonzero constant coefficient part makes the content 1 at once, with
+    no gcd; otherwise the parts are gcd'd smallest first, stopping at 1.
+    """
     parts = _split_by(p, idx)
+    if any(q.is_const() for q in parts.values()):
+        return p.ring.one(), p
     cont = None
-    for q in parts.values():
+    for q in sorted(parts.values(), key=lambda q: len(q.terms)):
         cont = q if cont is None else poly_gcd(cont, q)
         if cont.is_const():
-            cont = p.ring.one()
-            break
+            return p.ring.one(), p
     cont = _monic(cont)
-    if cont.is_const():
-        return p.ring.one(), p
     prim = _join_by(
         {k: q.exact_div(cont) for k, q in parts.items()}, idx, p.ring
     )
@@ -893,9 +901,11 @@ def _content_and_primitive(p: MultiPoly, idx: int):
 
 
 def _primitive_prs(f: MultiPoly, g: MultiPoly, idx: int) -> MultiPoly:
-    """Gcd of two primitive polynomials via the subresultant remainder
-    sequence: each pseudo-remainder is divided by a predicted factor, which
-    keeps coefficient growth polynomial without per-step content extraction.
+    """Primitive gcd of f and g via the subresultant remainder sequence:
+    each pseudo-remainder is divided by a predicted factor, which keeps
+    coefficient growth polynomial without per-step content extraction.  The
+    inputs need not be primitive: the last nonzero remainder is a multiple
+    of the gcd, and only its primitive part is returned.
     """
     ring = f.ring
     sym = ring.symbols[idx]
@@ -918,27 +928,47 @@ def _primitive_prs(f: MultiPoly, g: MultiPoly, idx: int) -> MultiPoly:
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, idx: int) -> MultiPoly:
-    """Strict pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g."""
+    """Strict pseudo-remainder lc(g)^(δ+1)·f mod g in symbol idx, where
+    δ = deg f − deg g; f itself when δ < 0.
+
+    One pass over f's coefficient parts in symbol idx, from the top
+    degree down, so no step splits the remainder again.  When lc(g) is a
+    constant c the step is plain division by c over the field, and the
+    remainder is scaled by c^(δ+1) once at the end; otherwise each step
+    multiplies the remainder by lc(g).  Both give the same polynomial.
+    """
     ring = f.ring
-    sym = ring.symbols[idx]
-    dg = g.degree_in(sym)
     g_parts = _split_by(g, idx)
-    lc_g = g_parts[dg]
-    rem = f
-    scale = f.degree_in(sym) - dg + 1
-    while True:
-        dr = rem.degree_in(sym)
-        if rem.is_zero() or dr < dg:
-            break
-        r_parts = _split_by(rem, idx)
-        lc_r = r_parts[dr]
-        shift = ring.var(sym, dr - dg) if dr > dg else ring.one()
-        rem = rem * lc_g - g * (lc_r * shift)
-        scale -= 1
-    while scale > 0:
-        rem = rem * lc_g
-        scale -= 1
-    return rem
+    dg = max(g_parts)
+    lc_g = g_parts.pop(dg)
+    rem = _split_by(f, idx)
+    df = max(rem, default=-1)
+    if df < dg:
+        return f
+    const = lc_g.is_const()
+    if const:
+        c = lc_g.const_value()
+        inv = GR_ONE / c
+    for d in range(df, dg - 1, -1):
+        lc_r = rem.pop(d, None)
+        if not const:
+            rem = {k: q * lc_g for k, q in rem.items()}
+        if lc_r is None:
+            continue
+        if const:
+            lc_r = lc_r * inv
+        for k, gk in g_parts.items():
+            key = k + d - dg
+            part = rem.get(key)
+            part = -(gk * lc_r) if part is None else part - gk * lc_r
+            if part.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = part
+    out = _join_by(rem, idx, ring)
+    if const and c != 1:
+        out = out * c ** (df - dg + 1)
+    return out
 
 
 # -- rational functions -------------------------------------------------------

@@ -48,6 +48,13 @@ def test_verify_bad_param_exits_two(capsys):
     assert code == 2
 
 
+def test_verify_param_zero_denominator_exits_two(capsys):
+    code = main(["verify", "2d.eigenbasis", "--param", "beta=1/0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "bad --param: beta=1/0: zero denominator\n"
+
+
 def test_verify_json_and_text_agree(capsys):
     code = main(["verify", "geom.*", "--format", "json"])
     payload = _json_lines(capsys)

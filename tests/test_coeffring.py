@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from randops import XYZ, random_expr, random_fraction, random_gauss, random_poly, random_point
 
+from weylcalc import coeffring
 from weylcalc.coeffring import (
     CoeffRingError,
     Expr,
@@ -16,6 +17,8 @@ from weylcalc.coeffring import (
     UnknownSymbol,
     ZeroDenominator,
     _dot_terms,
+    _monic,
+    _pseudo_rem,
     _sum_products,
     format_poly,
     poly_gcd,
@@ -95,6 +98,115 @@ def test_poly_gcd_divides_both():
         assert d.divides(f), "gcd %s does not divide %s" % (d, f)
         assert d.divides(g), "gcd %s does not divide %s" % (d, g)
         assert poly_gcd(f.exact_div(d), g.exact_div(d)).is_const()
+
+
+X, Y, Z = XYZ.var("x"), XYZ.var("y"), XYZ.var("z")
+I = GaussRat(0, 1)
+
+
+def _product(factors):
+    out = XYZ.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _assert_gcd(g, a, b):
+    """poly_gcd(g*a, g*b) is monic g, for a and b coprime by construction."""
+    want = _monic(g)
+    assert poly_gcd(g * a, g * b) == want
+    assert poly_gcd(g * b, g * a) == want
+
+
+def test_poly_gcd_of_known_factors():
+    # the smaller argument is primitive in z, the larger one has content x + 1
+    _assert_gcd(Z + X, (X + 1) * (Z + Y) * (Z - 3), Z + X * 2)
+    # both contents non-trivial: (x + 1) and (x + 1)(y + 2); their gcd x + 1
+    _assert_gcd((X + 1) * (Z + X), Z + Y, (Y + 2) * (Z - Y * 2))
+    # divisors with constant leading coefficients 3 and 2 + i in z
+    _assert_gcd(Z * 3 + X, Z + Y, Z * 3 - Y)
+    _assert_gcd(Z * (2 + I) + X, Z * 2 + Y * I, (Z + 1) * (Z - X))
+    # the lower-degree argument first, a Gaussian content and leading coefficient
+    _assert_gcd(Z * (1 - I) + Y, X * (1 + I) + 2, (Z - X * I) * (Z + Y) * (Z + 1))
+    # the gcd is only content: the primitive parts are coprime
+    _assert_gcd(X * Y + 1, Z + X, Z - X)
+
+
+def test_poly_gcd_of_random_linear_factors():
+    """Random Gaussian linear forms, pairwise non-proportional, are distinct
+    irreducibles; gcd(G*A, G*B) = G*gcd(A, B) = G when A and B share none."""
+    rng = random.Random(1414)
+    forms = []
+    while len(forms) < 24:
+        coeffs = [GaussRat(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
+        if not any(coeffs[1:]):
+            continue
+        form = _monic(XYZ.const(coeffs[0]) + X * coeffs[1] + Y * coeffs[2] + Z * coeffs[3])
+        if form not in forms:
+            forms.append(form)
+    for _ in range(40):
+        picked = rng.sample(forms, 6)
+        k = rng.randint(1, 3)
+        g = _product(picked[:k]) * random_gauss(rng, nonzero=True)
+        a = _product(picked[k:k + 2]) * random_gauss(rng, nonzero=True)
+        b = _product(picked[k + 2:]) * random_gauss(rng, nonzero=True)
+        _assert_gcd(g, a, b)
+
+
+def _check_pseudo_rem(f, g, idx):
+    sym = XYZ.symbols[idx]
+    r = _pseudo_rem(f, g, idx)
+    df, dg = f.degree_in(sym), g.degree_in(sym)
+    if df < dg:
+        assert r == f
+        return
+    assert r.is_zero() or r.degree_in(sym) < dg
+    lc = XYZ.zero()
+    for e, c in g.terms.items():
+        if e[idx] == dg:
+            rest = list(e)
+            rest[idx] = 0
+            lc = lc + XYZ.poly({tuple(rest): c})
+    # g divides lc(g)^(deg f - deg g + 1) * f - r
+    (lc ** (df - dg + 1) * f - r).exact_div(g)
+
+
+def test_pseudo_rem_defining_identity():
+    rng = random.Random(1515)
+    for _ in range(150):
+        idx = rng.randrange(3)
+        sym = XYZ.symbols[idx]
+        rest = [s for s in XYZ.symbols if s != sym]
+        u, v = (XYZ.var(s) for s in rest)
+        lc = rng.choice([XYZ.one(), XYZ.const(3), XYZ.const(2 + I), u + v * I, u * v - 2])
+        dg = rng.randint(1, 3)
+        g = lc * XYZ.var(sym, dg)
+        g = g + random_poly(XYZ, rng, symbols=rest, terms=2)
+        for k in range(1, dg):
+            g = g + random_poly(XYZ, rng, symbols=rest, terms=2) * XYZ.var(sym, k)
+        f = random_poly(XYZ, rng, terms=4, degree=3, nonzero=True)
+        _check_pseudo_rem(f, g, idx)
+    # the degree of f below the degree of g, with a constant lc(g) != 1
+    _check_pseudo_rem(Z * X + 1, Z ** 2 * 3 + X, 2)
+    _check_pseudo_rem(Z * X + 1, Z ** 3 * (2 + I) + Y, 2)
+
+
+def test_poly_gcd_skips_the_content_of_a_primitive_pair(monkeypatch):
+    """When the argument with fewer terms is primitive, the content of the
+    other argument cannot change the gcd and is never computed."""
+    s = X ** 2 + Y ** 2 + Z ** 2
+    f = s * (X + 1) * (Z + Y)  # content x + 1 in z
+    seen = []
+    content = coeffring._content_and_primitive
+
+    def recording(p, idx):
+        seen.append(p)
+        return content(p, idx)
+
+    monkeypatch.setattr(coeffring, "_content_and_primitive", recording)
+    assert poly_gcd(f, s ** 2) == s
+    assert seen
+    assert all(p.terms != f.terms for p in seen)
 
 
 def test_reduce_invariants():
