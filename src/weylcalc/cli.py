@@ -90,7 +90,6 @@ def cmd_show(args) -> int:
 
 def cmd_matrix(args) -> int:
     from .flagrep import FlagError, matrix_of
-    from .spaces import RU
 
     try:
         op, _ = registry.operator(args.opname)
@@ -102,10 +101,7 @@ def cmd_matrix(args) -> int:
     except (FlagError, WeylError) as exc:
         print("cannot restrict %s to P_%d: %s" % (args.opname, args.n, exc), file=sys.stderr)
         return 2
-    labels = []
-    for a, b in matrix.basis.pairs:
-        mono = RU.var("r") ** a * RU.var("u") ** b
-        labels.append(str(mono))
+    labels = [str(matrix.basis.monomial(i)) for i in range(matrix.dim)]
     payload = {
         "operator": args.opname,
         "n": args.n,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr
+from .flagrep import equality_oracle
 from .linsolve import (
     Decomposition,
     decompose,
@@ -202,8 +203,6 @@ def parity_solve(target: DiffOp, generators, ops: dict, target_name: str) -> tup
 
 def verify_integrals():
     """[h_a, l_a] = [h_a, b_a] = 0, and [h_a, c] = 0 as a consistency check."""
-    from .flagrep import equality_oracle
-
     h, l, b, c = h_a(), l_a(), b_a(), c_op()
     out = []
     hl, lh = h.compose(l), l.compose(h)
@@ -227,10 +226,6 @@ _CL = "l"
 _CB = "b"
 _CC = "c"
 _CH = "h"
-
-
-def _ops_by_name():
-    return {_CL: l_a(), _CB: b_a(), _CC: c_op(), _CH: h_a()}
 
 
 def printed_cl_table() -> dict:
@@ -285,15 +280,14 @@ def printed_cb_table() -> dict:
     }
 
 
-def evaluate_monomial_table(table: dict) -> DiffOp:
-    """Sum of coeff * (composition of named factors, left to right)."""
-    ops = _ops_by_name()
+def evaluate_monomial_table(table: dict, ops: dict) -> DiffOp:
+    """Sum of coeff * (composition of named factors, left to right), each
+    product read from ops, the monomial_ops table of CUBIC_GENERATORS; every
+    printed monomial is nondecreasing in that order."""
+    index = {name: i for i, (name, _) in enumerate(CUBIC_GENERATORS)}
     total = DiffOp(RU_SPEC)
     for mono, coeff in table.items():
-        term = mul_op(RU_SPEC, coeff)
-        for name in mono:
-            term = term.compose(ops[name])
-        total = total + term
+        total = total + ops[tuple(index[name] for name in mono)].scale(coeff)
     return total
 
 
@@ -320,7 +314,7 @@ def verify_cubic():
         ("b", b_a(), printed_cb_table()),
     ):
         target = c.commutator(other)
-        printed = evaluate_monomial_table(table)
+        printed = evaluate_monomial_table(table, ops)
         results.append(parity_check("2d.cubic.%s.printed" % tag, target - printed))
         dec, ring_note = parity_solve(target, gens, ops, "[c,%s_a]" % tag)
         decs[tag] = dec

@@ -2,13 +2,16 @@
 
     P_n = span{ r^a u^b : a + 2b <= n },   dim P_n = sum_{k<=n} (floor(k/2)+1).
 
-Operators that preserve P_n get exact matrices in the graded monomial basis
-(sorted by (a+2b, b)), from one application of the operator per basis
-monomial, and characteristic polynomials via a fraction-free elimination with
-a fast path for triangular matrices.  Eigenspaces at a rational parameter
-point come from linsolve.SparseSolver with leftmost pivots, i.e. from the
-unique reduced row echelon form of M - lam*I, each row scaled into Z[i] by
-its own lcm; flagrep does no elimination of its own.
+In the graded monomial basis (sorted by (a+2b, b)) the basis of P_n is a
+prefix of the basis of every higher level, so one application of an operator
+per basis monomial of a top level settles the whole flag below it:
+invariance_witnesses reads every level's verdict from that one pass, and the
+matrix on P_top gives the matrix on each P_n as its leading block.  Matrices
+are exact; characteristic polynomials come from a fraction-free elimination
+with a fast path for triangular matrices.  Eigenspaces at a rational
+parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
+from the unique reduced row echelon form of M - lam*I, each row scaled into
+Z[i] by its own lcm; flagrep does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -88,37 +91,42 @@ def _split_image(image: Expr):
     return split
 
 
-def _images(op: DiffOp, n: int):
-    """The basis of P_n and the split image of each of its monomials, one
-    application of op per monomial; NotInvariant names the first image that
-    leaves P_n."""
+_LEAVES = "image of %s leaves P_%d at r^%d*u^%d (coefficient %s)"
+
+
+def _escape(mono: MultiPoly, image: Expr, split, n: int):
+    """Why image = op(mono) leaves P_n, or None if it stays inside."""
+    if split is None:
+        return "image of %s is not polynomial: %s" % (mono, image)
+    for (a, b), coeff in split.items():
+        if a + 2 * b > n:
+            return _LEAVES % (mono, n, a, b, coeff)
+    return None
+
+
+def _images(op: DiffOp, top: int):
+    """The basis of P_top, the split image of each of its monomials (None
+    where the image is not polynomial), and the invariance_witnesses of every
+    level n <= top, from one application of op per monomial."""
     if op.spec != RU_SPEC:
         raise FlagError("flag representation requires the (r, u) chart")
-    basis = MonomialBasis(n)
-    images = []
-    for i in range(len(basis)):
-        mono = basis.monomial(i)
-        image = op.apply(Expr.of_poly(mono))
-        if not image.is_poly():
-            raise NotInvariant("image of %s is not polynomial: %s" % (mono, image))
-        split = _split_image(image)
-        for (a, b), coeff in split.items():
-            if a + 2 * b > n:
-                raise NotInvariant(
-                    "image of %s leaves P_%d at r^%d*u^%d (coefficient %s)"
-                    % (mono, n, a, b, coeff)
-                )
-        images.append(split)
-    return basis, images
+    basis = MonomialBasis(top)
+    monos = [basis.monomial(i) for i in range(len(basis))]
+    images = [op.apply(Expr.of_poly(mono)) for mono in monos]
+    splits = [_split_image(image) if image.is_poly() else None for image in images]
+    witnesses = []
+    for n in range(top + 1):
+        escapes = (
+            _escape(monos[i], images[i], splits[i], n) for i in range(flag_dim(n))
+        )
+        witnesses.append(next((w for w in escapes if w is not None), None))
+    return basis, splits, witnesses
 
 
-def is_invariant(op: DiffOp, n: int):
-    """(True, None) if op maps P_n into P_n, else (False, witness)."""
-    try:
-        _images(op, n)
-    except NotInvariant as exc:
-        return False, str(exc)
-    return True, None
+def invariance_witnesses(op: DiffOp, top: int) -> list:
+    """For each n = 0..top: None if op maps P_n into P_n, else the first
+    basis monomial of P_n whose image leaves it and the first escaping term."""
+    return _images(op, top)[2]
 
 
 @dataclass
@@ -132,12 +140,31 @@ class OperatorMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
+    def leading_block(self, n: int) -> "OperatorMatrix":
+        """The matrix on P_n, a prefix of this basis; NotInvariant if a
+        column of the block has a nonzero entry below it."""
+        if not 0 <= n <= self.basis.n:
+            raise FlagError("P_%d is not a level of P_%d" % (n, self.basis.n))
+        d = flag_dim(n)
+        for i in range(d, self.dim):
+            for j in range(d):
+                if not self.entries[i][j].is_zero():
+                    a, b = self.basis.pairs[i]
+                    raise NotInvariant(
+                        _LEAVES % (self.basis.monomial(j), n, a, b, self.entries[i][j])
+                    )
+        return OperatorMatrix(
+            basis=MonomialBasis(n), entries=[row[:d] for row in self.entries[:d]]
+        )
+
 
 def matrix_of(op: DiffOp, n: int) -> OperatorMatrix:
-    basis, images = _images(op, n)
+    basis, splits, witnesses = _images(op, n)
+    if witnesses[n] is not None:
+        raise NotInvariant(witnesses[n])
     dim = len(basis)
     entries = [[RU.zero() for _ in range(dim)] for _ in range(dim)]
-    for j, split in enumerate(images):
+    for j, split in enumerate(splits):
         for ab, coeff in split.items():
             entries[basis.index[ab]][j] = coeff
     return OperatorMatrix(basis=basis, entries=entries)
@@ -223,10 +250,11 @@ class SpectralReport:
         return self.triangular and self.diagonal_ok and self.charpoly_ok
 
 
-def spectrum_report(op: DiffOp, n: int) -> SpectralReport:
-    """Verify the graded-basis triangular structure and the full spectrum."""
-    matrix = matrix_of(op, n)
+def spectrum_report(matrix: OperatorMatrix) -> SpectralReport:
+    """Verify the graded-basis triangular structure and the full spectrum of
+    the radial operator's matrix on P_n."""
     basis = matrix.basis
+    n = basis.n
     dim = matrix.dim
     witnesses = []
 
@@ -272,12 +300,6 @@ def spectrum_report(op: DiffOp, n: int) -> SpectralReport:
     )
 
 
-def verify_spectrum(n: int) -> SpectralReport:
-    from .coulomb2d import h_a
-
-    return spectrum_report(h_a(), n)
-
-
 DEFAULT_POINT = {
     "beta": Fraction(2),
     "mu": Fraction(1, 3),
@@ -314,13 +336,12 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
     return out
 
 
-def eigenpolynomials(n: int, point: dict | None = None) -> list:
-    """Exact bases of the level-k eigenspaces of the radial operator on P_n,
-    k = 0..n, at a rational parameter point, each polynomial normalized to
-    leading coefficient 1.
+def eigenpolynomials(matrix: OperatorMatrix, point: dict | None = None) -> list:
+    """Exact bases of the level-k eigenspaces, k = 0..n, of the radial
+    operator's matrix on P_n at a rational parameter point, each polynomial
+    normalized to leading coefficient 1.
     """
-    from .coulomb2d import h_a
-
+    n = matrix.basis.n
     point = dict(DEFAULT_POINT if point is None else point)
     eigs = [level_eigenvalue(k).evaluate(point) for k in range(n + 1)]
     for a in range(n + 1):
@@ -330,7 +351,6 @@ def eigenpolynomials(n: int, point: dict | None = None) -> list:
                     "levels %d and %d collide at this point; pick a parameter "
                     "point with beta != 0 and distinct level shifts" % (a, b)
                 )
-    matrix = matrix_of(h_a(), n)
     dense = [[e.evaluate(point) for e in row] for row in matrix.entries]
     return [_eigenspace(matrix.basis, dense, lam) for lam in eigs]
 

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .coeffring import Expr, MultiPoly
 from .coulomb2d import b_a, c_op, h_a, l_a, parity_solve
-from .flagrep import is_invariant
+from .flagrep import invariance_witnesses
 from .linsolve import Decomposition, decompose, monomial_ops
 from .reports import CheckResult, merge_checks, residual_check
 from .spaces import RU, RU_SPEC
@@ -132,22 +132,22 @@ def verify_flag(levels=(0, 1, 2, 3, 5)) -> CheckResult:
     parts = []
     for n in levels:
         for name, op in generator_set(mark=n):
-            ok, wit = is_invariant(op, n)
+            wit = invariance_witnesses(op, n)[n]
             parts.append(
                 CheckResult(
                     check="g2.flag[%s,n=%d]" % (name, n),
-                    status="pass" if ok else "fail",
-                    residual_terms=0 if ok else 1,
-                    witnesses=[] if ok else [wit],
+                    status="pass" if wit is None else "fail",
+                    residual_terms=0 if wit is None else 1,
+                    witnesses=[] if wit is None else [wit],
                 )
             )
-    ok, wit = is_invariant(generator("J4", 0), 2)
+    caught = invariance_witnesses(generator("J4", 0), 2)[2] is not None
     parts.append(
         CheckResult(
             check="g2.flag[control J4 mark 0 on P_2]",
-            status="fail" if ok else "pass",
-            residual_terms=1 if ok else 0,
-            witnesses=["mismatched mark was not detected"] if ok else [],
+            status="pass" if caught else "fail",
+            residual_terms=0 if caught else 1,
+            witnesses=[] if caught else ["mismatched mark was not detected"],
         )
     )
     out = merge_checks("g2.flag", parts)

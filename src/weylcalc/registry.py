@@ -66,19 +66,17 @@ def _run_2d_cubic(params):
 
 def _run_2d_flag(params):
     from .coulomb2d import b_a, c_op, h_a, l_a
-    from .flagrep import is_invariant
+    from .flagrep import invariance_witnesses
 
     parts = []
     for name, build in (("h_a", h_a), ("l_a", l_a), ("b_a", b_a), ("c", c_op)):
-        op = build()
-        for n in range(9):
-            ok, wit = is_invariant(op, n)
+        for n, wit in enumerate(invariance_witnesses(build(), 8)):
             parts.append(
                 CheckResult(
                     check="2d.flag.invariance[%s,P_%d]" % (name, n),
-                    status="pass" if ok else "fail",
-                    residual_terms=0 if ok else 1,
-                    witnesses=[] if ok else [wit],
+                    status="pass" if wit is None else "fail",
+                    residual_terms=0 if wit is None else 1,
+                    witnesses=[] if wit is None else [wit],
                 )
             )
     out = merge_checks("2d.flag.invariance", parts)
@@ -88,12 +86,14 @@ def _run_2d_flag(params):
 
 
 def _run_2d_spectrum(params):
-    from .flagrep import verify_spectrum
+    from .coulomb2d import h_a
+    from .flagrep import matrix_of, spectrum_report
 
+    top = matrix_of(h_a(), 8)
     parts = []
     dims = []
     for n in range(9):
-        rep = verify_spectrum(n)
+        rep = spectrum_report(top.leading_block(n))
         dims.append(rep.dim)
         parts.append(
             CheckResult(
@@ -123,12 +123,14 @@ def _point_override(params):
 
 
 def _run_2d_eigenbasis(params):
-    from .flagrep import eigenpolynomials, flag_dim
+    from .coulomb2d import h_a
+    from .flagrep import eigenpolynomials, flag_dim, matrix_of
 
     point = _point_override(params)
+    top = matrix_of(h_a(), 8)
     parts = []
     for n in range(9):
-        total = sum(map(len, eigenpolynomials(n, point)))
+        total = sum(map(len, eigenpolynomials(top.leading_block(n), point)))
         want = flag_dim(n)
         parts.append(
             CheckResult(

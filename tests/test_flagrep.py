@@ -7,22 +7,24 @@ from fractions import Fraction
 import pytest
 from randops import random_op
 
-from weylcalc import flagrep
-from weylcalc.coulomb2d import h_a
+from weylcalc import flagrep, registry
+from weylcalc.coeffring import Expr
+from weylcalc.coulomb2d import b_a, c_op, h_a, l_a
 from weylcalc.flagrep import (
     DEFAULT_POINT,
     EigenvalueCollision,
     FlagError,
     MonomialBasis,
+    NotInvariant,
     OperatorMatrix,
     char_poly,
     eigenpolynomials,
     equality_oracle,
     flag_dim,
-    is_invariant,
+    invariance_witnesses,
     level_eigenvalue,
     matrix_of,
-    verify_spectrum,
+    spectrum_report,
 )
 from weylcalc.spaces import RU, RU_SPEC
 from weylcalc.weyl import DiffOp, format_op, mul_op, partial
@@ -48,16 +50,14 @@ def test_flag_basis_is_weight_graded():
 
 
 def test_invariance_positive_and_negative():
-    ok, _ = is_invariant(h_a(), 4)
-    assert ok
+    assert invariance_witnesses(h_a(), 4)[4] is None
     # lowering the weight keeps the flag invariant
     lower = mul_op(RU_SPEC, RU.var("r")).compose(partial(RU_SPEC, "u"))
-    ok, _ = is_invariant(lower, 5)
-    assert ok
+    assert invariance_witnesses(lower, 5)[5] is None
     # multiplying by r raises the weight and escapes
     raiser = mul_op(RU_SPEC, RU.var("r"))
-    ok, witness = is_invariant(raiser, 3)
-    assert not ok
+    witness = invariance_witnesses(raiser, 3)[3]
+    assert witness is not None
     assert witness, "a failed invariance check must name an escaping monomial"
 
 
@@ -149,15 +149,15 @@ def test_level_eigenvalue_formula():
 
 def test_spectrum_reports():
     for n in range(5):
-        rep = verify_spectrum(n)
+        rep = spectrum_report(matrix_of(h_a(), n))
         assert rep.ok
         assert rep.dim == flag_dim(n)
 
 
 def test_eigenpolynomials_simple_point():
     point = {"beta": Fraction(1), "mu": Fraction(0), "p": Fraction(0)}
-    ground = eigenpolynomials(1, point)[0]
-    excited = eigenpolynomials(1, point)[1]
+    ground = eigenpolynomials(matrix_of(h_a(), 1), point)[0]
+    excited = eigenpolynomials(matrix_of(h_a(), 1), point)[1]
     assert [str(q) for q in ground] == ["1"]
     assert [str(q) for q in excited] == ["r - 1"]
 
@@ -168,7 +168,7 @@ def test_eigenpolynomials_are_eigenvectors():
     total = 0
     for k in range(n + 1):
         lam = level_eigenvalue(k).evaluate(DEFAULT_POINT)
-        for q in eigenpolynomials(n, DEFAULT_POINT)[k]:
+        for q in eigenpolynomials(matrix_of(h_a(), n), DEFAULT_POINT)[k]:
             image = op.apply(Expr_of(q))
             assert (image - Expr_of(q * lam)).is_zero()
             total += 1
@@ -176,8 +176,6 @@ def test_eigenpolynomials_are_eigenvectors():
 
 
 def Expr_of(poly):
-    from weylcalc.coeffring import Expr
-
     return Expr.of_poly(poly)
 
 
@@ -229,7 +227,7 @@ def test_eigenpolynomials_match_dense_rref():
     for point in points:
         for n in range(9):
             matrix = matrix_of(h_a(), n)
-            levels = eigenpolynomials(n, point)
+            levels = eigenpolynomials(matrix, point)
             assert len(levels) == n + 1
             for k, got in enumerate(levels):
                 want = _dense_rref_eigenbasis(matrix, level_eigenvalue(k).evaluate(point), point)
@@ -254,19 +252,115 @@ def test_one_application_per_basis_monomial(monkeypatch):
         matrix_of(op, n)
         assert len(calls) == flag_dim(n)
         calls.clear()
-        eigenpolynomials(n, DEFAULT_POINT)
+        eigenpolynomials(matrix_of(op, n), DEFAULT_POINT)
         assert len(calls) == flag_dim(n)
 
 
 def test_eigenvalue_collision_guard():
     degenerate = {"beta": Fraction(0), "mu": Fraction(0), "p": Fraction(0)}
     with pytest.raises(EigenvalueCollision):
-        eigenpolynomials(2, degenerate)[1]
+        eigenpolynomials(matrix_of(h_a(), 2), degenerate)[1]
 
 
 def test_matrix_requires_invariance():
     with pytest.raises(FlagError):
         matrix_of(mul_op(RU_SPEC, RU.var("r")), 2)
+
+
+def _even_levels_only() -> DiffOp:
+    """r * prod_{t in 0,2,4,6,8} (r d_r - t): kills r^a u^b for even a <= 8
+    and raises the weight of every other monomial by one, so it preserves
+    P_n exactly for even n <= 8."""
+    r = RU.var("r")
+    euler = mul_op(RU_SPEC, r).compose(partial(RU_SPEC, "r"))
+    op = mul_op(RU_SPEC, r)
+    for t in (0, 2, 4, 6, 8):
+        op = op.compose(euler - mul_op(RU_SPEC, RU.const(t)))
+    return op
+
+
+def _first_escape(op, n):
+    """Per-level reference for the invariance pass: apply op to the basis of
+    P_n in order and name the first image that is not polynomial, or its
+    first term of weight above n with that monomial's full coefficient."""
+    ir, iu = RU.index_of("r"), RU.index_of("u")
+    for a, b in MonomialBasis(n).pairs:
+        mono = RU.monomial(1, r=a, u=b)
+        image = op.apply(Expr.of_poly(mono))
+        if not image.is_poly():
+            return "image of %s is not polynomial: %s" % (mono, image)
+        terms = image.as_poly().terms
+        escaping = [e for e in terms if e[ir] + 2 * e[iu] > n]
+        if escaping:
+            at = (escaping[0][ir], escaping[0][iu])
+            coeff = RU.zero()
+            for e, c in terms.items():
+                if (e[ir], e[iu]) == at:
+                    rest = {s: k for s, k in zip(RU.symbols, e) if s not in ("r", "u")}
+                    coeff = coeff + RU.monomial(c, **rest)
+            return "image of %s leaves P_%d at r^%d*u^%d (coefficient %s)" % (
+                (mono, n) + at + (coeff,))
+    return None
+
+
+def test_invariance_pass_matches_a_per_level_reference():
+    r, beta = RU.var("r"), RU.var("beta")
+    ops = {
+        "even": _even_levels_only(),
+        "raiser": mul_op(RU_SPEC, r * beta + RU.var("u") * RU.var("mu")),
+        "pole": mul_op(RU_SPEC, Expr.make(RU.one(), r)).compose(partial(RU_SPEC, "r")),
+        "h_a": h_a(),
+    }
+    got = {name: invariance_witnesses(op, 8) for name, op in ops.items()}
+    for name, op in ops.items():
+        assert got[name] == [_first_escape(op, n) for n in range(9)], name
+    assert [n for n, w in enumerate(got["even"]) if w is not None] == [1, 3, 5, 7]
+    assert got["h_a"] == [None] * 9
+    # 1/r * d_r kills 1, so P_0 is preserved, and sends r out of the polynomials
+    assert got["pole"][0] is None
+    assert all("is not polynomial" in w for w in got["pole"][1:])
+
+
+def test_leading_blocks_are_the_level_matrices():
+    for build in (h_a, l_a, b_a, c_op):
+        top = matrix_of(build(), 8)
+        for n in range(9):
+            block = top.leading_block(n)
+            ref = matrix_of(build(), n)
+            assert block.basis.n == n
+            assert block.basis.pairs == ref.basis.pairs
+            assert block.entries == ref.entries, (build.__name__, n)
+
+
+def test_leading_block_rejects_a_level_the_operator_leaves():
+    op = _even_levels_only()
+    top = matrix_of(op, 8)
+    for n in (1, 3, 5, 7):
+        with pytest.raises(NotInvariant):
+            top.leading_block(n)
+    for n in (0, 2, 4, 6, 8):
+        assert top.leading_block(n).entries == matrix_of(op, n).entries
+    with pytest.raises(FlagError):
+        top.leading_block(9)
+
+
+def test_one_pass_per_operator(monkeypatch):
+    calls = []
+    apply = DiffOp.apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffOp, "apply", counting)
+    invariance_witnesses(h_a(), 8)
+    assert len(calls) == flag_dim(8) == 25
+    # four operators in the flag group, the h_a matrix once in each of the others
+    for name, want in (("2d.flag.invariance", 100), ("2d.spectrum", 25), ("2d.eigenbasis", 25)):
+        calls.clear()
+        [res] = registry.run_checks([name])
+        assert res.passed, res.witnesses
+        assert len(calls) == want, name
 
 
 def test_equality_oracle_agrees_with_term_maps():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 from weylcalc.coeffring import Expr
 from weylcalc.coulomb2d import b_a, c_op, h_a, l_a
-from weylcalc.flagrep import is_invariant
+from weylcalc.flagrep import invariance_witnesses
 from weylcalc.g2algebra import (
     ALL_GENERATORS,
     LOWERING_GL2,
@@ -56,11 +56,11 @@ def test_flag_invariance_of_all_generators():
     assert res.passed, res.witnesses
     # spot check: every generator at mark n preserves the level-n space
     for name in ALL_GENERATORS:
-        ok, _ = is_invariant(generator(name, Fraction(3)), 3)
-        assert ok, "%s at mark 3 must preserve level 3" % name
+        witness = invariance_witnesses(generator(name, Fraction(3)), 3)[3]
+        assert witness is None, "%s at mark 3 must preserve level 3" % name
     # and a mismatched mark escapes
-    ok, witness = is_invariant(generator("J4", Fraction(0)), 2)
-    assert not ok and witness
+    witness = invariance_witnesses(generator("J4", Fraction(0)), 2)[2]
+    assert witness is not None and witness
 
 
 def test_first_order_subset_closes_linearly():
