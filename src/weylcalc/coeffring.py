@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, sub
 from struct import Struct
 
 
@@ -186,8 +188,17 @@ _FIELDS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"), (0xFFFFFFFFFFFFFFFF, "
 
 
 @lru_cache(maxsize=None)
-def _packer(nsyms: int, field: str) -> Struct:
-    return Struct("<%d%s" % (nsyms, field))
+def _packer(nfields: int, field: str, order: str = "<") -> Struct:
+    return Struct("%s%d%s" % (order, nfields, field))
+
+
+def _field(top: int, guarded: bool = False) -> str:
+    """Narrowest field format that holds values up to top; a guarded field
+    keeps its top bit clear, for the borrow test of the exact division."""
+    for limit, code in _FIELDS:
+        if top <= (limit >> 1 if guarded else limit):
+            return code
+    raise CoeffRingError("exponent %d too large to pack" % top)
 
 
 def _exp_bound(terms: dict, nsyms: int) -> int:
@@ -199,22 +210,71 @@ def _exp_bound(terms: dict, nsyms: int) -> int:
     return max(map(max, terms))
 
 
-def _scaled(terms: dict, pack):
-    """(common denominator, [(packed monomial, re numerator, im numerator)])."""
+def _numerators(coeffs):
+    """(common denominator d, [(re, im) integer numerators over d])."""
     den = 1
-    for c in terms.values():
+    for c in coeffs:
         den = lcm(den, c.re.denominator, c.im.denominator)
     return den, [
-        (
-            int.from_bytes(pack(*e), "little"),
-            c.re.numerator * (den // c.re.denominator),
-            c.im.numerator * (den // c.im.denominator),
-        )
-        for e, c in terms.items()
+        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for c in coeffs
     ]
 
 
-def _dot_terms(triples, nsyms: int) -> dict:
+def _scaled(terms: dict, pack):
+    """(common denominator, [(packed monomial, re numerator, im numerator)],
+    whether every coefficient is real)."""
+    den, nums = _numerators(terms.values())
+    packed = [
+        (int.from_bytes(pack(*e), "little"), re, im) for e, (re, im) in zip(terms, nums)
+    ]
+    return den, packed, not any(im for _, im in nums)
+
+
+def _prepare_operands(pairs, nsyms: int):
+    """Every distinct operand of the products a*b in pairs, scaled once by
+    _scaled and packed with one field width wide enough for all of them:
+    (unpack, packed size, {id(term dict): _scaled result}).
+
+    The result belongs to one call: it holds no reference to the operands,
+    so it must not outlive them.
+    """
+    ops = {}
+    for a, b in pairs:
+        ops[id(a)] = a
+        ops[id(b)] = b
+    bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
+    packer = _packer(nsyms, _field(max(bound[id(a)] + bound[id(b)] for a, b in pairs)))
+    return packer.unpack, packer.size, {i: _scaled(t, packer.pack) for i, t in ops.items()}
+
+
+def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
+    """m*a*b when a or b has one term: an exponent shift and a coefficient
+    scale, with the convolution's exponent checks, integer arithmetic and
+    term order (b's when a is the one term, a's otherwise).  A shift by 0
+    keeps the keys, and a scale by 1 keeps the coefficients, so a product
+    by 1 is a copy."""
+    _field(_exp_bound(a, nsyms) + _exp_bound(b, nsyms))
+    if len(a) == 1:
+        ((s, c),), terms = a.items(), b
+    else:
+        ((s, c),), terms = b.items(), a
+    keys = [tuple(map(add, e, s)) for e in terms] if any(s) else terms
+    if m == 1 and c.re == 1 and not c.im:
+        return dict(zip(keys, terms.values()))
+    dc, ((cr, ci),) = _numerators((c,))
+    den, nums = _numerators(terms.values())
+    d = dc * den
+    cr *= m
+    ci *= m
+    values = []
+    for re, im in nums:
+        im, re = re * ci + im * cr, re * cr - im * ci
+        values.append(_gr(Fraction(re, d), Fraction(im, d) if im else _F0))
+    return dict(zip(keys, values))
+
+
+def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
     """Sum of m*a*b over (int m, term dict a, term dict b), exact to the term.
 
     Fraction-free on packed monomials (after Monagan & Pearce, CASC 2007):
@@ -227,29 +287,30 @@ def _dot_terms(triples, nsyms: int) -> dict:
     surviving term becomes one reduced Fraction over d.  The terms come out
     in the order of a loop over the triples, then a (outer) and b (inner),
     that drops a sum when it cancels.
+
+    A lone triple with a one-term operand skips all of that set-up: it is
+    an exponent shift plus a coefficient scale (_shifted).  prepared, from
+    _prepare_operands over a superset of the triples' products, supplies
+    operands already scaled and packed, so a caller with many sums over the
+    same operands (DiffOp.compose) pays the set-up once per operand.
     """
     triples = [t for t in triples if t[0] and t[1] and t[2]]
     if not triples:
         return {}
-    ops = {}
-    for _, a, b in triples:
-        ops[id(a)] = a
-        ops[id(b)] = b
-    bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
-    top = max(bound[id(a)] + bound[id(b)] for _, a, b in triples)
-    field = next((code for limit, code in _FIELDS if top <= limit), None)
-    if field is None:
-        raise CoeffRingError("exponent %d too large to pack" % top)
-    packer = _packer(nsyms, field)
-    unpack, size = packer.unpack, packer.size
-    scaled = {i: _scaled(t, packer.pack) for i, t in ops.items()}
+    if len(triples) == 1:
+        m, a, b = triples[0]
+        if len(a) == 1 or len(b) == 1:
+            return _shifted(m, a, b, nsyms)
+    if prepared is None:
+        prepared = _prepare_operands([(a, b) for _, a, b in triples], nsyms)
+    unpack, size, scaled = prepared
     d = lcm(*(scaled[id(a)][0] * scaled[id(b)][0] for _, a, b in triples))
-    real = not any(im for _, p in scaled.values() for _, _, im in p)
+    real = all(scaled[id(a)][2] and scaled[id(b)][2] for _, a, b in triples)
     out = {}
     get = out.get
     for m, a, b in triples:
-        da, pa = scaled[id(a)]
-        db, pb = scaled[id(b)]
+        da, pa, _ = scaled[id(a)]
+        db, pb, _ = scaled[id(b)]
         f = m * (d // (da * db))
         if f != 1:  # fold m and the lift to d into the shorter operand
             if len(pa) <= len(pb):
@@ -289,6 +350,109 @@ def _dot_terms(triples, nsyms: int) -> dict:
             Fraction(re, d), Fraction(im, d) if im else _F0
         )
         for k, (re, im) in out.items()
+    }
+
+
+def _div_term(terms: dict, divisor: dict) -> dict:
+    """terms / a one-term divisor: an exponent shift down and a coefficient
+    division, in the descending grlex order of the leading-term loop."""
+    ((s, c),) = divisor.items()
+    if min(s) < 0 or min(map(min, terms)) < 0:
+        raise CoeffRingError("negative exponent in a division")
+    monic = c == 1
+    out = {}
+    for e in sorted(terms, key=grlex_key, reverse=True):
+        q = tuple(map(sub, e, s))
+        if min(q) < 0:
+            raise NotPolynomial("not divisible")
+        out[q] = terms[e] if monic else terms[e] / c
+    return out
+
+
+def _div_packed(terms: dict, divisor: dict, nsyms: int) -> dict:
+    """terms / divisor by leading terms, on packed grlex keys (after Monagan
+    & Pearce, JSC 2011), in descending grlex order.
+
+    Each monomial becomes one big-endian int of fields (degree, e0, e1, …),
+    so int order is grlex order: the remainder's leading term is the top of
+    a heap of keys, and a quotient monomial is one subtraction.  Every field
+    keeps its top bit clear; setting those guard bits before subtracting the
+    divisor's leading key leaves one cleared exactly where the leading
+    exponent is larger, which is the divisibility test.  No monomial of a
+    product q*g passes the larger total degree of dividend and divisor, so
+    no field overflows.
+
+    The coefficients are Gaussian integers: the dividend's numerators over
+    its common denominator, and the divisor's divided by their integer
+    content, with leading coefficient L.  A quotient coefficient is the
+    remainder's leading one times conj(L) over the norm |L|^2; when that is
+    not a Gaussian integer the remainder is first multiplied by the least
+    factor that makes it one, and the factor joins the remainder's
+    denominator.  A divisor whose L is a unit (monic ones included) never
+    needs one, and one that is primitive over Z[i] never does on an exact
+    quotient (Gauss's lemma).  Raises NotPolynomial at the first remainder
+    term that the leading term does not divide, as the plain loop does.
+    """
+    if min(map(min, terms)) < 0 or min(map(min, divisor)) < 0:
+        raise CoeffRingError("negative exponent in a division")
+    top = max(max(map(sum, terms)), max(map(sum, divisor)))
+    packer = _packer(nsyms + 1, _field(top, guarded=True), ">")
+    pack, size = packer.pack, packer.size
+    width = size // (nsyms + 1)
+    guard = int.from_bytes((b"\x80" + bytes(width - 1)) * (nsyms + 1), "big")
+    da, a_nums = _numerators(terms.values())
+    rem = {int.from_bytes(pack(sum(e), *e), "big"): n for e, n in zip(terms, a_nums)}
+    db, b_nums = _numerators(divisor.values())
+    content = gcd(*(x for n in b_nums for x in n))
+    rest = {
+        int.from_bytes(pack(sum(e), *e), "big"): (re // content, im // content)
+        for e, (re, im) in zip(divisor, b_nums)
+    }
+    lead = max(rest)
+    lr, li = rest.pop(lead)
+    rest = list(rest.items())
+    norm = lr * lr + li * li
+    heap = [-k for k in rem]
+    heapify(heap)
+    scale = 1  # the remainder's denominator, relative to the dividend's
+    quot = []
+    while heap:
+        k = -heappop(heap)
+        v = rem.pop(k, None)
+        if v is None:  # cancelled, or a second heap entry of a taken key
+            continue
+        q = (k | guard) - lead
+        if q & guard != guard:
+            raise NotPolynomial("not divisible")
+        q ^= guard
+        qr, qi = v[0] * lr + v[1] * li, v[1] * lr - v[0] * li
+        if norm != 1:
+            f = norm // gcd(norm, qr, qi)
+            if f != 1:
+                scale *= f
+                rem = {key: (re * f, im * f) for key, (re, im) in rem.items()}
+            qr, qi = qr * f // norm, qi * f // norm
+        quot.append((q, qr, qi, scale))
+        for k2, (br, bi) in rest:
+            k2 += q
+            pr, pi = qr * br - qi * bi, qr * bi + qi * br
+            v = rem.get(k2)
+            if v is None:
+                rem[k2] = (-pr, -pi)
+                heappush(heap, -k2)
+                continue
+            pr, pi = v[0] - pr, v[1] - pi
+            if pr or pi:
+                rem[k2] = (pr, pi)
+            else:
+                del rem[k2]
+    # quotient = db / (da * content) * (Gaussian-integer quotient / scale)
+    unpack, den = packer.unpack, da * content
+    return {
+        unpack(q.to_bytes(size, "big"))[1:]: _gr(
+            Fraction(qr * db, den * s), Fraction(qi * db, den * s) if qi else _F0
+        )
+        for q, qr, qi, s in quot
     }
 
 
@@ -688,7 +852,14 @@ class MultiPoly:
     # -- division ------------------------------------------------------------
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self/other; raises NotPolynomial if not divisible."""
+        """Exact quotient self/other; raises NotPolynomial if not divisible.
+
+        A constant divisor is a product by its inverse, which keeps self's
+        term order.  Any other one-term divisor is an exponent shift plus a
+        coefficient division (_div_term), and a longer divisor runs the
+        leading-term division on packed grlex keys (_div_packed); both give
+        the quotient's terms in descending grlex order.
+        """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -696,25 +867,11 @@ class MultiPoly:
             raise NotPolynomial("divisor must be adjunct-free")
         if other.is_const():
             return self * (GR_ONE / other.const_value())
-        lt_e, lt_c = other.leading()
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            r_e = max(rem, key=grlex_key)
-            r_c = rem[r_e]
-            q_e = tuple(a - b for a, b in zip(r_e, lt_e))
-            if any(x < 0 for x in q_e):
-                raise NotPolynomial("not divisible")
-            q_c = r_c / lt_c
-            quot[q_e] = quot.get(q_e, GR_ZERO) + q_c
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(q_e, e2))
-                v = rem.get(key, GR_ZERO) - q_c * c2
-                if v.is_zero():
-                    rem.pop(key, None)
-                else:
-                    rem[key] = v
-        return MultiPoly(self.ring, {e: c for e, c in quot.items() if not c.is_zero()})
+        if not self.terms:
+            return MultiPoly(self.ring, {})
+        if len(other.terms) == 1:
+            return MultiPoly(self.ring, _div_term(self.terms, other.terms))
+        return MultiPoly(self.ring, _div_packed(self.terms, other.terms, self.ring.nsyms))
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -1135,20 +1292,21 @@ class Expr:
         return "Expr(%s)" % self
 
 
-def _sum_products(ring: PolyRing, items) -> Expr:
+def _sum_products(ring: PolyRing, items, prepared=None) -> Expr:
     """Sum of m*c*e over (int m, Expr c, Expr e) items.
 
     Items sharing a pair of denominators are summed in one kernel call on
     their numerators and then adjunct-reduced; reduction is linear, so that
     equals summing the reduced products.  Only a group with a non-constant
     denominator goes through Expr.make, and the groups are added as Exprs.
+    prepared is handed to each kernel call (see _dot_terms).
     """
     groups = {}
     for m, c, e in items:
         groups.setdefault((c.den, e.den), []).append((m, c.num.terms, e.num.terms))
     total = Expr.of_poly(ring.zero())
     for (dc, de), triples in groups.items():
-        num = MultiPoly(ring, _dot_terms(triples, ring.nsyms), reduce=True)
+        num = MultiPoly(ring, _dot_terms(triples, ring.nsyms, prepared), reduce=True)
         if dc.is_const() and de.is_const():  # both 1: the denominator is monic
             part = Expr(num, dc, _trusted=True)
         else:

@@ -19,6 +19,7 @@ from .coeffring import (
     GaussRat,
     MultiPoly,
     PolyRing,
+    _prepare_operands,
     _sum_products,
 )
 
@@ -230,6 +231,10 @@ class DiffOp:
 
         Every output coefficient gathers its Leibniz terms
         binom(a, k) c_a D^k d_b and sums them fraction-free in one call.
+        Each distinct coefficient c_a and derivative-table entry D^k d_b
+        is scaled and packed once for the whole product, with one field
+        width, and every call takes it from there; nothing is kept after
+        the product returns.
         """
         self._check(other)
         spec = self.spec
@@ -244,9 +249,11 @@ class DiffOp:
                         continue
                     idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
                     items.setdefault(idx, []).append((_binom_prod(a, k), c, dk))
+        pairs = [(c.num.terms, dk.num.terms) for group in items.values() for _, c, dk in group]
+        prepared = _prepare_operands(pairs, spec.ring.nsyms) if pairs else None
         op = DiffOp(spec)
         for idx, group in items.items():
-            s = _sum_products(spec.ring, group)
+            s = _sum_products(spec.ring, group, prepared)
             if not s.is_zero():
                 op.terms[idx] = s
         return op

@@ -18,9 +18,11 @@ from weylcalc.coeffring import (
     ZeroDenominator,
     _dot_terms,
     _monic,
+    _prepare_operands,
     _pseudo_rem,
     _sum_products,
     format_poly,
+    grlex_key,
     poly_gcd,
 )
 from weylcalc.spaces import R3
@@ -424,6 +426,223 @@ def test_product_kernel_rejects_unpackable_exponents():
     # a sum past the widest 64-bit field raises instead of wrapping
     with pytest.raises(CoeffRingError):
         XYZ.var("x", 2**64 - 1) * x
+
+
+def test_one_term_product_matches_schoolbook():
+    """A one-term operand is an exponent shift and a coefficient scale:
+    the constant 1, a constant, and a Gaussian monomial, on either side."""
+    rng = random.Random(1616)
+    x, y = XYZ.var("x"), XYZ.var("y")
+    for _ in range(150):
+        p = random_poly(XYZ, rng, terms=6, degree=3, span=9)
+        real = MultiPoly(XYZ, {e: GaussRat(c.re) for e, c in p.terms.items() if c.re})
+        c = XYZ.const(random_gauss(rng, span=9, nonzero=True))
+        mono = XYZ.monomial(random_gauss(rng, span=9, nonzero=True), x=rng.randint(0, 3),
+                            z=rng.randint(0, 3))
+        for one in (XYZ.one(), c, XYZ.const(random_fraction(rng, 9, nonzero=True)), mono,
+                    x, XYZ.const(-1)):
+            for q in (p, real):
+                _assert_product(one, q)
+                _assert_product(q, one)
+    # a product by 1 is a copy: the same coefficients in a new dict
+    p = x * Fraction(2, 3) + y * GaussRat(1, -1)
+    got = XYZ.one() * p
+    assert got.terms == p.terms and got.terms is not p.terms
+    assert list(got.terms) == list(p.terms)
+    # the multiplier of a lone triple folds into the scale
+    third = (x * Fraction(1, 3)).terms
+    _assert_dot([(-6, third, p.terms)])
+    _assert_dot([(5, p.terms, (y * GaussRat(0, 2)).terms)])
+
+
+def test_one_term_product_with_adjunct_matches_schoolbook():
+    """A shift that creates r^2 is followed by adjunct reduction."""
+    rng = random.Random(1717)
+    r = R3.var("r")
+    for _ in range(100):
+        p = random_poly(R3, rng, symbols=("x", "y", "r"), terms=4, degree=3)
+        for one in (R3.one(), R3.const(random_gauss(rng, nonzero=True)),
+                    R3.monomial(random_gauss(rng, nonzero=True), r=1, x=rng.randint(0, 2)),
+                    r):
+            _assert_product(one, p)
+            _assert_product(p, one)
+    assert r * r == R3.var("x") ** 2 + R3.var("y") ** 2 + R3.var("z") ** 2
+    assert (r * (r * R3.var("y"))).terms == (R3.var("y") * r * r).terms
+
+
+def test_one_term_product_rejects_unpackable_exponents():
+    import pytest
+
+    bad = MultiPoly(XYZ, {(0, -1, 0): GaussRat(1)})
+    for one in (XYZ.one(), XYZ.const(3), XYZ.const(GaussRat(0, 1))):
+        with pytest.raises(CoeffRingError):
+            bad * one
+        with pytest.raises(CoeffRingError):
+            one * bad
+    with pytest.raises(CoeffRingError):
+        bad * (XYZ.var("x") + XYZ.var("y"))
+    with pytest.raises(CoeffRingError):
+        _dot_terms([(2, XYZ.one().terms, bad.terms)], 3)
+    # the shift checks the exponent sum like the convolution
+    two = XYZ.var("x") + XYZ.var("y")
+    with pytest.raises(CoeffRingError):
+        XYZ.var("x", 2**64 - 1) * two
+    with pytest.raises(CoeffRingError):
+        two * XYZ.var("x", 2**64 - 1)
+    with pytest.raises(CoeffRingError):
+        XYZ.var("x", 2**64) * XYZ.const(3)
+    assert (XYZ.var("x", 2**64 - 2) * XYZ.var("x")).terms == {(2**64 - 1, 0, 0): GaussRat(1)}
+
+
+def test_prepared_operands_give_the_same_sums():
+    """Operands scaled once for a superset of products, with one wider field,
+    give the same terms in the same order as a kernel call that scales its own."""
+    rng = random.Random(1818)
+    for _ in range(100):
+        polys = [random_poly(XYZ, rng, terms=4, degree=2, span=9).terms for _ in range(5)]
+        polys.append(XYZ.var("y", rng.choice((3, 300, 70000))).terms)
+        polys = [t for t in polys if t]
+        triples = [
+            (rng.choice((1, -2, 3)), rng.choice(polys), rng.choice(polys))
+            for _ in range(rng.randint(2, 4))
+        ]
+        pairs = [(a, b) for a in polys for b in polys]
+        got = _dot_terms(triples, 3, _prepare_operands(pairs, 3))
+        want = _dot_terms(triples, 3)
+        assert _exact(got) == _exact(want)
+        assert list(got) == list(want)
+
+
+# -- exact division against the plain leading-term loop -----------------------------
+
+
+def _reference_div(a: dict, b: dict) -> dict:
+    """The plain loop: take the grlex-largest remainder term, divide it by the
+    leading term of b, subtract; None when a term is not divisible.  A
+    constant b divides each term in place, keeping a's order."""
+    lt_e = max(b, key=grlex_key)
+    lt_c = b[lt_e]
+    if not any(lt_e):
+        return {e: c / lt_c for e, c in a.items()}
+    rem = dict(a)
+    quot = {}
+    while rem:
+        r_e = max(rem, key=grlex_key)
+        q_e = tuple(x - y for x, y in zip(r_e, lt_e))
+        if min(q_e) < 0:
+            return None
+        q_c = rem[r_e] / lt_c
+        quot[q_e] = q_c
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(q_e, e2))
+            v = rem.get(key, GaussRat(0)) - q_c * c2
+            if v.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = v
+    return quot
+
+
+def _assert_div(p: MultiPoly, d: MultiPoly):
+    """exact_div, divides and the plain loop agree, to the term order."""
+    want = _reference_div(p.terms, d.terms)
+    assert d.divides(p) == (want is not None)
+    if want is None:
+        import pytest
+
+        with pytest.raises(NotPolynomial):
+            p.exact_div(d)
+        return None
+    got = p.exact_div(d).terms
+    assert _exact(got) == _exact(want)
+    assert list(got) == list(want)  # descending grlex, as the loop emits them
+    for c in got.values():
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    return got
+
+
+def test_exact_div_of_products():
+    """(G*A)/G == A and (G*A)/A == G on seeded Gaussian polynomials."""
+    rng = random.Random(1919)
+    for _ in range(200):
+        g = random_poly(XYZ, rng, terms=4, degree=3, span=9, nonzero=True)
+        a = random_poly(XYZ, rng, terms=4, degree=3, span=9, nonzero=True)
+        prod = g * a
+        assert _assert_div(prod, g) == a.terms
+        assert _assert_div(prod, a) == g.terms
+
+
+def test_exact_div_by_special_divisors():
+    x, y, z = X, Y, Z
+    rng = random.Random(2020)
+    divisors = [
+        x * y ** 2,  # one term, monic
+        z * GaussRat(Fraction(2, 3), -1),  # one term, Gaussian coefficient
+        x * (2 + I) + y,  # leading coefficient 2 + i
+        x * 3 + y * Fraction(1, 2) + 1,
+        (x + y) * (1 + I),  # Gaussian content: quotients over 1 + i
+        (x * 2 + y * 4 - z * 6) * (2 + I),  # integer content 2 and Gaussian content 2 + i
+        x ** 130 + y,  # past the 7-bit guarded field
+        x ** 300 * z + y ** 2,  # past 255
+        x ** 40000 + z * (1 + I),  # past 32767
+        y ** 70000 * x + z ** 3,  # past 65535
+    ]
+    for d in divisors:
+        for _ in range(12):
+            a = random_poly(XYZ, rng, terms=4, degree=3, span=9, nonzero=True)
+            assert _assert_div(d * a, d) == a.terms
+            assert _assert_div(d * a, a) == d.terms
+        assert _assert_div(XYZ.zero(), d) == {}
+        assert _assert_div(d, d) == {(0, 0, 0): GaussRat(1)}
+    # a quotient coefficient that is not a Gaussian integer
+    assert _assert_div(x * x + x * y, (x + y) * (1 + I)) == {(1, 0, 0): (1 - I) / 2}
+
+
+def test_exact_div_rejects_what_does_not_divide():
+    x, y, z = X, Y, Z
+    g = x * (2 + I) + y * z + 1
+    a = x ** 2 * y - z * Fraction(1, 3) + y
+    # the leading term of the dividend is not a multiple of lt(g)
+    assert _assert_div(y ** 3 + x, g) is None
+    assert _assert_div(y ** 3 + x ** 2, x ** 2) is None
+    # every term divides until a trailing one that does not
+    assert _assert_div(g * a + z ** 2 * GaussRat(0, 1), g) is None
+    assert _assert_div(g * a + 1, g) is None
+    assert _assert_div(x ** 2 * y + y, x * y) is None
+    assert _assert_div(x ** 3 + y ** 2, x ** 2) is None
+    # a lower-degree dividend and a one-term dividend
+    assert _assert_div(x, g) is None
+    assert _assert_div(z * x, x + z) is None
+
+
+def test_divides_matches_the_plain_loop():
+    rng = random.Random(2121)
+    found = 0
+    for _ in range(400):
+        d = random_poly(XYZ, rng, terms=rng.randint(1, 3), degree=2, nonzero=True)
+        if d.is_const():
+            continue
+        p = random_poly(XYZ, rng, terms=3, degree=2, nonzero=True)
+        if rng.random() < 0.5:
+            p = p * d
+        found += _assert_div(p, d) is not None
+    assert 100 < found < 300, "the sample must exercise both answers"
+
+
+def test_exact_div_rejects_unpackable_exponents():
+    import pytest
+
+    bad = MultiPoly(XYZ, {(0, -1, 0): GaussRat(1), (1, 0, 0): GaussRat(2)})
+    for d in (X, X + Y):
+        with pytest.raises(CoeffRingError):
+            bad.exact_div(d)
+    with pytest.raises(CoeffRingError):
+        X.exact_div(MultiPoly(XYZ, {(1, -1, 0): GaussRat(1)}))
+    with pytest.raises(CoeffRingError):
+        X.exact_div(MultiPoly(XYZ, {(1, -1, 0): GaussRat(1), (0, 0, 1): GaussRat(1)}))
+    # a total degree past the widest guarded field raises instead of wrapping
+    with pytest.raises(CoeffRingError):
+        (XYZ.var("x", 2**63) + 1).exact_div(X + 1)
 
 
 # -- the multiply-accumulate kernel against a schoolbook reference -------------------

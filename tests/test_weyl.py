@@ -275,3 +275,41 @@ def test_scale_and_coefficient():
     op = _mul(r).compose(_dr()).scale(Fraction(3, 2))
     assert (op.coefficient((1, 0)) - Expr.of_poly(r * Fraction(3, 2))).is_zero()
     assert op.coefficient((0, 1)).is_zero()
+
+
+def test_compose_prepares_each_operand_once(monkeypatch):
+    """One compose scales and packs each distinct coefficient and
+    derivative-table entry exactly once; a second identical compose does it
+    all again, so nothing is kept between calls."""
+    from weylcalc import coeffring, weyl
+    from weylcalc.coulomb2d import c_op
+
+    scaled, sums = [], []
+    scale, sum_products = coeffring._scaled, weyl._sum_products
+
+    def counting_scale(terms, pack):
+        scaled.append(id(terms))
+        return scale(terms, pack)
+
+    def recording_sums(ring, items, prepared=None):
+        for _, c, e in items:
+            sums.extend((id(c.num.terms), id(e.num.terms)))
+        return sum_products(ring, items, prepared)
+
+    monkeypatch.setattr(coeffring, "_scaled", counting_scale)
+    monkeypatch.setattr(weyl, "_sum_products", recording_sums)
+    c = c_op()
+    products = []
+    for _ in range(2):
+        scaled.clear()
+        sums.clear()
+        products.append(c.compose(c))
+        assert len(scaled) == len(set(scaled)), "an operand was scaled twice"
+        assert set(scaled) == set(sums)
+        assert len(scaled) > len(c.terms)  # the derivative-table entries too
+    assert products[0] == products[1]
+    monkeypatch.undo()
+    # the product still acts as the factors applied in sequence
+    for a, b in ((0, 0), (1, 0), (2, 1), (3, 2)):
+        f = Expr.of_poly(RU.monomial(1, r=a, u=b))
+        assert (products[0].apply(f) - c.apply(c.apply(f))).is_zero()
