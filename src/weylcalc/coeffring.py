@@ -260,18 +260,25 @@ def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
     else:
         ((s, c),), terms = b.items(), a
     keys = [tuple(map(add, e, s)) for e in terms] if any(s) else terms
+    return dict(zip(keys, _times(terms.values(), c, m)))
+
+
+def _times(values, c: GaussRat, m: int = 1) -> list:
+    """[m*c*v for v in values] for a nonzero c, on integer numerators over
+    one common denominator: no Fraction product per value.  A scale by 1
+    keeps the values."""
     if m == 1 and c.re == 1 and not c.im:
-        return dict(zip(keys, terms.values()))
+        return list(values)
     dc, ((cr, ci),) = _numerators((c,))
-    den, nums = _numerators(terms.values())
+    den, nums = _numerators(values)
     d = dc * den
     cr *= m
     ci *= m
-    values = []
+    out = []
     for re, im in nums:
         im, re = re * ci + im * cr, re * cr - im * ci
-        values.append(_gr(Fraction(re, d), Fraction(im, d) if im else _F0))
-    return dict(zip(keys, values))
+        out.append(_gr(Fraction(re, d), Fraction(im, d) if im else _F0))
+    return out
 
 
 def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
@@ -683,7 +690,9 @@ class MultiPoly:
             c = GaussRat.of(other)
             if c.is_zero():
                 return self.ring.zero()
-            return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+            # a constant factor raises no adjunct exponent: no reduction
+            terms = self.terms
+            return MultiPoly(self.ring, dict(zip(terms, _times(terms.values(), c))))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -1147,7 +1156,21 @@ class Expr:
     """Reduced rational function num/den.
 
     Invariants: den is adjunct-free, monic in graded-lex order, and shares
-    no non-unit factor with num's adjunct-free content.  Zero is 0/1.
+    no non-unit factor with num's adjunct-free content.  Zero is 0/1, and a
+    constant den is exactly 1.  The form is unique, so equal values have
+    equal terms.
+
+    Arithmetic keeps the form by Henrici's rule (J. ACM 1956; Knuth, TAOCP
+    vol. 2, 4.5.1), taking gcds against what two denominators share rather
+    than against their product.  For a/b + c/d with g = gcd(b, d) != 1,
+    t = a*(d/g) + c*(b/g) is reduced against g alone: a factor of b/g or
+    d/g cannot divide t's content, and multiplying by an adjunct-free
+    polynomial scales every adjunct group alike.  A sum with b or d = 1, or
+    with g = 1, is already in lowest terms.  A product where a is
+    adjunct-free cross-cancels gcd(a, d) and gcd(content(c), b) and is then
+    in lowest terms; when both numerators carry adjuncts their product can
+    gain a factor (r*r = x^2+y^2+z^2), so it is reduced whole by make.
+    Division by an adjunct-free numerator multiplies by the reciprocal.
     """
 
     __slots__ = ("num", "den")
@@ -1191,11 +1214,19 @@ class Expr:
 
     def __add__(self, other):
         other = _as_expr(self.ring, other)
-        if self.den.terms == other.den.terms:
-            return Expr.make(self.num + other.num, self.den)
-        return Expr.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.terms == d.terms:
+            return Expr.make(a + c, b)
+        if b.is_const():
+            return Expr(a * d + c, d, _trusted=True)
+        if d.is_const():
+            return Expr(c * b + a, b, _trusted=True)
+        g = poly_gcd(b, d)
+        if g.is_const():
+            return Expr(a * d + c * b, b * d, _trusted=True)
+        b, d = b.exact_div(g), d.exact_div(g)
+        t, g = _cancel(a * d + c * b, g)
+        return Expr(t, g * b * d, _trusted=True)
 
     __radd__ = __add__
 
@@ -1216,13 +1247,19 @@ class Expr:
                 return Expr.of_poly(self.ring.zero())
             return Expr(self.num * c, self.den, _trusted=True)
         other = _as_expr(self.ring, other)
-        if self.den.is_const() and other.den.is_const():
-            num = self.num * other.num
-            c = self.den.const_value() * other.den.const_value()
-            if c != 1:
-                num = num * (GR_ONE / c)
-            return Expr.of_poly(num)
-        return Expr.make(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_const() and d.is_const():
+            return Expr.of_poly(a * c)
+        if not a.terms or not c.terms:
+            return Expr.of_poly(self.ring.zero())
+        if a.has_adjuncts():
+            if c.has_adjuncts():
+                return Expr.make(a * c, b * d)
+            a, b, c, d = c, d, a, b
+        # a is adjunct-free: cross-cancel, and the product is in lowest terms
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return Expr(a * c, b * d, _trusted=True)
 
     __rmul__ = __mul__
 
@@ -1230,7 +1267,9 @@ class Expr:
         other = _as_expr(self.ring, other)
         if other.is_zero():
             raise ZeroDenominator("division by zero expression")
-        return Expr.make(self.num * other.den, self.den * other.num)
+        if other.num.has_adjuncts():
+            return Expr.make(self.num * other.den, self.den * other.num)
+        return self * _monic_fraction(other.den, other.num)
 
     def __rtruediv__(self, other):
         return _as_expr(self.ring, other) / self
@@ -1261,7 +1300,7 @@ class Expr:
             return dn if c == 1 else dn * (GR_ONE / c)
         dd = self.den.differentiate(symbol)
         den_e = Expr.of_poly(self.den)
-        return (dn * den_e - Expr.of_poly(self.num) * dd) / (den_e * den_e)
+        return (dn * den_e - Expr.of_poly(self.num) * dd) / den_e / den_e
 
     def substitute(self, bindings: dict) -> "Expr":
         num = self.num.substitute(bindings)
@@ -1365,17 +1404,25 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
         den = d0 * d0 - d1 * d1 * adj.square
         if den.is_zero():
             raise ZeroDenominator("denominator vanishes identically")
+    return _monic_fraction(*_cancel(num, den))
+
+
+def _cancel(num: MultiPoly, den: MultiPoly):
+    """(num/h, den/h) for h the gcd of adjunct-free den and num's adjunct
+    content; den/h keeps den's leading coefficient."""
     if den.is_const():
-        c = den.const_value()
-        if c == 1:
-            return Expr(num, den, _trusted=True)
-        return Expr(num * (GR_ONE / c), ring.one(), _trusted=True)
-    g = _adjunct_content(num)
-    if not g.is_const():
-        g = poly_gcd(g, den)
-        if not g.is_const():
-            num = _div_grouped(num, g)
-            den = den.exact_div(g)
+        return num, den
+    h = _adjunct_content(num)
+    if not h.is_const():
+        h = poly_gcd(h, den)
+        if not h.is_const():
+            return _div_grouped(num, h), den.exact_div(h)
+    return num, den
+
+
+def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
+    """num/den in lowest terms, with den adjunct-free and nonzero, scaled so
+    den is monic (exactly 1 when constant)."""
     if den.is_const():
         c = den.const_value()
         if c != 1:

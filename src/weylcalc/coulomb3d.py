@@ -262,8 +262,7 @@ def verify_b_orderings() -> CheckResult:
     k = sturm_operator()
     wit = []
     survivors = []
-    for name in sorted(b_candidates()):
-        vec = b_candidates()[name]
+    for name, vec in sorted(b_candidates().items()):
         residuals = [vec[i].commutator(k) for i in range(3)]
         bad = sum(len(res.terms) for res in residuals)
         if bad == 0:

@@ -50,6 +50,34 @@ def random_expr(ring, rng, symbols=None, terms=2, degree=2, span=4, den_degree=1
     return Expr.make(num, den)
 
 
+def factor_pool(ring):
+    """Four adjunct-free factors over the ring's first three plain symbols
+    a, b, c: (a^2+b^2+c^2, a+b, beta (c without one), a^2+b^2).  In R3
+    they are s = x^2+y^2+z^2, x+y, beta and x^2+y^2."""
+    plain = [s for s in ring.symbols if not ring.is_adjunct(s)]
+    a, b, c = (ring.var(s) for s in plain[:3])
+    beta = ring.var("beta") if "beta" in ring.index else c
+    return (a * a + b * b + c * c, a + b, beta, a * a + b * b)
+
+
+def random_reduced_expr(ring, rng, symbols=None):
+    """Expr.make of a small numerator over a Gaussian constant times up to
+    two factors from factor_pool(ring).  Half the numerators carry a pool
+    factor too, so shared factors and partial cancellation are frequent;
+    one numerator in five is a constant."""
+    pool = factor_pool(ring)
+    den = ring.const(random_gauss(rng, 4, nonzero=True))
+    for _ in range(rng.randint(0, 2)):
+        den = den * rng.choice(pool)
+    if rng.randint(0, 4):
+        num = random_poly(ring, rng, symbols, terms=2, degree=1, span=4, nonzero=True)
+    else:
+        num = ring.const(random_gauss(rng, 4, nonzero=True))
+    if rng.randint(0, 1):
+        num = num * rng.choice(pool)
+    return Expr.make(num, den)
+
+
 def random_op(rng, terms=2, order=1, cdeg=1, span=4, symbols=("r", "u", "beta")):
     """Small normal-ordered operator on the (r, u) chart with polynomial
     coefficients; sized so thousand-case property loops stay fast."""

@@ -4,7 +4,16 @@ reduced quotients, and square-root adjuncts."""
 import random
 from fractions import Fraction
 
-from randops import XYZ, random_expr, random_fraction, random_gauss, random_poly, random_point
+from randops import (
+    XYZ,
+    factor_pool,
+    random_expr,
+    random_fraction,
+    random_gauss,
+    random_point,
+    random_poly,
+    random_reduced_expr,
+)
 
 from weylcalc import coeffring
 from weylcalc.coeffring import (
@@ -25,7 +34,7 @@ from weylcalc.coeffring import (
     grlex_key,
     poly_gcd,
 )
-from weylcalc.spaces import R3
+from weylcalc.spaces import AMB, R3, RU
 
 REPS = 1000
 
@@ -754,3 +763,126 @@ def test_sum_products_matches_expr_arithmetic():
         for m, c, e in items:
             want = want + c * e * m
         assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+# -- Henrici arithmetic against the single-reduction forms -------------------
+
+
+def _sum_by_make(a, b):
+    if a.den.terms == b.den.terms:
+        return Expr.make(a.num + b.num, a.den)
+    return Expr.make(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _product_by_make(a, b):
+    return Expr.make(a.num * b.num, a.den * b.den)
+
+
+def _quotient_by_make(a, b):
+    return Expr.make(a.num * b.den, a.den * b.num)
+
+
+def _derivative_by_make(e, var):
+    """Quotient rule over the square of the denominator, reduced once."""
+    dn = e.num.differentiate(var)
+    db = e.den.diff_poly_part(var)
+    return Expr.make(dn.num * e.den - dn.den * e.num * db, dn.den * e.den * e.den)
+
+
+def _assert_same(got, want, *context):
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms, (
+        "%s != %s for %s" % (got, want, ", ".join(map(str, context)))
+    )
+
+
+def _add_case(a, b):
+    if a.den.terms == b.den.terms:
+        return "equal"
+    if a.den.is_const() or b.den.is_const():
+        return "one"
+    return "coprime" if poly_gcd(a.den, b.den).is_const() else "shared"
+
+
+HENRICI_RINGS = (
+    (R3, ("x", "y", "beta", "r")),
+    (AMB, ("x", "z", "rho", "r")),
+    (RU, ("r", "u", "beta")),
+)
+
+
+def test_henrici_arithmetic_matches_single_reduction():
+    """Sums, products, quotients and derivatives give the canonical Expr
+    that one Expr.make of the whole fraction gives, on every branch."""
+    rng = random.Random(1414)
+    seen = {}
+    for ring, symbols in HENRICI_RINGS:
+        for _ in range(120):
+            a, b = (random_reduced_expr(ring, rng, symbols) for _ in range(2))
+            if not rng.randint(0, 3):  # b over a's denominator, or over a multiple of it
+                den = a.den * b.den if rng.randint(0, 1) else a.den
+                b = Expr.make(b.num, den)
+            kind = _add_case(a, b)
+            seen[kind] = seen.get(kind, 0) + 1
+            _assert_same(a + b, _sum_by_make(a, b), a, b)
+            _assert_same(b + a, _sum_by_make(b, a), a, b)
+            _assert_same(a - b, _sum_by_make(a, -b), a, b)
+            _assert_same(a + -a, Expr.of_poly(ring.zero()), a)
+            # (a + b) - b shares b's denominator, and t cancels to a's
+            ab = a + b
+            _assert_same(ab - b, _sum_by_make(ab, -b), a, b)
+            _assert_same(ab - b, a, a, b)
+            adj = (a.num.has_adjuncts(), b.num.has_adjuncts())
+            kind = "both" if all(adj) else "one" if any(adj) else "none"
+            seen["mul-" + kind] = seen.get("mul-" + kind, 0) + 1
+            _assert_same(a * b, _product_by_make(a, b), a, b)
+            _assert_same(b * a, _product_by_make(a, b), a, b)
+            if not b.is_zero():
+                kind = "div-adjunct" if b.num.has_adjuncts() else "div-free"
+                seen[kind] = seen.get(kind, 0) + 1
+                _assert_same(a / b, _quotient_by_make(a, b), a, b)
+            var = rng.choice(("x", "y", "z") if ring is not RU else ("r", "u"))
+            _assert_same(a.differentiate(var), _derivative_by_make(a, var), a, var)
+    for kind in ("equal", "one", "coprime", "shared", "mul-none", "mul-one",
+                 "mul-both", "div-free", "div-adjunct"):
+        assert seen.get(kind, 0) >= 10, (kind, seen)
+
+
+def test_henrici_arithmetic_edge_cases():
+    """Hand-picked cases: a shared factor that cancels wholly or partly, a
+    denominator of 1, Gaussian leading coefficients, and the adjunct
+    product that needs the full reduction."""
+    x, y, z, r = (R3.var(s) for s in ("x", "y", "z", "r"))
+    s2, xy, beta, rho2 = factor_pool(R3)
+    i = GaussRat(0, 1)
+    one = R3.one()
+    cases = [
+        # (x+y)/s + (x-y)/s: equal denominators
+        (Expr.make(xy, s2), Expr.make(x - y, s2)),
+        # x/(x+y)^2 + y/(x+y)^2 = 1/(x+y): equal denominators that cancel
+        (Expr.make(x, xy * xy), Expr.make(y, xy * xy)),
+        # 1/(s(x+y)) - 1/(s beta): shared s, t = beta - (x+y)
+        (Expr.make(one, s2 * xy), Expr.make(-one, s2 * beta)),
+        # (x+y-s)/((x+y)s) + 1/(x+y) = 1/s: t = x+y cancels g = x+y wholly
+        (Expr.make(xy - s2, xy * s2), Expr.make(one, xy)),
+        # ... and against g = (x+y)^2 partly, leaving 1/((x+y)s)
+        (Expr.make(xy - s2, xy * xy * s2), Expr.make(one, xy * xy)),
+        # x/(s(x+y)) + y/(s(x+y)) reached through different denominators
+        (Expr.make(x * beta, s2 * xy * beta), Expr.make(y, s2 * xy)),
+        # r/s + polynomial, and a Gaussian leading coefficient
+        (Expr.make(r, s2), Expr.of_poly(x * i + y)),
+        (Expr.make(x * i + 2, s2 * (3 + i)), Expr.make(r * (1 - i), rho2 * s2)),
+        # (r/s) * r = 1: both numerators carry the adjunct
+        (Expr.make(r, s2), Expr.of_poly(r)),
+        # (x+y)/s * s/(x+y)^2 cancels across both ways
+        (Expr.make(xy, s2), Expr.make(s2 * r, xy * xy)),
+    ]
+    for a, b in cases:
+        _assert_same(a + b, _sum_by_make(a, b), a, b)
+        _assert_same(a - b, _sum_by_make(a, -b), a, b)
+        _assert_same(a * b, _product_by_make(a, b), a, b)
+        _assert_same(b * a, _product_by_make(a, b), a, b)
+        _assert_same(a / b, _quotient_by_make(a, b), a, b)
+        _assert_same(b / a, _quotient_by_make(b, a), a, b)
+        for var in ("x", "z"):
+            _assert_same(a.differentiate(var), _derivative_by_make(a, var), a, var)
+    assert Expr.make(r, s2) * Expr.of_poly(r) == 1

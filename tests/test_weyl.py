@@ -120,6 +120,20 @@ def test_compose_rational_coefficients():
             assert (ab.compose(c) - a.compose(b.compose(c))).is_zero()
 
 
+def test_compose_gaussian_rational_coefficients():
+    """Compose against nested application with Gaussian coefficients over
+    the coprime denominators x+y and x^2+y^2+z^2, applied to a rational
+    test function with the r adjunct."""
+    x, y, z, r = (R3.var(s) for s in ("x", "y", "z", "r"))
+    s2 = x * x + y * y + z * z
+    c1 = Expr.make(x * y * GaussRat(-1, -3), x + y)
+    c2 = Expr.make(x * y * GaussRat(2, Fraction(4, 3)), s2)
+    a = DiffOp(R3_SPEC, {(1, 0, 0): c1, (0, 0, 1): c2})
+    b = DiffOp(R3_SPEC, {(0, 1, 0): c2, (0, 0, 1): c1})
+    f = Expr.make(s2 * GaussRat(6, -1) + r * GaussRat(0, Fraction(3, 5)), s2)
+    assert (a.compose(b).apply(f) - a.apply(b.apply(f))).is_zero()
+
+
 def test_commutator_jacobi():
     rng = random.Random(1303)
     for _ in range(REPS):
