@@ -73,16 +73,24 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_show(args) -> int:
+def _named_operator(name):
+    """(operator, description) for a registered name, or None after printing
+    the unknown-name message with the known names."""
     try:
-        op, describe = registry.operator(args.opname)
+        return registry.operator(name)
     except registry.UnknownOperator:
         print(
-            "unknown operator %r; known: %s"
-            % (args.opname, ", ".join(registry.operator_names())),
+            "unknown operator %r; known: %s" % (name, ", ".join(registry.operator_names())),
             file=sys.stderr,
         )
+        return None
+
+
+def cmd_show(args) -> int:
+    found = _named_operator(args.opname)
+    if found is None:
         return 2
+    op, describe = found
     print("# %s" % describe)
     print(format_op(op))
     return 0
@@ -91,11 +99,10 @@ def cmd_show(args) -> int:
 def cmd_matrix(args) -> int:
     from .flagrep import FlagError, matrix_of
 
-    try:
-        op, _ = registry.operator(args.opname)
-    except registry.UnknownOperator:
-        print("unknown operator %r" % args.opname, file=sys.stderr)
+    found = _named_operator(args.opname)
+    if found is None:
         return 2
+    op, _ = found
     try:
         matrix = matrix_of(op, args.n)
     except (FlagError, WeylError) as exc:

@@ -123,8 +123,8 @@ def spectral_lenz():
 
     Expanding the composition shows B_i = D_i + (x_i/2)Delta + E*x_i, so the
     coefficients are polynomial even though the defining form divides by r.
-    The multiplication must stand to the left of K; the other orderings fail
-    (see b_candidates).
+    The multiplication must stand to the left of K; the other readings in
+    the readings table (_FAMILIES and _ORDERINGS) fail the ordering survey.
     """
     d = kinetic_lenz()
     k = sturm_operator()
@@ -134,10 +134,37 @@ def spectral_lenz():
     )
 
 
+# The six readings of B_i = D_i - corr_i that the ordering survey compares.
+# A family gives w_i, multiplication by weight*x_i/r, and the operator op; an
+# ordering gives the shares of w_i.op and op.w_i in corr_i: "right" is w_i.op,
+# "left" is op.w_i and "sym" their mean.
+_FAMILIES = (("coupling", _alpha, hamiltonian), ("spectral", _one, sturm_operator))
+_ORDERINGS = (("right", (1, 0)), ("left", (0, 1)), ("sym", (Fraction(1, 2), Fraction(1, 2))))
+
+
+def _readings(parts) -> dict:
+    """{reading name: three components}, read off the readings table.
+
+    parts(w, op) returns, for the multipliers w = (w_x, w_y, w_z) of one
+    family, one (right, left) pair of operators per component; each reading
+    blends the pair by its ordering's shares.
+    """
+    out = {}
+    for family, weight, make_op in _FAMILIES:
+        w = tuple(mul_op(R3_SPEC, Expr.make(weight * q, _r)) for q in (_x, _y, _z))
+        pairs = parts(w, make_op())
+        for order, shares in _ORDERINGS:
+            out["%s-%s" % (family, order)] = tuple(
+                _vec_sum(p if s == 1 else p.scale(s) for s, p in zip(shares, pair) if s)
+                for pair in pairs
+            )
+    return out
+
+
 @lru_cache(maxsize=None)
 def b_candidates():
     """Candidate readings of the B vector, keyed by how the non-kinetic term
-    is ordered.
+    is ordered (see _FAMILIES and _ORDERINGS).
 
     The coupling-* family keeps the Schrodinger operator in the correction
     term, -(alpha/r) x_i H in the three possible orderings; the spectral-*
@@ -145,19 +172,38 @@ def b_candidates():
     correction -(alpha/r) x_i, again in the three orderings.
     """
     d = kinetic_lenz()
-    h = hamiltonian()
+    corr = _readings(lambda w, op: [(wi.compose(op), op.compose(wi)) for wi in w])
+    return {name: tuple(d[i] - c[i] for i in range(3)) for name, c in corr.items()}
+
+
+def _commuted_parts(w, op):
+    """([w_i.op, K], [op.w_i, K]) for each component, by the Leibniz rule.
+
+    With C = [w_i, K] and M = [op, K], [w_i.op, K] = w_i.M + C.op and
+    [op.w_i, K] = op.C + M.w_i; M is zero when op is K itself.
+    """
     k = sturm_operator()
-    half = Fraction(1, 2)
-    out = {}
-    for family, op in (("coupling", h), ("spectral", k)):
-        weight = _alpha if family == "coupling" else _one
-        w = tuple(mul_op(R3_SPEC, Expr.make(weight * q, _r)) for q in (_x, _y, _z))
-        out["%s-right" % family] = tuple(d[i] - w[i].compose(op) for i in range(3))
-        out["%s-left" % family] = tuple(d[i] - op.compose(w[i]) for i in range(3))
-        out["%s-sym" % family] = tuple(
-            d[i] - (w[i].compose(op) + op.compose(w[i])).scale(half) for i in range(3)
-        )
+    m = None if op is k else op.commutator(k)
+    out = []
+    for wi in w:
+        c = wi.commutator(k)
+        right, left = c.compose(op), op.compose(c)
+        if m is not None:
+            right, left = wi.compose(m) + right, left + m.compose(wi)
+        out.append((right, left))
     return out
+
+
+def ordering_residuals() -> dict:
+    """{reading name: ([B_x, K], [B_y, K], [B_z, K])} for every reading of B.
+
+    [B_i, K] = [D_i, K] - [corr_i, K]: [D_i, K] is taken once per component
+    and [corr_i, K] from _commuted_parts, so no reading of B is built.
+    """
+    k = sturm_operator()
+    dk = [d.commutator(k) for d in kinetic_lenz()]
+    comm = _readings(_commuted_parts)
+    return {name: tuple(dk[i] - c[i] for i in range(3)) for name, c in comm.items()}
 
 
 def _eps_combination(vec, i, j) -> DiffOp:
@@ -259,11 +305,9 @@ def verify_b_orderings() -> CheckResult:
     Passes when at least one candidate does; the witnesses record the
     verdict for every candidate so the surviving ordering is explicit.
     """
-    k = sturm_operator()
     wit = []
     survivors = []
-    for name, vec in sorted(b_candidates().items()):
-        residuals = [vec[i].commutator(k) for i in range(3)]
+    for name, residuals in sorted(ordering_residuals().items()):
         bad = sum(len(res.terms) for res in residuals)
         if bad == 0:
             survivors.append(name)

@@ -206,6 +206,14 @@ def test_matrix_output(capsys):
     ]
 
 
+def test_matrix_unknown_operator_lists_known_names(capsys):
+    code = main(["matrix", "nope", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown operator 'nope'" in err
+    assert "known: " + ", ".join(registry.operator_names()) in err
+
+
 def test_matrix_rejects_wrong_chart(capsys):
     code = main(["matrix", "B_x", "2"])
     assert code == 2

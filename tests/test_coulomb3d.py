@@ -11,6 +11,7 @@ from weylcalc.coulomb3d import (
     kinetic_lenz,
     laplacian,
     momentum,
+    ordering_residuals,
     position,
     runge_lenz,
     spectral_lenz,
@@ -107,6 +108,19 @@ def test_candidate_table_is_exhaustive():
     # each candidate is a full three-component vector on the ambient chart
     for name, vec in cands.items():
         assert len(vec) == 3
+
+
+def test_ordering_residuals_match_built_candidates():
+    """The survey's Leibniz-rule residuals are the commutators of the built
+    readings with K, component by component."""
+    K = sturm_operator()
+    cands = b_candidates()
+    residuals = ordering_residuals()
+    assert sorted(residuals) == sorted(cands)
+    for name, vec in cands.items():
+        assert len(residuals[name]) == 3
+        for i in range(3):
+            assert residuals[name][i] == vec[i].commutator(K), "%s component %d" % (name, i)
 
 
 def test_spectral_vector_commutes_componentwise():

@@ -160,6 +160,39 @@ def test_commutator_antisymmetry_and_leibniz():
         assert (lhs - rhs).is_zero()
 
 
+def _r3_leibniz_op(rng):
+    """A multiplication by x_i/r or alpha/r, or a sum of up to two order-2
+    pieces f.D_v.D_w with f a rational multiple of r, E*r, x_i/r or alpha/r,
+    the coefficient shapes of K = -(r/2)Delta - E*r and of the B readings."""
+    x, y, z, r, alpha, e = (R3.var(s) for s in ("x", "y", "z", "r", "alpha", "E"))
+    quotients = [Expr.make(q, r) for q in (x, y, z, alpha)]
+    if rng.randint(0, 1):
+        return mul_op(R3_SPEC, rng.choice(quotients) * random_fraction(rng, 4, nonzero=True))
+    atoms = quotients + [Expr.of_poly(r), Expr.of_poly(e * r)]
+    op = zero_op(R3_SPEC)
+    for _ in range(rng.randint(1, 2)):
+        piece = mul_op(R3_SPEC, rng.choice(atoms) * random_fraction(rng, 4, nonzero=True))
+        for var in rng.sample(("x", "y", "z"), 2):
+            piece = piece.compose(partial(R3_SPEC, var))
+        op = op + piece
+    return op
+
+
+def test_commutator_leibniz_adjunct_rational():
+    """[A.B, C] = A.[B, C] + [A, C].B on R3 operators whose coefficients are
+    rational in x, y, z and the r adjunct, with C = K among the cases."""
+    r, e = R3.var("r"), R3.var("E")
+    lap = partial(R3_SPEC, "x", 2) + partial(R3_SPEC, "y", 2) + partial(R3_SPEC, "z", 2)
+    k = mul_op(R3_SPEC, r * Fraction(-1, 2)).compose(lap) - mul_op(R3_SPEC, e * r)
+    rng = random.Random(1606)
+    for case in range(8):
+        a, b = _r3_leibniz_op(rng), _r3_leibniz_op(rng)
+        c = k if case % 2 else _r3_leibniz_op(rng)
+        lhs = a.compose(b).commutator(c)
+        rhs = a.compose(b.commutator(c)) + a.commutator(c).compose(b)
+        assert lhs == rhs, "A=%s\nB=%s\nC=%s" % (format_op(a), format_op(b), format_op(c))
+
+
 def test_canonical_commutator():
     # [d_r, r] = 1 and mixed partials commute
     r = RU.var("r")
