@@ -22,7 +22,7 @@ from .linsolve import (
     idempotent_reduce_op,
     monomial_ops,
 )
-from .reports import CheckResult, merge_checks, residual_check, witness_terms
+from .reports import CheckResult, merge_checks, residual_check, verdict, witness_terms
 from .spaces import RR2_SPEC, RRP, RU, RU_SPEC
 from .weyl import DiffOp, GaugeData, VariableChange, mul_op, partial
 
@@ -140,12 +140,7 @@ def compute_c_and_verify_leading():
     checks = []
     order_ok = c.order() == 5
     checks.append(
-        CheckResult(
-            check="2d.c.order",
-            status="pass" if order_ok else "fail",
-            residual_terms=0 if order_ok else 1,
-            witnesses=[] if order_ok else ["order is %d, want 5" % c.order()],
-        )
+        verdict("2d.c.order", order_ok, [] if order_ok else ["order is %d, want 5" % c.order()])
     )
     parts = []
     for idx, want in sorted(displayed_c_leading().items()):
@@ -167,25 +162,18 @@ def parity_check(name: str, residual: DiffOp) -> CheckResult:
     the report says so explicitly and keeps the symbolic residual visible.
     """
     if residual.is_zero():
-        return CheckResult(check=name, status="pass", residual_terms=0)
+        return verdict(name, True)
     reduced = idempotent_reduce_op(residual, ("p",))
-    if reduced.is_zero():
-        return CheckResult(
-            check=name,
-            status="pass",
-            residual_terms=0,
-            witnesses=[
-                "holds modulo p^2 - p (parities p=0,1), not for symbolic p",
-                "symbolic residual has %d terms: %s"
-                % (len(residual.terms), "; ".join(witness_terms(residual, 3))),
-            ],
-        )
-    return CheckResult(
-        check=name,
-        status="fail",
-        residual_terms=len(reduced.terms),
-        witnesses=["residual modulo p^2 - p:"] + witness_terms(reduced),
-    )
+    ok = reduced.is_zero()
+    if ok:
+        wit = [
+            "holds modulo p^2 - p (parities p=0,1), not for symbolic p",
+            "symbolic residual has %d terms: %s"
+            % (len(residual.terms), "; ".join(witness_terms(residual, 3))),
+        ]
+    else:
+        wit = ["residual modulo p^2 - p:"] + witness_terms(reduced)
+    return verdict(name, ok, wit, len(reduced.terms))
 
 
 def parity_solve(target: DiffOp, generators, ops: dict, target_name: str) -> tuple:
@@ -328,11 +316,11 @@ def verify_cubic():
         else:
             wit.append(dec.message)
         results.append(
-            CheckResult(
-                check="2d.cubic.%s.solve" % tag,
-                status="pass" if dec.success else "fail",
-                residual_terms=0 if dec.success else len((dec.residual or target).terms),
-                witnesses=wit,
+            verdict(
+                "2d.cubic.%s.solve" % tag,
+                dec.success,
+                wit,
+                len((dec.residual or target).terms),
             )
         )
     return results, decs

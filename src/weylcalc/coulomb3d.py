@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr, GaussRat
-from .reports import CheckResult, merge_checks, residual_check
+from .reports import CheckResult, merge_checks, residual_check, verdict
 from .spaces import R3, R3_SPEC
 from .weyl import DiffOp, identity, mul_op, partial
 
@@ -314,13 +314,7 @@ def verify_b_orderings() -> CheckResult:
             wit.append("%s: commutes with K" % name)
         else:
             wit.append("%s: [B,K] residual has %d terms" % (name, bad))
-    status = "pass" if survivors else "fail"
-    return CheckResult(
-        check="3d.b.orderings",
-        status=status,
-        residual_terms=0 if survivors else 1,
-        witnesses=wit[:8],
-    )
+    return verdict("3d.b.orderings", bool(survivors), wit)
 
 
 def verify_spectral_vector() -> list:

@@ -12,12 +12,12 @@ formula available as an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr, MultiPoly, PolyRing
-from .reports import CheckResult, residual_check, witness_terms
+from .reports import WITNESS_CAP, CheckResult, residual_check, verdict, witness_terms
 from .spaces import AMB, RRP, RU, RU_SPEC
 from .weyl import DiffOp, VariableSpec, mul_op
 
@@ -43,14 +43,6 @@ class CoMetric:
 
     def entry(self, i: int, j: int) -> Expr:
         return self.entries[i][j]
-
-
-@dataclass
-class CurvatureReport:
-    spec: VariableSpec
-    scalar: Expr
-    ricci: list
-    christoffel: dict = field(default_factory=dict)
 
 
 # -- recognition of ambient quantities in a chart ------------------------------
@@ -238,7 +230,7 @@ def laplace_beltrami(g: CoMetric) -> DiffOp:
 # -- curvature ----------------------------------------------------------------------
 
 
-def scalar_curvature(metric, spec: VariableSpec) -> CurvatureReport:
+def scalar_curvature(metric, spec: VariableSpec) -> Expr:
     """Christoffel -> Riemann contraction -> Ricci -> scalar, all exact.
 
     Sign convention: the round unit 2-sphere has scalar curvature +2.
@@ -285,7 +277,7 @@ def scalar_curvature(metric, spec: VariableSpec) -> CurvatureReport:
         for j in range(n):
             if not ginv[i][j].is_zero():
                 scalar = scalar + ginv[i][j] * ricci[i][j]
-    return CurvatureReport(spec=spec, scalar=scalar, ricci=ricci, christoffel=gamma)
+    return scalar
 
 
 def brioschi_curvature(metric, spec: VariableSpec) -> Expr:
@@ -400,13 +392,7 @@ def verify_schrodinger_form() -> CheckResult:
             "symbolic-parity defect (vanishes at p=0 and p=1): %s"
             % "; ".join(witness_terms(residual, 2))
         )
-    status = "pass" if all(parts) else "fail"
-    return CheckResult(
-        check="geom.schrodinger",
-        status=status,
-        residual_terms=0 if all(parts) else len(residual.terms),
-        witnesses=wit[:8],
-    )
+    return verdict("geom.schrodinger", all(parts), wit, len(residual.terms))
 
 
 def sphere_polar_metric():
@@ -444,14 +430,7 @@ def verify_geometry():
         for j in range(3):
             if g.entries[i][j] != want[i][j]:
                 bad.append("entry (%d,%d) = %s" % (i, j, g.entries[i][j]))
-    out.append(
-        CheckResult(
-            check="geom.cometric",
-            status="pass" if not bad else "fail",
-            residual_terms=len(bad),
-            witnesses=bad[:8],
-        )
-    )
+    out.append(verdict("geom.cometric", not bad, bad[:WITNESS_CAP], len(bad)))
 
     displayed = radial_parabolic_cometric()
     _, det = invert_and_det(displayed.entries)
@@ -463,26 +442,25 @@ def verify_geometry():
     # The printed curvature is reproduced by reading the displayed matrix as
     # the metric itself; the metric inverse to the cometric is flat (R = 0).
     as_metric = [[displayed.entries[i][j] for j in range(2)] for i in range(2)]
-    rep = scalar_curvature(as_metric, RU_SPEC)
-    res = rep.scalar - reference_scalar_curvature()
-    ck = residual_check("geom.curvature", res)
+    scalar = scalar_curvature(as_metric, RU_SPEC)
+    ck = residual_check("geom.curvature", scalar - reference_scalar_curvature())
     bri = brioschi_curvature(as_metric, RU_SPEC)
     ck.witnesses.append(
-        "Brioschi formula agrees" if (bri - rep.scalar).is_zero()
+        "Brioschi formula agrees" if (bri - scalar).is_zero()
         else "Brioschi formula disagrees: %s" % bri
     )
     inv_metric, _ = invert_and_det(displayed.entries)
-    flat = scalar_curvature(inv_metric, RU_SPEC).scalar
+    flat = scalar_curvature(inv_metric, RU_SPEC)
     ck.witnesses.append(
         "matrix read as the metric; the inverse-cometric geometry has R = %s"
         % flat
     )
-    if not (bri - rep.scalar).is_zero():
+    if not (bri - scalar).is_zero():
         ck.status = "fail"
     out.append(ck)
 
     metric, spec = sphere_polar_metric()
-    rs = scalar_curvature(metric, spec).scalar
+    rs = scalar_curvature(metric, spec)
     two = Expr.of_poly(spec.ring.one() * 2)
     out.append(
         residual_check(

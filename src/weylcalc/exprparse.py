@@ -13,6 +13,8 @@ an order-zero divisor, which also covers rational literals ('1/2' is 1
 divided by 2).  The symbol i is the imaginary unit; D[v] differentiates
 with respect to one of the six chart variables.  The printers in weyl and
 coeffring emit exactly this grammar, so printing and parsing round-trip.
+Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
+never an exhausted interpreter stack.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .weyl import DiffOp, VariableSpec, identity, mul_op, partial
 WS = PolyRing(("x", "y", "z", "alpha", "E", "r", "u", "rho", "beta", "mu", "p", "n"))
 _WS_SPEC = VariableSpec(WS, ("x", "y", "z", "r", "u", "rho"))
 _IMAGINARY = "i"
+MAX_NESTING = 100
 
 
 def workspace_spec() -> VariableSpec:
@@ -81,6 +84,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.used_derivative = False
 
     def peek(self):
@@ -159,8 +163,12 @@ class _Parser:
         if kind == "int":
             return identity(_WS_SPEC).scale(Fraction(value))
         if kind == "punct" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, col)
+            self.depth += 1
             op = self.expr()
             self.expect_punct(")")
+            self.depth -= 1
             return op
         if kind == "name" and value == "D":
             self.expect_punct("[")

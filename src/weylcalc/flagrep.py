@@ -8,7 +8,9 @@ per basis monomial of a top level settles the whole flag below it:
 invariance_witnesses reads every level's verdict from that one pass, and the
 matrix on P_top gives the matrix on each P_n as its leading block.  Matrices
 are exact; characteristic polynomials come from a fraction-free elimination
-with a fast path for triangular matrices.  Eigenspaces at a rational
+with a fast path for triangular matrices, and spectrum_witnesses lists every
+way a matrix misses the expected triangular structure and spectrum (an empty
+list is the verdict that it has both).  Eigenspaces at a rational
 parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
 from the unique reduced row echelon form of M - lam*I, each row scaled into
 Z[i] by its own lcm; flagrep does no elimination of its own.
@@ -16,7 +18,7 @@ Z[i] by its own lcm; flagrep does no elimination of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import Expr, GaussRat, GR_ONE, GR_ZERO, MultiPoly
@@ -234,70 +236,30 @@ def level_eigenvalue(k: int) -> MultiPoly:
     return beta * (RU.const(k + 1) + RU.var("p") + RU.var("mu"))
 
 
-@dataclass
-class SpectralReport:
-    n: int
-    dim: int
-    triangular: bool
-    diagonal_ok: bool
-    charpoly_ok: bool
-    eigenvalues: list = field(default_factory=list)  # MultiPoly per level
-    multiplicities: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.triangular and self.diagonal_ok and self.charpoly_ok
-
-
-def spectrum_report(matrix: OperatorMatrix) -> SpectralReport:
-    """Verify the graded-basis triangular structure and the full spectrum of
-    the radial operator's matrix on P_n."""
-    basis = matrix.basis
-    n = basis.n
-    dim = matrix.dim
+def spectrum_witnesses(matrix: OperatorMatrix) -> list:
+    """Why the radial operator's matrix on P_n misses its graded-basis
+    triangular structure or its full spectrum: the first nonzero entry below
+    the diagonal in each row, each diagonal entry off its level eigenvalue,
+    and a characteristic-polynomial mismatch.  Empty when the matrix has both.
+    """
+    entries = matrix.entries
     witnesses = []
-
-    triangular = _is_upper_triangular(matrix.entries)
-    if not triangular:
-        for i in range(dim):
-            for j in range(i):
-                if not matrix.entries[i][j].is_zero():
-                    witnesses.append(
-                        "below-diagonal entry (%d,%d) = %s"
-                        % (i, j, matrix.entries[i][j])
-                    )
-                    break
-
-    diagonal_ok = True
-    for i, (a, b) in enumerate(basis.pairs):
+    for i in range(matrix.dim):
+        j = next((j for j in range(i) if not entries[i][j].is_zero()), None)
+        if j is not None:
+            witnesses.append("below-diagonal entry (%d,%d) = %s" % (i, j, entries[i][j]))
+    for i, (a, b) in enumerate(matrix.basis.pairs):
         want = level_eigenvalue(a + 2 * b)
-        if matrix.entries[i][i] != want:
-            diagonal_ok = False
-            witnesses.append(
-                "diagonal %d: got %s, want %s" % (i, matrix.entries[i][i], want)
-            )
-
+        if entries[i][i] != want:
+            witnesses.append("diagonal %d: got %s, want %s" % (i, entries[i][i], want))
     cp = char_poly(matrix)
     lam = RU.var("lam")
     expected = RU.one()
-    mult = [k // 2 + 1 for k in range(n + 1)]
-    for k in range(n + 1):
-        expected = expected * (lam - level_eigenvalue(k)) ** mult[k]
-    charpoly_ok = cp == expected
-    if not charpoly_ok:
+    for k in range(matrix.basis.n + 1):
+        expected = expected * (lam - level_eigenvalue(k)) ** (k // 2 + 1)
+    if cp != expected:
         witnesses.append("characteristic polynomial mismatch")
-
-    return SpectralReport(
-        n=n,
-        dim=dim,
-        triangular=triangular,
-        diagonal_ok=diagonal_ok,
-        charpoly_ok=charpoly_ok,
-        eigenvalues=[level_eigenvalue(k) for k in range(n + 1)],
-        multiplicities=mult,
-        witnesses=witnesses,
-    )
+    return witnesses
 
 
 DEFAULT_POINT = {

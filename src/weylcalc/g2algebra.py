@@ -28,7 +28,7 @@ from .coeffring import Expr, MultiPoly
 from .coulomb2d import b_a, c_op, h_a, l_a, parity_solve
 from .flagrep import invariance_witnesses
 from .linsolve import Decomposition, decompose, monomial_ops
-from .reports import CheckResult, merge_checks, residual_check
+from .reports import CheckResult, merge_checks, residual_check, verdict
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp, identity, mul_op, partial
 
@@ -134,29 +134,21 @@ def verify_flag(levels=(0, 1, 2, 3, 5)) -> CheckResult:
         for name, op in generator_set(mark=n):
             wit = invariance_witnesses(op, n)[n]
             parts.append(
-                CheckResult(
-                    check="g2.flag[%s,n=%d]" % (name, n),
-                    status="pass" if wit is None else "fail",
-                    residual_terms=0 if wit is None else 1,
-                    witnesses=[] if wit is None else [wit],
-                )
+                verdict("g2.flag[%s,n=%d]" % (name, n), wit is None, [wit] if wit else [])
             )
     caught = invariance_witnesses(generator("J4", 0), 2)[2] is not None
     parts.append(
-        CheckResult(
-            check="g2.flag[control J4 mark 0 on P_2]",
-            status="pass" if caught else "fail",
-            residual_terms=0 if caught else 1,
-            witnesses=[] if caught else ["mismatched mark was not detected"],
+        verdict(
+            "g2.flag[control J4 mark 0 on P_2]",
+            caught,
+            [] if caught else ["mismatched mark was not detected"],
         )
     )
-    out = merge_checks("g2.flag", parts)
-    if out.passed:
-        out.witnesses = [
-            "%d generator/level pairs invariant" % (len(parts) - 1),
-            "mismatched-mark control rejected as expected",
-        ]
-    return out
+    summary = [
+        "%d generator/level pairs invariant" % (len(parts) - 1),
+        "mismatched-mark control rejected as expected",
+    ]
+    return merge_checks("g2.flag", parts, summary)
 
 
 # -- linear closure -----------------------------------------------------------------
@@ -191,22 +183,14 @@ def _closure_check(name: str, table) -> CheckResult:
     sample = []
     for (a, b), dec in sorted(table.items()):
         parts.append(
-            CheckResult(
-                check="%s[%s,%s]" % (name, a, b),
-                status="pass" if dec.success else "fail",
-                residual_terms=0 if dec.success else 1,
-                witnesses=[dec.message] if not dec.success else [],
-            )
+            verdict("%s[%s,%s]" % (name, a, b), dec.success, [] if dec.success else [dec.message])
         )
         if dec.success and dec.coefficients and len(sample) < 3:
             terms = ", ".join(
                 "(%s)*%s" % (v, k) for k, v in sorted(dec.coefficient_strings().items())
             )
             sample.append("[%s,%s] = %s" % (a, b, terms))
-    out = merge_checks(name, parts)
-    if out.passed:
-        out.witnesses = ["%d commutators close linearly" % len(parts)] + sample
-    return out
+    return merge_checks(name, parts, ["%d commutators close linearly" % len(parts)] + sample)
 
 
 def verify_closure() -> list:
@@ -228,16 +212,15 @@ def verify_closure() -> list:
         target_name="[T0,R1]",
     )
     out.append(
-        CheckResult(
-            check="g2.nonclosure.T",
-            status="pass" if not dec.success else "fail",
-            residual_terms=0 if not dec.success else 1,
-            witnesses=[
+        verdict(
+            "g2.nonclosure.T",
+            not dec.success,
+            ["[T0,R1] unexpectedly decomposed linearly"]
+            if dec.success
+            else [
                 "[T0,R1] stays outside the eleven-generator linear span",
                 "quadratic terms are required, so the algebra is infinite-dimensional",
-            ]
-            if not dec.success
-            else ["[T0,R1] unexpectedly decomposed linearly"],
+            ],
         )
     )
     return out
@@ -332,14 +315,8 @@ def verify_decompositions() -> list:
         )
         if not dec.success:
             wit.append(dec.message)
-        out.append(
-            CheckResult(
-                check="g2.decompose.%s" % tag,
-                status="pass" if dec.success else "fail",
-                residual_terms=0 if dec.success else len((dec.residual or target).terms),
-                witnesses=wit,
-            )
-        )
+        residual = len((dec.residual or target).terms)
+        out.append(verdict("g2.decompose.%s" % tag, dec.success, wit, residual))
     for tag, target, dec, note in _family_solves(gl2, ops, 4, ("b", "c")):
         excess, term = u_excess(target)
         wit = []
@@ -353,12 +330,6 @@ def verify_decompositions() -> list:
                     "with u-excess %d, but first-order generator products have "
                     "u-excess <= 0" % (term, excess)
                 )
-        out.append(
-            CheckResult(
-                check="g2.decompose.%s.gl2" % tag,
-                status="pass" if dec.success else "fail",
-                residual_terms=0 if dec.success else len((dec.residual or target).terms),
-                witnesses=wit,
-            )
-        )
+        residual = len((dec.residual or target).terms)
+        out.append(verdict("g2.decompose.%s.gl2" % tag, dec.success, wit, residual))
     return out

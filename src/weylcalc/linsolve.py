@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd
 
-from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial
+from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators
 from .weyl import DiffOp, identity
 
 
@@ -131,17 +131,12 @@ class SparseSolver:
 
 def integral_form(values: dict) -> tuple:
     """(den, {k: den*v}) for the lcm den of the denominators of the
-    Gaussian rationals values, dropping zeros: each den*v is in Z[i]."""
-    den = lcm(*{q for v in values.values() for q in (v.re.denominator, v.im.denominator)})
-    return den, {k: _integral(v, den) for k, v in values.items() if v}
-
-
-def _integral(v: GaussRat, den: int):
-    """den*v, an element of Z[i]: an int when real."""
-    re = v.re.numerator * (den // v.re.denominator)
-    if not v.im:
-        return re
-    return GaussRat(re, v.im.numerator * (den // v.im.denominator))
+    Gaussian rationals values, dropping zeros: each den*v is in Z[i], an int
+    when real."""
+    den, nums = _numerators(values.values())
+    return den, {
+        k: GaussRat(re, im) if im else re for k, (re, im) in zip(values, nums) if re or im
+    }
 
 
 def _parts(v) -> tuple:

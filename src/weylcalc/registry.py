@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .reports import CheckResult, merge_checks
+from .reports import CheckResult, merge_checks, verdict
 
 
 class UnknownCheck(KeyError):
@@ -68,48 +68,35 @@ def _run_2d_flag(params):
     from .coulomb2d import b_a, c_op, h_a, l_a
     from .flagrep import invariance_witnesses
 
-    parts = []
-    for name, build in (("h_a", h_a), ("l_a", l_a), ("b_a", b_a), ("c", c_op)):
-        for n, wit in enumerate(invariance_witnesses(build(), 8)):
-            parts.append(
-                CheckResult(
-                    check="2d.flag.invariance[%s,P_%d]" % (name, n),
-                    status="pass" if wit is None else "fail",
-                    residual_terms=0 if wit is None else 1,
-                    witnesses=[] if wit is None else [wit],
-                )
-            )
-    out = merge_checks("2d.flag.invariance", parts)
-    if out.passed:
-        out.witnesses = ["h_a, l_a, b_a, c preserve P_n for n = 0..8"]
-    return [out]
+    parts = [
+        verdict("2d.flag.invariance[%s,P_%d]" % (name, n), wit is None, [wit] if wit else [])
+        for name, build in (("h_a", h_a), ("l_a", l_a), ("b_a", b_a), ("c", c_op))
+        for n, wit in enumerate(invariance_witnesses(build(), 8))
+    ]
+    return [
+        merge_checks(
+            "2d.flag.invariance", parts, ["h_a, l_a, b_a, c preserve P_n for n = 0..8"]
+        )
+    ]
 
 
 def _run_2d_spectrum(params):
     from .coulomb2d import h_a
-    from .flagrep import matrix_of, spectrum_report
+    from .flagrep import matrix_of, spectrum_witnesses
 
     top = matrix_of(h_a(), 8)
     parts = []
     dims = []
     for n in range(9):
-        rep = spectrum_report(top.leading_block(n))
-        dims.append(rep.dim)
-        parts.append(
-            CheckResult(
-                check="2d.spectrum[n=%d]" % n,
-                status="pass" if rep.ok else "fail",
-                residual_terms=0 if rep.ok else 1,
-                witnesses=rep.witnesses,
-            )
-        )
-    out = merge_checks("2d.spectrum", parts)
-    if out.passed:
-        out.witnesses = [
-            "char poly = prod_k (lam - beta*(k+1+p+mu))^(k//2+1) for n = 0..8",
-            "dims %s" % (dims,),
-        ]
-    return [out]
+        block = top.leading_block(n)
+        dims.append(block.dim)
+        wit = spectrum_witnesses(block)
+        parts.append(verdict("2d.spectrum[n=%d]" % n, not wit, wit))
+    summary = [
+        "char poly = prod_k (lam - beta*(k+1+p+mu))^(k//2+1) for n = 0..8",
+        "dims %s" % (dims,),
+    ]
+    return [merge_checks("2d.spectrum", parts, summary)]
 
 
 def _point_override(params):
@@ -133,22 +120,18 @@ def _run_2d_eigenbasis(params):
         total = sum(map(len, eigenpolynomials(top.leading_block(n), point)))
         want = flag_dim(n)
         parts.append(
-            CheckResult(
-                check="2d.eigenbasis[n=%d]" % n,
-                status="pass" if total == want else "fail",
-                residual_terms=0 if total == want else abs(total - want),
-                witnesses=[]
-                if total == want
-                else ["kernel dimensions total %d, want %d" % (total, want)],
+            verdict(
+                "2d.eigenbasis[n=%d]" % n,
+                total == want,
+                [] if total == want else ["kernel dimensions total %d, want %d" % (total, want)],
+                abs(total - want),
             )
         )
-    out = merge_checks("2d.eigenbasis", parts)
-    if out.passed:
-        out.witnesses = [
-            "eigenpolynomial count equals dim P_n for n = 0..8",
-            "at point %s" % {k: str(v) for k, v in sorted(point.items())},
-        ]
-    return [out]
+    summary = [
+        "eigenpolynomial count equals dim P_n for n = 0..8",
+        "at point %s" % {k: str(v) for k, v in sorted(point.items())},
+    ]
+    return [merge_checks("2d.eigenbasis", parts, summary)]
 
 
 def _run_geom(params):

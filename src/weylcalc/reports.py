@@ -1,8 +1,12 @@
 """Uniform check reporting.
 
 Every verification produces a CheckResult; the CLI serializes them as JSON.
-A residual is reported through its nonzero term count plus a capped list of
-printed witness terms, so a failure is diagnosable from the report alone.
+The verdict policy lives here and nowhere else: verdict turns a yes/no
+answer into a result (status "pass" or "fail", residual count 0 on a pass),
+residual_check is the verdict that a residual operator or expression is
+exactly zero, and merge_checks folds component results into one.  A residual
+is reported through its nonzero term count plus a capped list of printed
+witness terms, so a failure is diagnosable from the report alone.
 """
 
 from __future__ import annotations
@@ -64,30 +68,35 @@ def witness_terms(op, cap: int = WITNESS_CAP) -> list:
     return out
 
 
-def residual_check(name: str, residual, witnesses_extra=()) -> CheckResult:
-    """Pass iff the residual operator/expression is exactly zero."""
-    from .weyl import DiffOp
+def verdict(check: str, ok: bool, witnesses=(), residual_terms: int = 1) -> CheckResult:
+    """The result of a yes/no check: residual_terms counts on a failure only.
 
-    if isinstance(residual, DiffOp):
-        nterms = len(residual.terms)
-        zero = residual.is_zero()
-    else:
-        num = getattr(residual, "num", residual)
-        nterms = len(num.terms)
-        zero = not num.terms
-    wit = list(witnesses_extra)
-    if not zero:
-        wit.extend(witness_terms(residual))
+    Witnesses are kept as given, uncapped, on a pass too; a witness that
+    explains only a failure is the caller's to leave out on a pass.
+    """
     return CheckResult(
-        check=name,
-        status="pass" if zero else "fail",
-        residual_terms=0 if zero else nterms,
-        witnesses=wit[:WITNESS_CAP],
+        check=check,
+        status="pass" if ok else "fail",
+        residual_terms=0 if ok else residual_terms,
+        witnesses=list(witnesses),
     )
 
 
-def merge_checks(name: str, parts: list) -> CheckResult:
-    """Combine component results into one: pass iff every part passes."""
+def residual_check(name: str, residual, witnesses_extra=()) -> CheckResult:
+    """Pass iff the residual operator/expression is exactly zero."""
+    terms = getattr(residual, "num", residual).terms
+    wit = list(witnesses_extra)
+    if terms:
+        wit.extend(witness_terms(residual))
+    return verdict(name, not terms, wit[:WITNESS_CAP], len(terms))
+
+
+def merge_checks(name: str, parts: list, summary=()) -> CheckResult:
+    """Combine component results into one: pass iff every part passes.
+
+    A failure lists the first witnesses of each part that did not pass, as
+    "label: witness" lines; a pass carries the summary lines instead.
+    """
     status = "pass"
     residual = 0
     wit = []
@@ -107,5 +116,5 @@ def merge_checks(name: str, parts: list) -> CheckResult:
         check=name,
         status=status,
         residual_terms=residual,
-        witnesses=wit[:WITNESS_CAP],
+        witnesses=list(summary) if status == "pass" else wit[:WITNESS_CAP],
     )

@@ -35,4 +35,3 @@ AMB.define_adjunct(
     "r",
     AMB.var("x") * AMB.var("x") + AMB.var("y") * AMB.var("y") + AMB.var("z") * AMB.var("z"),
 )
-AMB_SPEC = VariableSpec(AMB, ("x", "y", "z"))

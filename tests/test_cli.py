@@ -252,6 +252,13 @@ def test_parse_command(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "unknown symbol" in err
+    # nesting past the interpreter's recursion limit is a usage error
+    code = main(["parse", "(" * 1200 + "x" + ")" * 1200])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "parentheses nested deeper than" in captured.err
 
 
 def test_closed_stdout_exits_one_without_traceback():

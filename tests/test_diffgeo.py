@@ -86,18 +86,17 @@ def test_scalar_curvature_two_readings():
     r, u = RU.var("r"), RU.var("u")
     sep = r * r - u
     # the displayed matrix taken as the metric
-    printed = scalar_curvature(rows, RU_SPEC).scalar
+    printed = scalar_curvature(rows, RU_SPEC)
     want = Expr.make(r * (u * 4 - RU.one()), u * sep * sep * 2)
     assert (printed - want).is_zero()
     # the geometry whose cometric is the displayed matrix is flat
     inv, _ = invert_and_det(g.entries)
-    assert scalar_curvature(inv, RU_SPEC).scalar.is_zero()
+    assert scalar_curvature(inv, RU_SPEC).is_zero()
 
 
 def test_unit_sphere_curvature_sign():
     metric, spec = sphere_polar_metric()
-    rep = scalar_curvature(metric, spec)
-    assert str(rep.scalar) == "2"
+    assert str(scalar_curvature(metric, spec)) == "2"
 
 
 def test_brioschi_agrees_with_christoffel_route():
@@ -116,7 +115,7 @@ def test_brioschi_agrees_with_christoffel_route():
     for _ in range(40):
         f, g = entry(), entry()
         rows = [[f, zero], [zero, g]]
-        lhs = scalar_curvature(rows, RU_SPEC).scalar
+        lhs = scalar_curvature(rows, RU_SPEC)
         rhs = brioschi_curvature(rows, RU_SPEC)
         assert (lhs - rhs).is_zero(), "curvature routes disagree for diag(%s, %s)" % (f, g)
 

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from weylcalc.coeffring import GaussRat
-from weylcalc.exprparse import ParseError, parse, parse_scalar, tokenize, workspace_spec
+from weylcalc.exprparse import (
+    MAX_NESTING,
+    ParseError,
+    parse,
+    parse_scalar,
+    tokenize,
+    workspace_spec,
+)
 from weylcalc.registry import operator, operator_names
 from weylcalc.weyl import format_op, identity, mul_op, partial
 
@@ -97,6 +104,24 @@ def test_scalar_parser_rejects_derivatives():
         parse_scalar("D[r]")
     with pytest.raises(ParseError):
         parse_scalar("r*D[u]*u")
+
+
+def test_nesting_limit_is_a_parse_error():
+    # far past the interpreter's recursion limit: a ParseError at the first
+    # parenthesis beyond the limit, not a RecursionError
+    deep = "(" * 1200 + "r" + ")" * 1200
+    for parser in (parse, parse_scalar):
+        with pytest.raises(ParseError) as err:
+            parser(deep)
+        assert err.value.column == MAX_NESTING + 1
+        assert "nested deeper than %d" % MAX_NESTING in str(err.value)
+    # the limit itself still parses, in both parsers
+    at_limit = "(" * MAX_NESTING + "r" + ")" * MAX_NESTING
+    assert format_op(parse(at_limit)) == "r"
+    assert str(parse_scalar(at_limit)) == "r"
+    # the depth is nesting, not the count of parenthesis pairs
+    flat = "+".join(["(r)"] * (MAX_NESTING + 5))
+    assert str(parse_scalar(flat)) == "%d*r" % (MAX_NESTING + 5)
 
 
 def test_imaginary_unit_versus_symbols():

@@ -24,7 +24,7 @@ from weylcalc.flagrep import (
     invariance_witnesses,
     level_eigenvalue,
     matrix_of,
-    spectrum_report,
+    spectrum_witnesses,
 )
 from weylcalc.spaces import RU, RU_SPEC
 from weylcalc.weyl import DiffOp, format_op, mul_op, partial
@@ -149,9 +149,42 @@ def test_level_eigenvalue_formula():
 
 def test_spectrum_reports():
     for n in range(5):
-        rep = spectrum_report(matrix_of(h_a(), n))
-        assert rep.ok
-        assert rep.dim == flag_dim(n)
+        matrix = matrix_of(h_a(), n)
+        assert spectrum_witnesses(matrix) == []
+        assert matrix.dim == flag_dim(n)
+
+
+def _h_a_entries(n):
+    matrix = matrix_of(h_a(), n)
+    return matrix.basis, [row[:] for row in matrix.entries]
+
+
+def test_spectrum_witnesses_wrong_diagonal_entry():
+    # P_2 basis 1, r, r^2, u: put level 1's eigenvalue on u's diagonal slot
+    basis, entries = _h_a_entries(2)
+    entries[3][3] = entries[1][1]
+    assert spectrum_witnesses(OperatorMatrix(basis, entries)) == [
+        "diagonal 3: got beta*mu + beta*p + 2*beta, want beta*mu + beta*p + 3*beta",
+        "characteristic polynomial mismatch",
+    ]
+
+
+def test_spectrum_witnesses_below_diagonal_entry():
+    # u's image does not feed r^2's, so an entry at (3,2) keeps the
+    # characteristic polynomial: only the triangular structure is broken
+    basis, entries = _h_a_entries(2)
+    entries[3][2] = RU.var("beta")
+    assert spectrum_witnesses(OperatorMatrix(basis, entries)) == [
+        "below-diagonal entry (3,2) = beta"
+    ]
+    # one witness per row, at its first nonzero column
+    entries[2][1] = RU.var("mu")
+    entries[3][1] = RU.const(2)
+    assert spectrum_witnesses(OperatorMatrix(basis, entries)) == [
+        "below-diagonal entry (2,1) = mu",
+        "below-diagonal entry (3,1) = 2",
+        "characteristic polynomial mismatch",
+    ]
 
 
 def test_eigenpolynomials_simple_point():
