@@ -477,8 +477,9 @@ class Adjunct:
 class PolyRing:
     """Named-symbol polynomial ring, optionally with square-root adjuncts.
 
-    Adjuncts must be declared in symbol order and each defining square may
-    use only strictly earlier symbols, so reduction terminates.
+    An adjunct's defining square is a polynomial in strictly earlier plain
+    symbols, never in another adjunct, so replacing s^2 by its square
+    raises no adjunct exponent and each adjunct reduces in one pass.
     """
 
     def __init__(self, symbols):
@@ -492,15 +493,24 @@ class PolyRing:
         self._zero_exps = (0,) * self.nsyms
 
     def define_adjunct(self, symbol, square: "MultiPoly"):
+        """Adjoin symbol as a square root: symbol^2 = square.
+
+        Raises CoeffRingError when symbol is already an adjunct or is used
+        by another adjunct's square, and when square uses symbol, a later
+        symbol or an adjunct.
+        """
         idx = self.index_of(symbol)
         if square.ring is not self:
             raise CoeffRingError("adjunct square from a different ring")
+        if idx in self._adjunct_at:
+            raise CoeffRingError("%s is already an adjunct" % symbol)
+        if any(a.square.uses(symbol) for a in self.adjuncts):
+            raise CoeffRingError("%s is used by an adjunct square" % symbol)
         for exps in square.terms:
-            for j in range(idx, self.nsyms):
-                if exps[j]:
-                    raise CoeffRingError(
-                        "adjunct %s square must use earlier symbols only" % symbol
-                    )
+            if any(exps[idx:]) or any(exps[a.index] for a in self.adjuncts):
+                raise CoeffRingError(
+                    "adjunct %s square must use earlier plain symbols only" % symbol
+                )
         adj = Adjunct(symbol, idx, square)
         self.adjuncts.append(adj)
         self.adjuncts.sort(key=lambda a: a.index)
@@ -556,21 +566,17 @@ class PolyRing:
     # -- adjunct reduction -------------------------------------------------
 
     def _reduce_terms(self, terms: dict) -> dict:
-        """Rewrite so every adjunct exponent is 0 or 1."""
-        if not self.adjuncts:
-            return terms
-        while True:
-            hot = None
+        """Rewrite so every adjunct exponent is 0 or 1: s^(2k+j) becomes
+        square^k * s^j.  A square is adjunct-free, so rewriting one adjunct
+        leaves every other adjunct exponent as it was: one pass per
+        adjunct."""
+        for adj in self.adjuncts:
+            idx, square = adj.index, adj.square
             for exps in terms:
-                for adj in self.adjuncts:
-                    if exps[adj.index] >= 2:
-                        hot = adj
-                        break
-                if hot is not None:
+                if exps[idx] >= 2:
                     break
-            if hot is None:
-                return terms
-            idx, square = hot.index, hot.square
+            else:  # no exponent of this adjunct to rewrite
+                continue
             out = {}
             for exps, c in terms.items():
                 e = exps[idx]
@@ -587,6 +593,7 @@ class PolyRing:
                 for key, v in acc.items():
                     out[key] = out.get(key, GR_ZERO) + v
             terms = {e: c for e, c in out.items() if not c.is_zero()}
+        return terms
 
 
 def grlex_key(exps):
@@ -757,9 +764,7 @@ class MultiPoly:
                 raise CoeffRingError(
                     "cannot differentiate with respect to adjunct %s" % symbol
                 )
-            if not adj.square.uses(symbol) and not _square_chain_uses(
-                ring, adj, symbol
-            ):
+            if not adj.square.uses(symbol):
                 continue
             part = {e: c for e, c in self.terms.items() if e[adj.index]}
             if not part:
@@ -770,74 +775,42 @@ class MultiPoly:
             result = result + Expr.of_poly(p) * dsq / Expr.of_poly(adj.square * 2)
         return result
 
-    def substitute(self, bindings: dict) -> "Expr":
-        """Simultaneous substitution symbol -> Expr/poly/rational."""
-        ring = self.ring
-        idx_target = {}
-        for s, v in bindings.items():
-            idx_target[ring.index_of(s)] = _as_expr(ring, v)
-        if not idx_target:
-            return Expr.of_poly(self)
-        pow_cache = {}
+    def map_ring(self, dst: PolyRing, bindings: dict | None = None) -> "Expr":
+        """Image in ring dst: a symbol named in bindings maps to its value
+        (an Expr, MultiPoly or rational of dst), every other symbol to the
+        symbol of the same name in dst.  A substitution is the image in
+        self's own ring.
 
-        def target_pow(i, n):
-            key = (i, n)
-            got = pow_cache.get(key)
-            if got is None:
-                got = idx_target[i] ** n
-                pow_cache[key] = got
-            return got
-
-        total = Expr.of_poly(ring.zero())
+        The unbound symbols of a term stay one monomial of dst, and the
+        bound ones are multiplied in from a cache of their powers.  Raises
+        UnknownSymbol for a binding name not in self's ring, and for a
+        symbol that a term uses but that has no image.
+        """
+        src = self.ring
+        images = {src.index_of(s): _as_expr(dst, v) for s, v in (bindings or {}).items()}
+        slots = [dst.index.get(s) for s in src.symbols]
+        powers = {}
+        total = Expr.of_poly(dst.zero())
         for e, c in self.terms.items():
-            keep = [0] * ring.nsyms
+            keep = [0] * dst.nsyms
             factors = []
             for i, k in enumerate(e):
                 if not k:
                     continue
-                if i in idx_target:
-                    factors.append(target_pow(i, k))
+                if i in images:
+                    f = powers.get((i, k))
+                    if f is None:
+                        f = powers[i, k] = images[i] ** k
+                    factors.append(f)
+                elif slots[i] is None:
+                    raise UnknownSymbol(
+                        "symbol %s has no image in the target ring" % src.symbols[i]
+                    )
                 else:
-                    keep[i] = k
-            term = Expr.of_poly(MultiPoly(ring, {tuple(keep): c}, reduce=True))
+                    keep[slots[i]] = k
+            term = Expr.of_poly(MultiPoly(dst, {tuple(keep): c}, reduce=True))
             for f in factors:
                 term = term * f
-            total = total + term
-        return total
-
-    def map_ring(self, dst: PolyRing, bindings: dict | None = None) -> "Expr":
-        """Image in another ring; symbols map by name unless overridden."""
-        bindings = bindings or {}
-        images = {}
-        for k, s in enumerate(self.ring.symbols):
-            if s in bindings:
-                images[k] = _as_expr(dst, bindings[s])
-            elif s in dst.index:
-                images[k] = Expr.of_poly(dst.var(s))
-            else:
-                images[k] = None
-        pow_cache = {}
-
-        def image_pow(i, n):
-            key = (i, n)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[i] ** n
-                pow_cache[key] = got
-            return got
-
-        total = Expr.of_poly(dst.zero())
-        for e, c in self.terms.items():
-            term = Expr.of_poly(dst.const(c))
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if images[i] is None:
-                    raise UnknownSymbol(
-                        "symbol %s has no image in target ring"
-                        % self.ring.symbols[i]
-                    )
-                term = term * image_pow(i, k)
             total = total + term
         return total
 
@@ -898,23 +871,7 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
-def _square_chain_uses(ring, adj, symbol) -> bool:
-    """Does adj's square depend on symbol through earlier adjuncts?"""
-    pend = [adj.square]
-    seen = set()
-    while pend:
-        p = pend.pop()
-        for e in p.terms:
-            for a in ring.adjuncts:
-                if e[a.index] and a.index not in seen:
-                    seen.add(a.index)
-                    if a.square.uses(symbol):
-                        return True
-                    pend.append(a.square)
-    return False
-
-
-def format_poly(p: MultiPoly, mul="*", pow_="^") -> str:
+def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     ring = p.ring
@@ -927,8 +884,8 @@ def format_poly(p: MultiPoly, mul="*", pow_="^") -> str:
             if k == 1:
                 syms.append(ring.symbols[i])
             else:
-                syms.append("%s%s%d" % (ring.symbols[i], pow_, k))
-        mono = mul.join(syms)
+                syms.append("%s^%d" % (ring.symbols[i], k))
+        mono = "*".join(syms)
         if not mono:
             txt = str(c)
         elif c == 1:
@@ -936,7 +893,7 @@ def format_poly(p: MultiPoly, mul="*", pow_="^") -> str:
         elif c == -1:
             txt = "-" + mono
         else:
-            txt = str(c) + mul + mono
+            txt = str(c) + "*" + mono
         parts.append(txt)
     out = parts[0]
     for t in parts[1:]:
@@ -1302,18 +1259,12 @@ class Expr:
         den_e = Expr.of_poly(self.den)
         return (dn * den_e - Expr.of_poly(self.num) * dd) / den_e / den_e
 
-    def substitute(self, bindings: dict) -> "Expr":
-        num = self.num.substitute(bindings)
-        den = self.den.substitute(bindings)
-        if den.is_zero():
-            raise ZeroDenominator("substitution makes denominator zero")
-        return num / den
-
     def map_ring(self, dst: PolyRing, bindings: dict | None = None) -> "Expr":
+        """Image in ring dst, as MultiPoly.map_ring."""
         num = self.num.map_ring(dst, bindings)
         den = self.den.map_ring(dst, bindings)
         if den.is_zero():
-            raise ZeroDenominator("mapping makes denominator zero")
+            raise ZeroDenominator("the image of the denominator is zero")
         return num / den
 
     def __str__(self):
@@ -1354,26 +1305,31 @@ def _sum_products(ring: PolyRing, items, prepared=None) -> Expr:
     return total
 
 
-def _adjunct_content(p: MultiPoly) -> MultiPoly:
-    """gcd of p's adjunct-free coefficient polys, grouped by adjunct monomial."""
-    ring = p.ring
-    adj_idx = [a.index for a in ring.adjuncts]
-    if not adj_idx:
-        return p
+def _adjunct_groups(p: MultiPoly) -> dict:
+    """p's terms grouped by their adjunct monomial: {adjunct part, as a full
+    exponent tuple: adjunct-free MultiPoly}, so a term is a group's key plus
+    one of its exponents."""
+    adj_idx = [a.index for a in p.ring.adjuncts]
     groups = {}
     for e, c in p.terms.items():
-        marker = tuple(e[i] for i in adj_idx)
+        mono = list(p.ring._zero_exps)
         base = list(e)
         for i in adj_idx:
+            mono[i] = e[i]
             base[i] = 0
-        d = groups.setdefault(marker, {})
-        d[tuple(base)] = c
+        groups.setdefault(tuple(mono), {})[tuple(base)] = c
+    return {mono: MultiPoly(p.ring, d) for mono, d in groups.items()}
+
+
+def _adjunct_content(p: MultiPoly) -> MultiPoly:
+    """gcd of p's adjunct-free coefficient polys, grouped by adjunct monomial."""
+    if not p.ring.adjuncts:
+        return p
     g = None
-    for d in groups.values():
-        q = MultiPoly(ring, d)
+    for q in _adjunct_groups(p).values():
         g = q if g is None else poly_gcd(g, q)
         if g.is_const():
-            return ring.one()
+            return p.ring.one()
     return g
 
 
@@ -1387,17 +1343,8 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
     while den.has_adjuncts():
         adj = next(a for a in reversed(ring.adjuncts)
                    if any(e[a.index] for e in den.terms))
-        idx = adj.index
-        d1_terms, d0_terms = {}, {}
-        for e, c in den.terms.items():
-            if e[idx]:
-                base = list(e)
-                base[idx] = 0
-                d1_terms[tuple(base)] = c
-            else:
-                d0_terms[e] = c
-        d0 = MultiPoly(ring, d0_terms)
-        d1 = MultiPoly(ring, d1_terms)
+        parts = _split_by(den, adj.index)
+        d0, d1 = parts.get(0, ring.zero()), parts[1]
         s = ring.var(adj.symbol)
         conj = d0 - d1 * s
         num = num * conj
@@ -1438,24 +1385,10 @@ def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
 
 def _div_grouped(num: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact division of num by adjunct-free g, adjunct monomials untouched."""
-    ring = num.ring
-    adj_idx = [a.index for a in ring.adjuncts]
-    if not adj_idx or not num.has_adjuncts():
+    if not num.has_adjuncts():
         return num.exact_div(g)
-    groups = {}
-    for e, c in num.terms.items():
-        marker = tuple(e[i] for i in adj_idx)
-        base = list(e)
-        for i in adj_idx:
-            base[i] = 0
-        d = groups.setdefault(marker, {})
-        d[tuple(base)] = c
     out = {}
-    for marker, d in groups.items():
-        q = MultiPoly(ring, d).exact_div(g)
-        for e, c in q.terms.items():
-            key = list(e)
-            for i, m in zip(adj_idx, marker):
-                key[i] = m
-            out[tuple(key)] = c
-    return MultiPoly(ring, out)
+    for mono, q in _adjunct_groups(num).items():
+        for e, c in q.exact_div(g).terms.items():
+            out[tuple(map(add, e, mono))] = c
+    return MultiPoly(num.ring, out)

@@ -443,21 +443,18 @@ def verify_geometry():
     # the metric itself; the metric inverse to the cometric is flat (R = 0).
     as_metric = [[displayed.entries[i][j] for j in range(2)] for i in range(2)]
     scalar = scalar_curvature(as_metric, RU_SPEC)
-    ck = residual_check("geom.curvature", scalar - reference_scalar_curvature())
+    residual = scalar - reference_scalar_curvature()
     bri = brioschi_curvature(as_metric, RU_SPEC)
-    ck.witnesses.append(
-        "Brioschi formula agrees" if (bri - scalar).is_zero()
-        else "Brioschi formula disagrees: %s" % bri
-    )
+    agrees = (bri - scalar).is_zero()
     inv_metric, _ = invert_and_det(displayed.entries)
     flat = scalar_curvature(inv_metric, RU_SPEC)
-    ck.witnesses.append(
-        "matrix read as the metric; the inverse-cometric geometry has R = %s"
-        % flat
+    wit = witness_terms(residual) + [
+        "Brioschi formula agrees" if agrees else "Brioschi formula disagrees: %s" % bri,
+        "matrix read as the metric; the inverse-cometric geometry has R = %s" % flat,
+    ]
+    out.append(
+        verdict("geom.curvature", residual.is_zero() and agrees, wit, len(residual.num.terms))
     )
-    if not (bri - scalar).is_zero():
-        ck.status = "fail"
-    out.append(ck)
 
     metric, spec = sphere_polar_metric()
     rs = scalar_curvature(metric, spec)

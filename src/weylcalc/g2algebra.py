@@ -126,11 +126,11 @@ def u_excess(op: DiffOp):
 # -- flag invariance ----------------------------------------------------------------
 
 
-def verify_flag(levels=(0, 1, 2, 3, 5)) -> CheckResult:
-    """Every generator at mark n preserves P_n for each literal level, and a
+def verify_flag() -> CheckResult:
+    """Every generator at mark n preserves P_n for n = 0, 1, 2, 3, 5, and a
     mismatched mark is caught (J4 at mark 0 must fail on P_2)."""
     parts = []
-    for n in levels:
+    for n in (0, 1, 2, 3, 5):
         for name, op in generator_set(mark=n):
             wit = invariance_witnesses(op, n)[n]
             parts.append(
@@ -154,13 +154,13 @@ def verify_flag(levels=(0, 1, 2, 3, 5)) -> CheckResult:
 # -- linear closure -----------------------------------------------------------------
 
 
-def structure_table(names=LOWERING_GL2, mark=None):
-    """Pairwise commutators decomposed over the named set plus identity.
+def structure_table():
+    """Pairwise commutators of LOWERING_GL2 decomposed over it plus identity.
 
     Returns {(name_a, name_b): Decomposition} with coefficients polynomial
     in the symbolic mark n.
     """
-    return _commutator_table(generator_set(mark, names))
+    return _commutator_table(generator_set(names=LOWERING_GL2))
 
 
 def _commutator_table(gens) -> dict:

@@ -287,7 +287,7 @@ class DiffOp:
                 raise WeylError("cannot substitute space variable %s" % s)
         op = DiffOp(self.spec)
         for idx, c in self.terms.items():
-            nc = c.substitute(bindings)
+            nc = c.map_ring(self.spec.ring, bindings)
             if not nc.is_zero():
                 op.terms[idx] = nc
         return op
@@ -507,7 +507,7 @@ def mul_op(spec: VariableSpec, f) -> DiffOp:
     return DiffOp(spec, {spec.zero_index: _as_coeff(spec, f)})
 
 
-def format_op(op: DiffOp, mul="*", pow_="^") -> str:
+def format_op(op: DiffOp) -> str:
     if op.is_zero():
         return "0"
     parts = []
@@ -517,8 +517,8 @@ def format_op(op: DiffOp, mul="*", pow_="^") -> str:
             if not k:
                 continue
             d = "D[%s]" % op.spec.space[i]
-            dsyms.append(d if k == 1 else d + pow_ + str(k))
-        mono = mul.join(dsyms)
+            dsyms.append(d if k == 1 else "%s^%d" % (d, k))
+        mono = "*".join(dsyms)
         ctxt = str(c)
         if not mono:
             txt = ctxt if _is_atomic_coeff(c) else "(%s)" % ctxt
@@ -527,9 +527,9 @@ def format_op(op: DiffOp, mul="*", pow_="^") -> str:
         elif c == GaussRat(-1):
             txt = "-" + mono
         elif _is_atomic_coeff(c):
-            txt = ctxt + mul + mono
+            txt = ctxt + "*" + mono
         else:
-            txt = "(%s)%s%s" % (ctxt, mul, mono)
+            txt = "(%s)*%s" % (ctxt, mono)
         parts.append(txt)
     out = parts[0]
     for t in parts[1:]:

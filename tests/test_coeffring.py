@@ -294,6 +294,117 @@ def test_adjunct_conjugate_rationalization():
     assert (e * Expr.of_poly(x + r) - Expr.of_poly(R3.one())).is_zero()
 
 
+def test_define_adjunct_keeps_squares_flat():
+    import pytest
+
+    ring = PolyRing(("x", "y", "s", "t"))
+    x, y, s = (ring.var(v) for v in ("x", "y", "s"))
+    ring.define_adjunct("s", x * x + y * y)
+    with pytest.raises(CoeffRingError):  # a second square would go unread
+        ring.define_adjunct("s", x * x)
+    with pytest.raises(CoeffRingError):  # a square over an adjunct
+        ring.define_adjunct("t", s * x + ring.one())
+    with pytest.raises(CoeffRingError):  # a square over a later symbol
+        ring.define_adjunct("s", ring.var("t"))
+    assert ring.adjuncts[0].square == x * x + y * y and len(ring.adjuncts) == 1
+    # a symbol that a square already uses stays plain
+    late = PolyRing(("x", "s", "t"))
+    late.define_adjunct("t", late.var("s") + late.var("x"))
+    with pytest.raises(CoeffRingError):
+        late.define_adjunct("s", late.var("x"))
+
+
+# -- images: substitution is the image in the polynomial's own ring ------------------
+
+
+def _value(e: Expr, point: dict) -> GaussRat:
+    return e.num.evaluate(point) / e.den.evaluate(point)
+
+
+def test_substitution_matches_evaluation():
+    rng = random.Random(404)
+    x = XYZ.var("x")
+    for _ in range(200):
+        f = random_expr(XYZ, rng)
+        bindings = {"x": random_poly(XYZ, rng, ("y", "z")), "y": random_expr(XYZ, rng, ("z",))}
+        if rng.randint(0, 1):
+            bindings["z"] = random_fraction(rng)
+        pt = random_point(XYZ, rng)
+        if bindings["y"].den.evaluate(pt).is_zero():
+            continue
+        at = dict(pt, x=bindings["x"].evaluate(pt), y=_value(bindings["y"], pt))
+        at["z"] = bindings.get("z", pt["z"])
+        if f.den.evaluate(at).is_zero():
+            continue
+        assert _value(f.map_ring(XYZ, bindings), pt) == _value(f, at)
+    # an unbound symbol keeps its monomial, and no binding is the identity
+    assert (x * x).map_ring(XYZ) == Expr.of_poly(x * x)
+
+
+# Pythagorean quadruples x^2 + y^2 + z^2 = r^2: points where r is rational
+QUADRUPLES = ((1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (2, 6, 9, 11), (4, 4, 7, 9))
+
+
+def test_substitution_with_the_r_adjunct_matches_evaluation():
+    """E = -beta^2/2 into expressions over R3, and alpha to an expression in
+    r, checked at points where r is rational."""
+    rng = random.Random(505)
+    x, r, beta = R3.var("x"), R3.var("r"), R3.var("beta")
+    energy = Expr.of_poly(beta * beta) * Fraction(-1, 2)
+    for _ in range(120):
+        f = random_expr(R3, rng, ("x", "y", "z", "alpha", "E", "r"), den_degree=1)
+        bindings = {"E": energy}
+        if rng.randint(0, 1):
+            bindings["alpha"] = Expr.make(r, x + R3.one() * 3)
+        a, b, c, d = rng.choice(QUADRUPLES)
+        k = rng.choice((1, -1, 2))
+        pt = dict(zip(("x", "y", "z", "r"), (a * k, b * k, c * k, d * abs(k))))
+        pt["alpha"], pt["beta"] = random_fraction(rng), random_fraction(rng, nonzero=True)
+        at = dict(pt, E=-pt["beta"] ** 2 / 2)
+        if "alpha" in bindings:
+            at["alpha"] = Fraction(pt["r"], pt["x"] + 3)
+        if f.den.evaluate(at).is_zero():
+            continue
+        image = f.map_ring(R3, bindings)
+        assert not image.num.uses("E") and not image.den.uses("E")
+        assert _value(image, pt) == _value(f, at)
+
+
+def test_chart_map_matches_evaluation():
+    """u -> rho^2 carries an expression on the (r, u) chart to (r, rho)."""
+    from weylcalc.spaces import RRP
+
+    rng = random.Random(606)
+    rho = Expr.of_poly(RRP.var("rho"))
+    chart = ("r", "u", "beta", "mu", "p")
+    for _ in range(150):
+        f = random_expr(RU, rng, chart)
+        pt = random_point(RRP, rng)
+        at = {s: pt[s] for s in chart if s != "u"}
+        at["u"] = pt["rho"] ** 2
+        if f.den.evaluate(at).is_zero():
+            continue
+        image = f.map_ring(RRP, {"u": rho * rho})
+        assert image.ring is RRP
+        assert _value(image, pt) == _value(f, at)
+
+
+def test_image_errors():
+    import pytest
+    from weylcalc.spaces import RRP
+
+    x, y = XYZ.var("x"), XYZ.var("y")
+    with pytest.raises(UnknownSymbol):  # a binding name the ring lacks
+        (x + y).map_ring(XYZ, {"w": 1})
+    with pytest.raises(UnknownSymbol):
+        Expr.make(x, y).map_ring(XYZ, {"w": 1})
+    with pytest.raises(UnknownSymbol):  # n has no image on the (r, rho) chart
+        (RU.var("r") * RU.var("n")).map_ring(RRP)
+    assert RU.var("r").map_ring(RRP) == Expr.of_poly(RRP.var("r"))
+    with pytest.raises(ZeroDenominator):
+        Expr.make(x, y - XYZ.one()).map_ring(XYZ, {"y": 1})
+
+
 def test_grlex_order():
     x, y = XYZ.var("x"), XYZ.var("y")
     f = x * x + x * y + y * y + x + XYZ.one()

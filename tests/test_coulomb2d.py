@@ -135,3 +135,10 @@ def test_parity_solve_falls_back_to_the_quotient_only_when_needed(monkeypatch):
     assert dec.success, dec.message
     assert note == "no solution with symbolic p; solved modulo p^2 - p (parities p=0,1)"
     assert dec.coefficient_strings() == {"J1": "p"}
+
+
+def test_disagreeing_flag_oracle_fails_hl_with_no_residual(monkeypatch):
+    monkeypatch.setattr(coulomb2d, "equality_oracle", lambda a, b, bound: False)
+    hl = next(r for r in verify_integrals() if r.check == "2d.comm.hl")
+    # the exact residual vanished: the oracle alone fails the check
+    assert (hl.status, hl.residual_terms, hl.witnesses) == ("fail", 0, ["flag oracle disagrees"])

@@ -2,6 +2,7 @@
 
 import random
 
+from weylcalc import diffgeo
 from weylcalc.coeffring import Expr
 from weylcalc.diffgeo import (
     brioschi_curvature,
@@ -131,6 +132,25 @@ def test_effective_potential():
 def test_geometry_checks_pass():
     for res in verify_geometry():
         assert res.passed, "%s: %s" % (res.check, res.witnesses)
+
+
+def _curvature_check():
+    return next(r for r in verify_geometry() if r.check == "geom.curvature")
+
+
+def test_disagreeing_brioschi_fails_curvature(monkeypatch):
+    flat = "matrix read as the metric; the inverse-cometric geometry has R = 0"
+    monkeypatch.setattr(diffgeo, "brioschi_curvature", lambda metric, spec: Expr.of_poly(RU.zero()))
+    ck = _curvature_check()
+    # the printed value is reproduced: Brioschi alone fails the check
+    assert (ck.status, ck.residual_terms) == ("fail", 0)
+    assert ck.witnesses == ["Brioschi formula disagrees: 0", flat]
+    # a wrong printed value counts its residual terms and lists them first
+    shifted = diffgeo.reference_scalar_curvature() + Expr.of_poly(RU.var("r") * 3 + RU.var("u"))
+    monkeypatch.setattr(diffgeo, "reference_scalar_curvature", lambda: shifted)
+    ck = _curvature_check()
+    assert (ck.status, ck.residual_terms) == ("fail", 2)
+    assert ck.witnesses == ["-3*r", "-1*u", "Brioschi formula disagrees: 0", flat]
 
 
 def test_schrodinger_form_check():
