@@ -20,23 +20,24 @@ from .flagrep import DEFAULT_POINT
 from .weyl import WeylError, format_op
 
 
-def _parse_params(pairs) -> dict:
-    out = {}
+def _parse_point(pairs) -> dict:
+    """The evaluation point: DEFAULT_POINT overlaid with the --param pairs."""
+    point = dict(DEFAULT_POINT)
     for pair in pairs or ():
         name, _, value = pair.partition("=")
         if not name or not value:
             raise ValueError("expected name=value, got %r" % pair)
         try:
-            out[name] = Fraction(value)
+            point[name] = Fraction(value)
         except ZeroDivisionError:
             raise ValueError("%s: zero denominator" % pair) from None
-    unknown = sorted(set(out) - set(DEFAULT_POINT))
+    unknown = sorted(set(point) - set(DEFAULT_POINT))
     if unknown:
         raise ValueError(
             "no check reads %s; accepted names: %s"
             % (", ".join(unknown), ", ".join(sorted(DEFAULT_POINT)))
         )
-    return out
+    return point
 
 
 def _emit_text(results, out):
@@ -51,7 +52,7 @@ def _emit_text(results, out):
 
 def cmd_verify(args) -> int:
     try:
-        params = _parse_params(args.param)
+        point = _parse_point(args.param)
     except ValueError as exc:
         print("bad --param: %s" % exc, file=sys.stderr)
         return 2
@@ -62,10 +63,13 @@ def cmd_verify(args) -> int:
     if not names:
         print("no checks matched %s" % args.pattern, file=sys.stderr)
         return 2
-    if params and "2d.eigenbasis" not in names:
-        print("bad --param: no selected check reads it; only 2d.eigenbasis does", file=sys.stderr)
+    if args.param and registry.POINT_CHECK not in names:
+        print(
+            "bad --param: no selected check reads it; only %s does" % registry.POINT_CHECK,
+            file=sys.stderr,
+        )
         return 2
-    results = registry.run_checks(sorted(names), params, args.jobs)
+    results = registry.run_checks(sorted(names), point, args.jobs)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in results], indent=2))
     else:

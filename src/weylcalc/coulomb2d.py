@@ -3,9 +3,11 @@
 Builds the second-order radial operator h_a, its commuting integrals l_a and
 b_a, and their commutator c = [b_a, l_a]; derives h_a's cylindrical
 predecessor from first principles (flat Laplacian read off the embedding,
-gauge conjugation, angular projection); and verifies the cubic closure of
-the algebra generated by {h_a, l_a, b_a, c}, both against the printed
-coefficient tables and by an independent exact decomposition solve.
+gauge conjugation, angular projection); checks the flag invariance of the
+four operators and the spectrum and eigenbases of h_a on P_0..P_8; and
+verifies the cubic closure of the algebra generated by {h_a, l_a, b_a, c},
+both against the printed coefficient tables and by an independent exact
+decomposition solve.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr
-from .flagrep import equality_oracle
+from .flagrep import (
+    eigenpolynomials,
+    equality_oracle,
+    flag_dim,
+    invariance_witnesses,
+    matrix_of,
+    spectrum_witnesses,
+)
 from .linsolve import (
     Decomposition,
     decompose,
@@ -134,24 +143,18 @@ def displayed_c_leading() -> dict:
     }
 
 
-def compute_c_and_verify_leading():
-    """c together with checks of its order and displayed leading terms."""
+def verify_c() -> list:
+    """The order of c and its displayed leading terms."""
     c = c_op()
-    checks = []
     order_ok = c.order() == 5
-    checks.append(
-        verdict("2d.c.order", order_ok, [] if order_ok else ["order is %d, want 5" % c.order()])
-    )
-    parts = []
-    for idx, want in sorted(displayed_c_leading().items()):
-        got = c.coefficient(idx)
-        parts.append(
-            residual_check(
-                "2d.c.leading[%d,%d]" % idx, got - Expr.of_poly(want)
-            )
-        )
-    checks.append(merge_checks("2d.c.leading", parts))
-    return c, checks
+    parts = [
+        residual_check("2d.c.leading[%d,%d]" % idx, c.coefficient(idx) - Expr.of_poly(want))
+        for idx, want in sorted(displayed_c_leading().items())
+    ]
+    return [
+        verdict("2d.c.order", order_ok, [] if order_ok else ["order is %d, want 5" % c.order()]),
+        merge_checks("2d.c.leading", parts),
+    ]
 
 
 def parity_check(name: str, residual: DiffOp) -> CheckResult:
@@ -210,6 +213,63 @@ def verify_integrals():
     out.append(parity_check("2d.comm.hb", h.commutator(b)))
     out.append(parity_check("2d.comm.hc", h.commutator(c)))
     return out
+
+
+# -- the flag representation ------------------------------------------------------
+
+
+def verify_flag_invariance() -> list:
+    """h_a, l_a, b_a and c preserve every level P_n, n = 0..8."""
+    parts = [
+        verdict("2d.flag.invariance[%s,P_%d]" % (name, n), wit is None, [wit] if wit else [])
+        for name, build in (("h_a", h_a), ("l_a", l_a), ("b_a", b_a), ("c", c_op))
+        for n, wit in enumerate(invariance_witnesses(build(), 8))
+    ]
+    return [
+        merge_checks(
+            "2d.flag.invariance", parts, ["h_a, l_a, b_a, c preserve P_n for n = 0..8"]
+        )
+    ]
+
+
+def verify_spectrum() -> list:
+    """On each P_n, n = 0..8, h_a is graded triangular with the level spectrum."""
+    top = matrix_of(h_a(), 8)
+    parts = []
+    dims = []
+    for n in range(9):
+        block = top.leading_block(n)
+        dims.append(block.dim)
+        wit = spectrum_witnesses(block)
+        parts.append(verdict("2d.spectrum[n=%d]" % n, not wit, wit))
+    summary = [
+        "char poly = prod_k (lam - beta*(k+1+p+mu))^(k//2+1) for n = 0..8",
+        "dims %s" % (dims,),
+    ]
+    return [merge_checks("2d.spectrum", parts, summary)]
+
+
+def verify_eigenbasis(point: dict) -> list:
+    """At the rational point (beta, mu, p), the eigenpolynomials of h_a on
+    each P_n, n = 0..8, number dim P_n."""
+    top = matrix_of(h_a(), 8)
+    parts = []
+    for n in range(9):
+        total = sum(map(len, eigenpolynomials(top.leading_block(n), point)))
+        want = flag_dim(n)
+        parts.append(
+            verdict(
+                "2d.eigenbasis[n=%d]" % n,
+                total == want,
+                [] if total == want else ["kernel dimensions total %d, want %d" % (total, want)],
+                abs(total - want),
+            )
+        )
+    summary = [
+        "eigenpolynomial count equals dim P_n for n = 0..8",
+        "at point %s" % {k: str(v) for k, v in sorted(point.items())},
+    ]
+    return [merge_checks("2d.eigenbasis", parts, summary)]
 
 
 # -- printed cubic tables -------------------------------------------------------
@@ -286,37 +346,46 @@ def evaluate_monomial_table(table: dict, ops: dict) -> DiffOp:
 CUBIC_GENERATORS = ((_CL, l_a), (_CB, b_a), (_CC, c_op), (_CH, h_a))
 
 
-@lru_cache(maxsize=None)
-def verify_cubic():
-    """Cubic closure of [c, l_a] and [c, b_a], twice over.
+_PRINTED_TABLES = (("l", l_a, printed_cl_table), ("b", b_a, printed_cb_table))
 
-    The printed route subtracts the displayed right-hand side exactly;
-    the solver route decomposes the commutator over ordered monomials of
-    degree <= 3 with no knowledge of the printed coefficients.  The solver
-    first works with fully symbolic p, then in the quotient by p^2 - p
-    (p is a two-valued parity), and reports which ring closed the algebra.
+
+@lru_cache(maxsize=None)
+def cubic_solves() -> dict:
+    """tag -> (target, printed residual, Decomposition, ring note) for
+    [c, l_a] ("l") and [c, b_a] ("b"), from one build of the products.
+
+    The printed residual subtracts the displayed right-hand side exactly;
+    the solve decomposes the commutator over ordered monomials of degree
+    <= 3 with no knowledge of the printed coefficients, first with fully
+    symbolic p, then in the quotient by p^2 - p (p is a two-valued parity).
     """
     c = c_op()
     gens = [(name, build()) for name, build in CUBIC_GENERATORS]
     ops = monomial_ops(gens, 3)
+    out = {}
+    for tag, other, table in _PRINTED_TABLES:
+        target = c.commutator(other())
+        printed = evaluate_monomial_table(table(), ops)
+        out[tag] = (target, target - printed) + parity_solve(
+            target, gens, ops, "[c,%s_a]" % tag
+        )
+    return out
+
+
+def verify_cubic() -> list:
+    """Cubic closure of [c, l_a] and [c, b_a], against the printed tables
+    and by the solve, which reports the ring that closed the algebra."""
     results = []
-    decs = {}
-    for tag, other, table in (
-        ("l", l_a(), printed_cl_table()),
-        ("b", b_a(), printed_cb_table()),
-    ):
-        target = c.commutator(other)
-        printed = evaluate_monomial_table(table, ops)
-        results.append(parity_check("2d.cubic.%s.printed" % tag, target - printed))
-        dec, ring_note = parity_solve(target, gens, ops, "[c,%s_a]" % tag)
-        decs[tag] = dec
+    for tag, _, table in _PRINTED_TABLES:
+        target, printed_residual, dec, ring_note = cubic_solves()[tag]
+        results.append(parity_check("2d.cubic.%s.printed" % tag, printed_residual))
         wit = [
             ring_note,
             "%d monomials, %d unknowns, rank %d, %d free columns"
             % (dec.monomials_considered, dec.unknowns, dec.rank, dec.free_columns),
         ]
         if dec.success:
-            wit.append(_compare_with_printed(dec, table))
+            wit.append(_compare_with_printed(dec, table()))
         else:
             wit.append(dec.message)
         results.append(
@@ -327,7 +396,7 @@ def verify_cubic():
                 len((dec.residual or target).terms),
             )
         )
-    return results, decs
+    return results
 
 
 def _compare_with_printed(dec: Decomposition, table: dict) -> str:
@@ -389,9 +458,9 @@ def pipeline_gauge(parity: int) -> GaugeData:
     return GaugeData(RRP_SPEC, {"r": w_r, "rho": w_rho}, angular=("phi", Expr.of_poly(_mc)))
 
 
-def derive_h_pipeline(parity: int):
+def pipeline_operator(parity: int) -> DiffOp:
     """Flat Laplacian -> r-weighted wave operator -> gauge conjugation ->
-    angular projection -> energy elimination, compared against h_cyl.
+    angular projection -> energy elimination, at parity 0 or 1.
     """
     from .diffgeo import cylindrical_cometric, laplace_beltrami
     from .spaces import RRP_SPEC
@@ -404,15 +473,21 @@ def derive_h_pipeline(parity: int):
     )
     conj = K.conjugate(pipeline_gauge(parity))
     proj = conj.project_angular("phi", Expr.of_poly(_mc))
-    fixed = proj.substitute(
-        {"E": Expr.of_poly(_bc * _bc) * Fraction(-1, 2)}
-    )
-    target = h_cyl().substitute({"p": Fraction(parity)})
-    residual = fixed - target
-    return residual_check("2d.pipeline.p%d" % parity, residual), fixed
+    return proj.substitute({"E": Expr.of_poly(_bc * _bc) * Fraction(-1, 2)})
 
 
-def relate_h_ha() -> CheckResult:
+def derive_h_pipeline() -> list:
+    """The pipeline operator at each parity p, compared against h_cyl at p."""
+    return [
+        residual_check(
+            "2d.pipeline.p%d" % parity,
+            pipeline_operator(parity) - h_cyl().substitute({"p": Fraction(parity)}),
+        )
+        for parity in (0, 1)
+    ]
+
+
+def relate_h_ha() -> list:
     """u = rho^2 carries h_a to the cylindrical operator, at symbolic parity."""
     rho_e = Expr.of_poly(_rho)
     change = VariableChange(
@@ -426,8 +501,7 @@ def relate_h_ha() -> CheckResult:
             ),
         },
     )
-    residual = h_a().map_space(change) - h_cyl()
-    return residual_check("2d.algebraic", residual)
+    return [residual_check("2d.algebraic", h_a().map_space(change) - h_cyl())]
 
 
 def gamma_a_gauge() -> GaugeData:

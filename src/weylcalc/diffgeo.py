@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import Expr, MultiPoly, PolyRing
-from .reports import WITNESS_CAP, CheckResult, residual_check, verdict, witness_terms
+from .reports import WITNESS_CAP, residual_check, verdict, witness_terms
 from .spaces import AMB, RRP, RU, RU_SPEC
 from .weyl import DiffOp, VariableSpec, mul_op
 
@@ -134,8 +134,6 @@ def _as_amb(v) -> Expr:
 
 def _det(entries) -> Expr:
     n = len(entries)
-    if n == 1:
-        return entries[0][0]
     if n == 2:
         return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
     if n == 3:
@@ -145,39 +143,22 @@ def _det(entries) -> Expr:
             - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
             + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
         )
-    raise DiffGeoError("determinant implemented for dimensions 1..3")
+    raise DiffGeoError("determinant implemented for dimensions 2 and 3")
 
 
 def invert_and_det(entries):
-    """Inverse and determinant of a 1x1 to 3x3 matrix of Exprs (rows)."""
-    n = len(entries)
+    """Inverse and determinant of a 2x2 matrix of Exprs (rows)."""
+    if len(entries) != 2:
+        raise DiffGeoError("inverse implemented for dimension 2")
     det = _det(entries)
     if det.is_zero():
         raise DiffGeoError("singular matrix")
-    if n == 1:
-        return [[1 / det]], det
-    if n == 2:
-        e = entries
-        inv = [
-            [e[1][1] / det, -e[0][1] / det],
-            [-e[1][0] / det, e[0][0] / det],
-        ]
-        return inv, det
-    if n == 3:
-        e = entries
-        cof = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                rows = [r for r in range(3) if r != i]
-                cols = [c for c in range(3) if c != j]
-                minor = (
-                    e[rows[0]][cols[0]] * e[rows[1]][cols[1]]
-                    - e[rows[0]][cols[1]] * e[rows[1]][cols[0]]
-                )
-                sign = 1 if (i + j) % 2 == 0 else -1
-                cof[j][i] = minor * sign / det
-        return cof, det
-    raise DiffGeoError("inverse implemented for dimensions 1..3")
+    e = entries
+    inv = [
+        [e[1][1] / det, -e[0][1] / det],
+        [-e[1][0] / det, e[0][0] / det],
+    ]
+    return inv, det
 
 
 # -- Laplace-Beltrami ------------------------------------------------------------
@@ -364,7 +345,7 @@ def effective_potential() -> Expr:
     return first + second
 
 
-def verify_schrodinger_form() -> CheckResult:
+def verify_schrodinger_form() -> list:
     """Conjugate the radial operator by its ground gauge and compare with
     -Laplace-Beltrami + effective potential.
 
@@ -392,7 +373,7 @@ def verify_schrodinger_form() -> CheckResult:
             "symbolic-parity defect (vanishes at p=0 and p=1): %s"
             % "; ".join(witness_terms(residual, 2))
         )
-    return verdict("geom.schrodinger", all(parts), wit, len(residual.terms))
+    return [verdict("geom.schrodinger", all(parts), wit, len(residual.terms))]
 
 
 def sphere_polar_metric():

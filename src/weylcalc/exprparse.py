@@ -14,7 +14,8 @@ divided by 2).  The symbol i is the imaginary unit; D[v] differentiates
 with respect to one of the six chart variables.  The printers in weyl and
 coeffring emit exactly this grammar, so printing and parsing round-trip.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
-never an exhausted interpreter stack.
+never an exhausted interpreter stack.  An exponent is at most MAX_EXPONENT,
+since a power costs one composition per unit of the exponent.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ WS = PolyRing(("x", "y", "z", "alpha", "E", "r", "u", "rho", "beta", "mu", "p", 
 _WS_SPEC = VariableSpec(WS, ("x", "y", "z", "r", "u", "rho"))
 _IMAGINARY = "i"
 MAX_NESTING = 100
+MAX_EXPONENT = 100
 
 
 def workspace_spec() -> VariableSpec:
@@ -155,6 +157,8 @@ class _Parser:
             kind, value, col = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an unsigned integer", col)
+            if value > MAX_EXPONENT:
+                raise ParseError("exponent %d exceeds %d" % (value, MAX_EXPONENT), col)
             return op ** value
         return op
 

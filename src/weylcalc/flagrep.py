@@ -298,13 +298,12 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
     return out
 
 
-def eigenpolynomials(matrix: OperatorMatrix, point: dict | None = None) -> list:
+def eigenpolynomials(matrix: OperatorMatrix, point: dict) -> list:
     """Exact bases of the level-k eigenspaces, k = 0..n, of the radial
     operator's matrix on P_n at a rational parameter point, each polynomial
     normalized to leading coefficient 1.
     """
     n = matrix.basis.n
-    point = dict(DEFAULT_POINT if point is None else point)
     eigs = [level_eigenvalue(k).evaluate(point) for k in range(n + 1)]
     for a in range(n + 1):
         for b in range(a + 1, n + 1):

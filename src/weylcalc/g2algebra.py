@@ -126,7 +126,7 @@ def u_excess(op: DiffOp):
 # -- flag invariance ----------------------------------------------------------------
 
 
-def verify_flag() -> CheckResult:
+def verify_flag() -> list:
     """Every generator at mark n preserves P_n for n = 0, 1, 2, 3, 5, and a
     mismatched mark is caught (J4 at mark 0 must fail on P_2)."""
     parts = []
@@ -148,7 +148,7 @@ def verify_flag() -> CheckResult:
         "%d generator/level pairs invariant" % (len(parts) - 1),
         "mismatched-mark control rejected as expected",
     ]
-    return merge_checks("g2.flag", parts, summary)
+    return [merge_checks("g2.flag", parts, summary)]
 
 
 # -- linear closure -----------------------------------------------------------------

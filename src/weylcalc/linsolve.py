@@ -299,9 +299,10 @@ def decompose(
     bound is the longest monomial in ops.
 
     params lists the symbols the unknown coefficients may involve, with
-    total degree at most param_bound.  When weights grade both target and
-    generators homogeneously, the grading fixes each monomial's power of any
-    graded parameter (conventionally beta) and prunes impossible monomials.
+    total degree at most param_bound.  weights must grade the target and
+    every generator homogeneously, with exactly one graded non-space symbol
+    (conventionally beta), or decompose raises ValueError; the grading fixes
+    each monomial's power of that parameter and prunes impossible monomials.
     idempotents names symbols s to be treated modulo s^2 = s (two-valued
     parameters), so the solve happens in the quotient ring.
     """
@@ -321,21 +322,24 @@ def decompose(
 
     graded_params = []
     w_target = None
-    gen_weights = None
     if weights:
         space = set(spec.space)
         graded_params = sorted(
             s for s, w in weights.items() if w and s not in space and s in ring.index
         )
+        if len(graded_params) != 1:
+            # a single graded parameter keeps the power bookkeeping unambiguous
+            raise ValueError(
+                "weights must grade exactly one parameter, not %s" % (graded_params,)
+            )
         w_target = op_weight(target, weights)
         gen_weights = [op_weight(op, weights) for _, op in generators]
-        if w_target is None or any(w is None for w in gen_weights):
-            w_target = None
-            graded_params = []
-    if len(graded_params) != 1:
-        # a single graded parameter keeps the power bookkeeping unambiguous
-        w_target = None
-        graded_params = []
+        inhomogeneous = [target_name] if w_target is None else []
+        inhomogeneous += [n for n, w in zip(names, gen_weights) if w is None]
+        if inhomogeneous:
+            raise ValueError(
+                "weights grade %s inhomogeneously (or as zero)" % ", ".join(inhomogeneous)
+            )
 
     free_params = [s for s in params if s not in graded_params]
     param_pos = [ring.index_of(s) for s in free_params]

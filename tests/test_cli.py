@@ -1,6 +1,7 @@
 """Command-line interface: verification runs, exit codes, output formats,
 operator inspection, and determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import weylcalc
-from weylcalc import registry
+from weylcalc import registry, reports
 from weylcalc.cli import main
 from weylcalc.reports import CheckResult
 
@@ -101,6 +102,23 @@ def test_verify_parallel_matches_sequential(capsys):
     assert seq == par
 
 
+def test_verify_point_reaches_worker_processes(capsys):
+    def run(jobs):
+        argv = ["verify", "2d.eigenbasis", "geom.*", "--param", "beta=3", "--format", "json"]
+        code = main(argv + ["--jobs", jobs])
+        payload = _json_lines(capsys)
+        for entry in payload:
+            entry.pop("elapsed_ms")
+        return code, payload
+
+    code, seq = run("1")
+    assert code == 0
+    eigen = next(e for e in seq if e["check"] == "2d.eigenbasis")
+    assert "at point {'beta': '3', 'mu': '1/3', 'p': '1/7'}" in eigen["witnesses"]
+    # statuses, residual counts and witnesses alike
+    assert run("2") == (code, seq)
+
+
 def test_verify_param_override_reaches_checks(capsys):
     code = main(["verify", "2d.eigenbasis", "--param", "beta=3", "--param", "mu=1/2"])
     out = capsys.readouterr().out
@@ -150,15 +168,22 @@ def test_verify_matches_golden_output(capsys):
     assert json.dumps(payload, indent=2) + "\n" == GOLDEN.read_text()
 
 
-def test_run_group_leaves_cached_results_alone():
+def test_groups_name_distinct_checks_and_resolvable_functions():
+    # resolved, never called: only 2d.eigenbasis's function takes the point
+    for names, function in registry.GROUPS:
+        params = inspect.signature(registry.group_function(function)).parameters
+        assert len(params) == (registry.POINT_CHECK in names), function
+    assert len(set(registry.ALL_CHECKS)) == len(registry.ALL_CHECKS) == 50
+
+
+def test_run_group_leaves_cached_results_alone(monkeypatch):
     cached = [CheckResult(check="a", status="pass", witnesses=["w"])]
+    # as an lru_cache'd verify_* would, every call
+    monkeypatch.setattr(reports, "cached_group", lambda: cached, raising=False)
 
-    def runner(params):
-        return cached  # as an lru_cache'd verify_* would, every call
-
-    first = registry.run_group(("a",), runner, None)
+    first = registry.run_group(("a",), "reports.cached_group")
     stamp = first[0].elapsed_ms
-    second = registry.run_group(("a",), runner, None)
+    second = registry.run_group(("a",), "reports.cached_group")
     assert first[0].elapsed_ms == stamp
     assert cached[0].elapsed_ms == 0.0
     assert first[0] is not cached[0] and second[0] is not first[0]

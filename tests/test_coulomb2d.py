@@ -10,12 +10,14 @@ from weylcalc.coeffring import Expr
 from weylcalc.coulomb2d import (
     b_a,
     c_op,
-    compute_c_and_verify_leading,
+    cubic_solves,
     derive_h_pipeline,
     h_a,
     l_a,
     parity_solve,
+    pipeline_operator,
     relate_h_ha,
+    verify_c,
     verify_cubic,
     verify_integrals,
 )
@@ -26,20 +28,20 @@ from weylcalc.weyl import format_op, partial
 
 
 def test_pipeline_reproduces_algebraic_operator():
+    for res in derive_h_pipeline():
+        assert res.passed, "%s failed: %s" % (res.check, res.witnesses)
     for parity in (0, 1):
-        res, op = derive_h_pipeline(parity)
-        assert res.passed, "parity %d pipeline failed: %s" % (parity, res.witnesses)
         # the projected operator lives on the two-variable separated chart
-        assert op.spec.space == ("r", "rho")
+        assert pipeline_operator(parity).spec.space == ("r", "rho")
 
 
 def test_pipeline_rejects_other_parities():
     with pytest.raises(ValueError):
-        derive_h_pipeline(2)
+        pipeline_operator(2)
 
 
 def test_h_relates_to_separated_form():
-    res = relate_h_ha()
+    [res] = relate_h_ha()
     assert res.passed, res.witnesses
 
 
@@ -85,16 +87,14 @@ def test_parity_slices_commute_exactly():
 
 
 def test_c_order_and_leading_terms():
-    c, results = compute_c_and_verify_leading()
-    by_name = {res.check: res for res in results}
+    by_name = {res.check: res for res in verify_c()}
     assert by_name["2d.c.order"].passed
     assert by_name["2d.c.leading"].passed
-    assert (c - b_a().commutator(l_a())).is_zero()
+    assert (c_op() - b_a().commutator(l_a())).is_zero()
 
 
 def test_cubic_closure_solves_and_printed_tables_differ():
-    results, decs = verify_cubic()
-    by_name = {res.check: res for res in results}
+    by_name = {res.check: res for res in verify_cubic()}
     for name in ("2d.cubic.l.solve", "2d.cubic.b.solve"):
         res = by_name[name]
         assert res.passed, "%s: %s" % (name, res.witnesses)
@@ -109,7 +109,8 @@ def test_cubic_closure_solves_and_printed_tables_differ():
 
 
 def test_cubic_decompositions_rebuild_targets():
-    _, decs = verify_cubic()
+    # the decompositions of the same cached solve that verify_cubic reports
+    decs = {tag: dec for tag, (_, _, dec, _) in cubic_solves().items()}
     assert set(decs) == {"l", "b"}
     for tag, dec in decs.items():
         assert dec.success

@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from weylcalc import diffgeo
-from weylcalc.coeffring import Expr
+from weylcalc.coeffring import Expr, PolyRing
 from weylcalc.diffgeo import (
+    DiffGeoError,
     brioschi_curvature,
     cylindrical_cometric,
     effective_potential,
@@ -17,7 +20,7 @@ from weylcalc.diffgeo import (
     verify_schrodinger_form,
 )
 from weylcalc.spaces import RRP, RU, RU_SPEC
-from weylcalc.weyl import format_op
+from weylcalc.weyl import VariableSpec, format_op
 
 
 def test_cylindrical_cometric_entries():
@@ -79,6 +82,21 @@ def test_determinant_and_inverse():
                 acc = term if acc is None else acc + term
             want = Expr.of_poly(RU.one()) if i == j else Expr.of_poly(RU.zero())
             assert (acc - want).is_zero()
+
+
+def test_inverse_only_for_two_by_two():
+    # every metric that is inverted is 2x2 and every determinant 2x2 or 3x3;
+    # other sizes are refused
+    one = Expr.of_poly(RU.one())
+    zero = Expr.of_poly(RU.zero())
+    for n in (1, 3):
+        identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        with pytest.raises(DiffGeoError):
+            invert_and_det(identity)
+    line = PolyRing(("c",))
+    chart = VariableSpec(line, ("c",))
+    with pytest.raises(DiffGeoError):
+        laplace_beltrami(diffgeo.CoMetric(spec=chart, entries=[[Expr.of_poly(line.one())]]))
 
 
 def test_scalar_curvature_two_readings():
@@ -154,7 +172,7 @@ def test_disagreeing_brioschi_fails_curvature(monkeypatch):
 
 
 def test_schrodinger_form_check():
-    res = verify_schrodinger_form()
+    [res] = verify_schrodinger_form()
     assert res.passed
     assert any("p^2" in w for w in res.witnesses), (
         "the symbolic-parity defect should be announced: %s" % res.witnesses

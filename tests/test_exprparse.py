@@ -7,6 +7,7 @@ import pytest
 
 from weylcalc.coeffring import GaussRat
 from weylcalc.exprparse import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ParseError,
     parse,
@@ -122,6 +123,19 @@ def test_nesting_limit_is_a_parse_error():
     # the depth is nesting, not the count of parenthesis pairs
     flat = "+".join(["(r)"] * (MAX_NESTING + 5))
     assert str(parse_scalar(flat)) == "%d*r" % (MAX_NESTING + 5)
+
+
+def test_exponent_limit_is_a_parse_error():
+    # a power composes once per unit of its exponent, so a huge exponent
+    # would run for minutes; it is a ParseError at the exponent's column
+    for text, column in (("2^99999999", 3), ("r + D[r]^%d" % (MAX_EXPONENT + 1), 10)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.column == column
+        assert "exceeds %d" % MAX_EXPONENT in str(err.value)
+    # the limit itself still parses
+    assert format_op(parse("D[r]^%d" % MAX_EXPONENT)) == "D[r]^%d" % MAX_EXPONENT
+    assert str(parse_scalar("2^%d" % MAX_EXPONENT)) == str(2 ** MAX_EXPONENT)
 
 
 def test_imaginary_unit_versus_symbols():

@@ -52,7 +52,7 @@ def test_generator_shapes():
 
 
 def test_flag_invariance_of_all_generators():
-    res = verify_flag()
+    [res] = verify_flag()
     assert res.passed, res.witnesses
     # spot check: every generator at mark n preserves the level-n space
     for name in ALL_GENERATORS:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+
 from weylcalc.coeffring import Expr, GaussRat
 from weylcalc.linsolve import SparseSolver, decompose, idempotent_reduce, monomial_ops
 from weylcalc.spaces import RU, RU_SPEC
@@ -105,6 +107,23 @@ def test_weighted_pruning_still_finds_solutions():
     )
     assert dec.success, dec.message
     assert dec.coefficient_strings() == {"J1*J1": "1", "R1": "beta"}
+
+
+def test_weights_that_do_not_grade_are_an_error():
+    # a grading that does not apply is an error, never a silent ungraded solve
+    weights = {"r": 1, "u": 2, "beta": -1}
+    gens = [("J1", _J1()), ("R1", _R1())]
+    ops = monomial_ops(gens, 2)
+    mixed = _J1() + _J1().compose(_J1())  # weights -1 and -2
+    with pytest.raises(ValueError, match="target inhomogeneously"):
+        decompose(mixed, gens, ops, params=("beta",), weights=weights)
+    bad_gens = [("J1", _J1()), ("S", mixed)]
+    with pytest.raises(ValueError, match="S inhomogeneously"):
+        decompose(_J1(), bad_gens, monomial_ops(bad_gens, 1), weights=weights)
+    with pytest.raises(ValueError, match="exactly one parameter"):
+        decompose(_J1(), gens, ops, weights=dict(weights, mu=1))
+    with pytest.raises(ValueError, match="exactly one parameter"):
+        decompose(_J1(), gens, ops, weights={"r": 1, "u": 2})
 
 
 
