@@ -23,10 +23,14 @@ from .weyl import WeylError, format_op
 def _parse_point(pairs) -> dict:
     """The evaluation point: DEFAULT_POINT overlaid with the --param pairs."""
     point = dict(DEFAULT_POINT)
+    given = set()
     for pair in pairs or ():
         name, _, value = pair.partition("=")
         if not name or not value:
             raise ValueError("expected name=value, got %r" % pair)
+        if name in given:
+            raise ValueError("%s given more than once" % name)
+        given.add(name)
         try:
             point[name] = Fraction(value)
         except ZeroDivisionError:

@@ -26,6 +26,7 @@ from .flagrep import (
 )
 from .linsolve import (
     Decomposition,
+    combination,
     decompose,
     idempotent_reduce,
     idempotent_reduce_op,
@@ -337,10 +338,7 @@ def evaluate_monomial_table(table: dict, ops: dict) -> DiffOp:
     product read from ops, the monomial_ops table of CUBIC_GENERATORS; every
     printed monomial is nondecreasing in that order."""
     index = {name: i for i, (name, _) in enumerate(CUBIC_GENERATORS)}
-    total = DiffOp(RU_SPEC)
-    for mono, coeff in table.items():
-        total = total + ops[tuple(index[name] for name in mono)].scale(coeff)
-    return total
+    return combination({tuple(index[n] for n in mono): c for mono, c in table.items()}, ops)
 
 
 CUBIC_GENERATORS = ((_CL, l_a), (_CB, b_a), (_CC, c_op), (_CH, h_a))
@@ -351,7 +349,7 @@ _PRINTED_TABLES = (("l", l_a, printed_cl_table), ("b", b_a, printed_cb_table))
 
 @lru_cache(maxsize=None)
 def cubic_solves() -> dict:
-    """tag -> (target, printed residual, Decomposition, ring note) for
+    """tag -> (printed residual, Decomposition, ring note) for
     [c, l_a] ("l") and [c, b_a] ("b"), from one build of the products.
 
     The printed residual subtracts the displayed right-hand side exactly;
@@ -366,7 +364,7 @@ def cubic_solves() -> dict:
     for tag, other, table in _PRINTED_TABLES:
         target = c.commutator(other())
         printed = evaluate_monomial_table(table(), ops)
-        out[tag] = (target, target - printed) + parity_solve(
+        out[tag] = (target - printed,) + parity_solve(
             target, gens, ops, "[c,%s_a]" % tag
         )
     return out
@@ -377,24 +375,12 @@ def verify_cubic() -> list:
     and by the solve, which reports the ring that closed the algebra."""
     results = []
     for tag, _, table in _PRINTED_TABLES:
-        target, printed_residual, dec, ring_note = cubic_solves()[tag]
+        printed_residual, dec, ring_note = cubic_solves()[tag]
         results.append(parity_check("2d.cubic.%s.printed" % tag, printed_residual))
-        wit = [
-            ring_note,
-            "%d monomials, %d unknowns, rank %d, %d free columns"
-            % (dec.monomials_considered, dec.unknowns, dec.rank, dec.free_columns),
-        ]
-        if dec.success:
-            wit.append(_compare_with_printed(dec, table()))
-        else:
-            wit.append(dec.message)
+        wit = [ring_note, dec.shape()]
+        wit.append(_compare_with_printed(dec, table()) if dec.success else dec.message)
         results.append(
-            verdict(
-                "2d.cubic.%s.solve" % tag,
-                dec.success,
-                wit,
-                len((dec.residual or target).terms),
-            )
+            verdict("2d.cubic.%s.solve" % tag, dec.success, wit, len(dec.residual.terms))
         )
     return results
 

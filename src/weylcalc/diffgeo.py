@@ -37,6 +37,13 @@ class CoMetric:
     spec: VariableSpec
     entries: list  # list of rows of Expr
 
+    def __post_init__(self):
+        n = self.spec.nspace
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            raise DiffGeoError(
+                "a cometric on %d variables takes %d rows of %d entries" % (n, n, n)
+            )
+
     @property
     def dim(self) -> int:
         return self.spec.nspace

@@ -306,17 +306,12 @@ def verify_decompositions() -> list:
     ops = monomial_ops(gens, 4)
     gl2 = gens[: len(LOWERING_GL2)]
     solved = _family_solves(gl2, ops, 2, ("h", "l")) + _family_solves(gens, ops, 4, ("b", "c"))
-    for tag, target, dec, note in solved:
+    for tag, _, dec, note in solved:
         wit = [note] if tag in ("h", "l") else [note, "raising generators included"]
-        wit.append(
-            "degree %d, %d monomials, %d unknowns, rank %d, %d free columns"
-            % (dec.degree_bound, dec.monomials_considered, dec.unknowns, dec.rank,
-               dec.free_columns)
-        )
+        wit.append("degree %d, %s" % (dec.degree_bound, dec.shape()))
         if not dec.success:
             wit.append(dec.message)
-        residual = len((dec.residual or target).terms)
-        out.append(verdict("g2.decompose.%s" % tag, dec.success, wit, residual))
+        out.append(verdict("g2.decompose.%s" % tag, dec.success, wit, len(dec.residual.terms)))
     for tag, target, dec, note in _family_solves(gl2, ops, 4, ("b", "c")):
         excess, term = u_excess(target)
         wit = []
@@ -330,6 +325,5 @@ def verify_decompositions() -> list:
                     "with u-excess %d, but first-order generator products have "
                     "u-excess <= 0" % (term, excess)
                 )
-        residual = len((dec.residual or target).terms)
-        out.append(verdict("g2.decompose.%s.gl2" % tag, dec.success, wit, residual))
+        out.append(verdict("g2.decompose.%s.gl2" % tag, dec.success, wit, len(dec.residual.terms)))
     return out

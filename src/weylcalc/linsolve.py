@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import add, mul
 
 from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators
 from .weyl import DiffOp, identity
@@ -171,24 +172,15 @@ def _primitive(row: dict, rhs, d: int):
 # -- weight grading ------------------------------------------------------------
 
 
-def term_weight(spec, weights: dict, a, exps) -> int:
-    w = 0
-    for i, k in enumerate(exps):
-        if k:
-            w += k * weights.get(spec.ring.symbols[i], 0)
-    for i, k in enumerate(a):
-        if k:
-            w -= k * weights.get(spec.space[i], 0)
-    return w
-
-
 def op_weight(op: DiffOp, weights: dict):
     """Common weight of all terms, or None if inhomogeneous or zero."""
+    sym_w = [weights.get(s, 0) for s in op.spec.ring.symbols]
+    space_w = [weights.get(s, 0) for s in op.spec.space]
     w = None
     for a, c in op.terms.items():
-        p = c.as_poly()
-        for e in p.terms:
-            tw = term_weight(op.spec, weights, a, e)
+        wa = sum(map(mul, a, space_w))
+        for e in c.as_poly().terms:
+            tw = sum(map(mul, e, sym_w)) - wa
             if w is None:
                 w = tw
             elif tw != w:
@@ -206,25 +198,22 @@ class Decomposition:
     target: str
     generator_names: list
     degree_bound: int
-    param_bound: int
     success: bool
+    residual: DiffOp  # target - reconstruction; the target itself if inconsistent
     coefficients: dict = field(default_factory=dict)  # monomial names -> MultiPoly
     message: str = ""
     monomials_considered: int = 0
     unknowns: int = 0
     rank: int = 0
-    residual: DiffOp | None = None
 
-    @property
-    def free_columns(self) -> int:
-        return self.unknowns - self.rank
+    def shape(self) -> str:
+        """The size of the solved system, as the witnesses print it."""
+        return "%d monomials, %d unknowns, rank %d, %d free columns" % (
+            self.monomials_considered, self.unknowns, self.rank, self.unknowns - self.rank
+        )
 
     def coefficient_strings(self) -> dict:
-        out = {}
-        for mono, poly in sorted(self.coefficients.items()):
-            key = "*".join(mono) if mono else "1"
-            out[key] = str(poly)
-        return out
+        return {"*".join(m) or "1": str(p) for m, p in sorted(self.coefficients.items())}
 
 
 def monomial_ops(generators, degree_bound: int):
@@ -242,6 +231,14 @@ def monomial_ops(generators, degree_bound: int):
     return ops
 
 
+def combination(coefficients: dict, ops: dict) -> DiffOp:
+    """Sum of coefficients[M] * ops[M] over monomials M of a monomial_ops table."""
+    total = DiffOp(ops[()].spec)
+    for mono, coeff in coefficients.items():
+        total = total + ops[mono].scale(coeff)
+    return total
+
+
 def _flatten(op: DiffOp) -> tuple:
     """integral_form of op's coefficients keyed by (derivative, exponents)."""
     return integral_form(
@@ -249,9 +246,12 @@ def _flatten(op: DiffOp) -> tuple:
     )
 
 
-def _canonical(v):
-    """A nonzero element of Z[i] as the solver takes it: an int when real."""
-    return v if type(v) is int or v.im else v.re.numerator
+def _clamp(e: tuple, slots) -> tuple:
+    """Exponents e with each one at slots capped at 1, as s^2 = s leaves them."""
+    for pos in slots:
+        if e[pos] > 1:
+            e = e[:pos] + (1,) + e[pos + 1:]
+    return e
 
 
 def idempotent_reduce(poly: MultiPoly, symbols) -> MultiPoly:
@@ -260,18 +260,9 @@ def idempotent_reduce(poly: MultiPoly, symbols) -> MultiPoly:
     slots = [ring.index_of(s) for s in symbols]
     terms = {}
     for e, v in poly.terms.items():
-        ee = list(e)
-        for pos in slots:
-            if ee[pos] > 1:
-                ee[pos] = 1
-        key = tuple(ee)
-        s = terms.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return MultiPoly(ring, terms)
+        key = _clamp(e, slots)
+        terms[key] = terms[key] + v if key in terms else v
+    return MultiPoly(ring, {e: v for e, v in terms.items() if not v.is_zero()})
 
 
 def idempotent_reduce_op(op: DiffOp, symbols) -> DiffOp:
@@ -306,32 +297,25 @@ def decompose(
     idempotents names symbols s to be treated modulo s^2 = s (two-valued
     parameters), so the solve happens in the quotient ring.
     """
-    spec = target.spec
-    ring = spec.ring
+    ring = target.spec.ring
     if not target.is_polynomial():
         raise NotPolynomial("decomposition target must have polynomial coefficients")
     names = [n for n, _ in generators]
     degree_bound = max(map(len, ops))
-    result = Decomposition(
-        target=target_name,
-        generator_names=names,
-        degree_bound=degree_bound,
-        param_bound=param_bound,
-        success=False,
-    )
+    result = Decomposition(target_name, names, degree_bound, success=False, residual=target)
 
-    graded_params = []
-    w_target = None
+    # a product's power of the graded symbol: its factors' weights less the target's
+    gen_weights, w_target, gpos = [0] * len(names), 0, None
     if weights:
-        space = set(spec.space)
-        graded_params = sorted(
-            s for s, w in weights.items() if w and s not in space and s in ring.index
+        candidates = sorted(
+            s for s, w in weights.items() if w and s in ring.index and s not in target.spec.space
         )
-        if len(graded_params) != 1:
+        if len(candidates) != 1:
             # a single graded parameter keeps the power bookkeeping unambiguous
             raise ValueError(
-                "weights must grade exactly one parameter, not %s" % (graded_params,)
+                "weights must grade exactly one parameter, not %s" % (candidates,)
             )
+        gpos = ring.index_of(candidates[0])
         w_target = op_weight(target, weights)
         gen_weights = [op_weight(op, weights) for _, op in generators]
         inhomogeneous = [target_name] if w_target is None else []
@@ -341,110 +325,87 @@ def decompose(
                 "weights grade %s inhomogeneously (or as zero)" % ", ".join(inhomogeneous)
             )
 
-    free_params = [s for s in params if s not in graded_params]
-    param_pos = [ring.index_of(s) for s in free_params]
-    graded_pos = [ring.index_of(s) for s in graded_params]
+    # parameter monomials of total degree <= param_bound, with their ring exponents
+    pmonos = [((), (0,) * ring.nsyms)]
+    for s in params:
+        pos = ring.index_of(s)
+        if pos != gpos:
+            cap = 1 if s in idempotents else param_bound
+            pmonos = [(m + (k,), e[:pos] + (k,) + e[pos + 1:])
+                      for m, e in pmonos for k in range(cap + 1)]
+    pmonos = [(m, e) for m, e in pmonos if sum(m) <= param_bound]
     idem_pos = [ring.index_of(s) for s in idempotents]
 
-    def param_monomials():
-        out = [()]
-        for s in free_params:
-            cap = 1 if s in idempotents else param_bound
-            out = [m + (k,) for m in out for k in range(cap + 1)]
-        return [m for m in out if sum(m) <= param_bound]
-
-    def graded_power(mono) -> int:
-        # the grading fixes the graded parameter's power in mono's coefficient
-        if w_target is None:
-            return 0
-        return sum(gen_weights[i] for i in mono) - w_target
-
-    pmonos = param_monomials()
-    mono_list = sorted(ops, key=lambda m: (len(m), m))
-
-    rows = {}  # flattened key -> {(mono, param exps): numerator in Z[i]}
-    dens = {}  # mono -> the denominator of its column numerators
-    nz = ring.nsyms
-
-    for mono in mono_list:
+    rows = {}      # flattened key -> {(mono, param exps): numerator in Z[i]}
+    dens = {}      # mono -> the denominator of its column numerators
+    columns = {}   # mono -> {param exps: exponents of the column's coefficient monomial}
+    by_power = {}  # graded power -> that map, shared by the monos of that power
+    for mono in sorted(ops, key=lambda m: (len(m), m)):
         op = ops[mono]
-        gpow = graded_power(mono)
+        gpow = sum(gen_weights[i] for i in mono) - w_target
         if op.is_zero() or gpow < 0:
             continue
+        cexps = by_power.get(gpow)
+        if cexps is None:
+            cexps = by_power[gpow] = {
+                pexp: e[:gpos] + (gpow,) + e[gpos + 1:] if gpow else e for pexp, e in pmonos
+            }
+        columns[mono] = cexps
         dens[mono], flat = _flatten(op)
-        for pexp in pmonos:
+        for pexp, cexp in cexps.items():
             col = (mono, pexp)
-            for (a, e), v in flat.items():
-                ee = list(e)
-                for pos, k in zip(param_pos, pexp):
-                    ee[pos] += k
-                if gpow:
-                    ee[graded_pos[0]] += gpow
-                for pos in idem_pos:
-                    if ee[pos] > 1:
-                        ee[pos] = 1
-                key = (a, tuple(ee))
-                row = rows.setdefault(key, {})
+            for (a, fe), v in flat.items():
+                key = tuple(map(add, fe, cexp))
+                if idem_pos:
+                    key = _clamp(key, idem_pos)
+                row = rows.setdefault((a, key), {})
                 old = row.get(col)
-                row[col] = v if old is None else old + v
+                if old is None:
+                    row[col] = v
+                else:
+                    # only the quotient merges terms: a sum may vanish or turn real
+                    v += old
+                    if not v:
+                        del row[col]
+                    else:
+                        row[col] = v if type(v) is int or v.im else v.re.numerator
         result.monomials_considered += 1
 
     result.unknowns = result.monomials_considered * len(pmonos)
     den_target, rhs_map = _flatten(
         idempotent_reduce_op(target, idempotents) if idempotents else target
     )
-    if idempotents:
-        # the quotient merges terms, so a sum may vanish or turn real
-        for key, row in rows.items():
-            rows[key] = {c: _canonical(v) for c, v in row.items() if v}
     for key in rhs_map:
         rows.setdefault(key, {})
 
     # the solver's unknowns are y = den_target*x/den_mono
     solver = SparseSolver()
-    ok = True
     for key in sorted(rows, key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]), reverse=True):
-        if not solver.add(rows[key], rhs_map.get(key, 0)):
-            ok = False
+        solver.add(rows[key], rhs_map.get(key, 0))
     result.rank = len(solver.pivots)
-    if not ok:
+    if solver.contradictions:
         result.message = (
             "no decomposition within degree bound %d / parameter bound %d"
             % (degree_bound, param_bound)
         )
         return result
 
-    sol = solver.solution()
-    coeff_polys = {}
-    for (mono, pexp), value in sol.items():
-        if not value:
-            continue
-        value *= Fraction(dens[mono], den_target)
-        exps = [0] * nz
-        for pos, k in zip(param_pos, pexp):
-            exps[pos] = k
-        gpow = graded_power(mono)
-        if gpow:
-            exps[graded_pos[0]] = gpow
-        term = MultiPoly(ring, {tuple(exps): value})
-        key = tuple(names[i] for i in mono)
-        coeff_polys[key] = coeff_polys.get(key, ring.zero()) + term
+    terms = {}  # mono -> {coefficient exponents: x}
+    for (mono, pexp), value in solver.solution().items():
+        if value:
+            value *= Fraction(dens[mono], den_target)
+            terms.setdefault(mono, {})[columns[mono][pexp]] = value
+    coefficients = {mono: MultiPoly(ring, t) for mono, t in terms.items()}
 
     # exact reconstruction is the authoritative acceptance of the solve
-    recon = DiffOp(spec)
-    for mono in mono_list:
-        key = tuple(names[i] for i in mono)
-        poly = coeff_polys.get(key)
-        if poly is not None and not poly.is_zero():
-            recon = recon + ops[mono].scale(poly)
-    residual = target - recon
+    residual = target - combination(coefficients, ops)
     if idempotents and not residual.is_zero():
         residual = idempotent_reduce_op(residual, idempotents)
     result.residual = residual
     if residual.is_zero():
         result.success = True
         result.coefficients = {
-            k: v for k, v in coeff_polys.items() if not v.is_zero()
+            tuple(names[i] for i in mono): poly for mono, poly in coefficients.items()
         }
     else:
         result.message = "solver output failed exact reconstruction"

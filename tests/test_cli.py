@@ -14,6 +14,7 @@ from weylcalc.cli import main
 from weylcalc.reports import CheckResult
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
+GOLDEN_DECOMPOSE = Path(__file__).with_name("golden_decompose.json")
 
 def _json_lines(capsys):
     out = capsys.readouterr().out
@@ -54,6 +55,14 @@ def test_verify_param_zero_denominator_exits_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "bad --param: beta=1/0: zero denominator\n"
+
+
+def test_verify_repeated_param_exits_two(capsys):
+    code = main(["verify", "2d.eigenbasis", "--param", "beta=3", "--param", "beta=5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "bad --param: beta given more than once\n"
 
 
 def test_verify_json_and_text_agree(capsys):
@@ -258,6 +267,14 @@ def test_decompose_lowering_subset_fails_for_b(capsys):
     payload = _json_lines(capsys)
     assert code == 1
     assert payload["success"] is False
+
+
+def test_decompose_matches_golden_output(capsys):
+    """The printed particular solutions, byte for byte: the column keys and
+    the pivot rule fix which solution decompose returns."""
+    for command, want in json.loads(GOLDEN_DECOMPOSE.read_text()).items():
+        code = main(command.split())
+        assert (code, capsys.readouterr().out) == (want["exit"], want["stdout"]), command
 
 
 def test_decompose_rejects_negative_degree(capsys):

@@ -110,7 +110,7 @@ def test_cubic_closure_solves_and_printed_tables_differ():
 
 def test_cubic_decompositions_rebuild_targets():
     # the decompositions of the same cached solve that verify_cubic reports
-    decs = {tag: dec for tag, (_, _, dec, _) in cubic_solves().items()}
+    decs = {tag: dec for tag, (_, dec, _) in cubic_solves().items()}
     assert set(decs) == {"l", "b"}
     for tag, dec in decs.items():
         assert dec.success

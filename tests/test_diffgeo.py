@@ -99,6 +99,18 @@ def test_inverse_only_for_two_by_two():
         laplace_beltrami(diffgeo.CoMetric(spec=chart, entries=[[Expr.of_poly(line.one())]]))
 
 
+def test_cometric_entries_must_match_the_chart():
+    # a 3x3 matrix on the two-variable (r, u) chart, or a ragged one, is
+    # refused when the cometric is built, not read in part later
+    one = Expr.of_poly(RU.one())
+    zero = Expr.of_poly(RU.zero())
+    identity3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    for entries in (identity3, [[one, zero], [zero]], [[one, zero]]):
+        with pytest.raises(DiffGeoError, match="2 rows of 2 entries"):
+            diffgeo.CoMetric(spec=RU_SPEC, entries=entries)
+    assert diffgeo.CoMetric(spec=RU_SPEC, entries=[[one, zero], [zero, one]]).dim == 2
+
+
 def test_scalar_curvature_two_readings():
     g = radial_parabolic_cometric()
     rows = [[g.entry(i, j) for j in range(2)] for i in range(2)]

@@ -54,6 +54,18 @@ def test_decompose_reports_infeasible():
     assert "degree bound" in dec.message
 
 
+def test_inconsistent_decomposition_keeps_the_target_as_residual():
+    # u*D[r] is outside the span of J1's powers: elimination contradicts
+    # itself, and the residual is the target itself, never None
+    target = mul_op(RU_SPEC, RU.var("u")).compose(_J1())
+    gens = [("J1", _J1())]
+    dec = decompose(target, gens, monomial_ops(gens, 2), params=("mu",), param_bound=1)
+    assert dec.success is False
+    assert dec.residual is target
+    assert dec.coefficients == {}
+    assert dec.shape() == "3 monomials, 6 unknowns, rank 6, 0 free columns"
+
+
 def test_decompose_exact_reconstruction_is_authoritative():
     # the returned coefficients rebuild the target exactly
     target = _J1().compose(_R1()) + _R1().scale(Fraction(5))
