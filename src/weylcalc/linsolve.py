@@ -18,15 +18,30 @@ degree and hands to every decompose() over that set.  Each column carries
 its product's Z[i] numerators over the product's own denominator (see
 integral_form), the right-hand side the target's, and each solved value is
 scaled back once.
+
+The system is a Macaulay matrix (as in Faugere's F4, JPAA 1999) on packed
+integer keys, after the packed monomials of Monagan & Pearce (CASC 2007).
+A row key, derivative multi-index a and exponents e, is one int of
+big-endian fields [|a|, a..., |e|, e...], so int order is the order of
+(|a|, a, |e|, e) and the rows are eliminated from the largest key down.
+A column, monomial M times parameter monomial m, shifts M's keys by the
+packed exponents of m: placing a product term in its row is one integer
+addition, and the field width fits the largest product degree plus the
+largest column degree, so no field carries into the next.  Modulo s^2 = s
+each product is read once per pattern of the columns' powers of s (absent
+or present), and the column shift leaves s out.  Columns are ints
+numbered in sorted (M, m) order, so the pivot rule sees the order of the
+pairs.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators
 from .weyl import DiffOp, identity
@@ -126,8 +141,11 @@ class SparseSolver:
         return True
 
     def solution(self) -> dict:
-        """Particular solution with all free columns set to zero."""
-        return {col: GaussRat.of(rhs) / d for col, (_, rhs, d) in self.pivots.items()}
+        """Particular solution with all free columns set to zero: the nonzero
+        values of the pivot columns, in pivot creation order."""
+        return {
+            col: GaussRat.of(rhs) / d for col, (_, rhs, d) in self.pivots.items() if rhs
+        }
 
 
 def integral_form(values: dict) -> tuple:
@@ -246,10 +264,51 @@ def _flatten(op: DiffOp) -> tuple:
     )
 
 
-def _clamp(e: tuple, slots) -> tuple:
-    """Exponents e with each one at slots capped at 1, as s^2 = s leaves them."""
-    for pos in slots:
-        if e[pos] > 1:
+def _degrees(op: DiffOp) -> tuple:
+    """(largest derivative order, largest coefficient degree) over op's
+    terms; a polynomial coefficient's numerator has its exponents."""
+    return max(map(sum, op.terms), default=0), max(
+        (sum(e) for c in op.terms.values() for e in c.num.terms), default=0
+    )
+
+
+def _pack(a, e, width: int) -> int:
+    """The row key of derivative a and exponents e: one int of big-endian
+    width-bit fields [|a|, a..., |e|, e...].  Int order is the order of
+    (sum(a), a, sum(e), e), and adding two keys adds them field by field as
+    long as no field reaches 2**width."""
+    key = sum(a)
+    for x in a:
+        key = key << width | x
+    key = key << width | sum(e)
+    for x in e:
+        key = key << width | x
+    return key
+
+
+def _packed_terms(flat: dict, slots, pattern, width: int) -> list:
+    """[(packed key, numerator)] of a _flatten result, its exponents read by
+    _clamp(e, slots, pattern): pattern marks the idempotent symbols the
+    column carries.  Terms whose keys meet are summed, and a sum that
+    vanishes is dropped."""
+    out = {}
+    for (a, e), v in flat.items():
+        key = _pack(a, _clamp(e, slots, pattern), width)
+        old = out.get(key)
+        if old is not None:
+            # a sum may vanish or turn real
+            v += old
+            if type(v) is not int and not v.im:
+                v = v.re.numerator
+        out[key] = v
+    return [(key, v) for key, v in out.items() if v]
+
+
+def _clamp(e: tuple, slots, pattern) -> tuple:
+    """Exponents e read modulo s^2 = s at each of slots: 1 where pattern has
+    a 1 (a factor s multiplies e), else capped at 1."""
+    for pos, bit in zip(slots, pattern):
+        if bit or e[pos] > 1:
             e = e[:pos] + (1,) + e[pos + 1:]
     return e
 
@@ -258,9 +317,10 @@ def idempotent_reduce(poly: MultiPoly, symbols) -> MultiPoly:
     """Reduce modulo s^2 = s for each named symbol (s a two-valued flag)."""
     ring = poly.ring
     slots = [ring.index_of(s) for s in symbols]
+    absent = (0,) * len(slots)
     terms = {}
     for e, v in poly.terms.items():
-        key = _clamp(e, slots)
+        key = _clamp(e, slots, absent)
         terms[key] = terms[key] + v if key in terms else v
     return MultiPoly(ring, {e: v for e, v in terms.items() if not v.is_zero()})
 
@@ -336,51 +396,65 @@ def decompose(
     pmonos = [(m, e) for m, e in pmonos if sum(m) <= param_bound]
     idem_pos = [ring.index_of(s) for s in idempotents]
 
-    rows = {}      # flattened key -> {(mono, param exps): numerator in Z[i]}
-    dens = {}      # mono -> the denominator of its column numerators
-    columns = {}   # mono -> {param exps: exponents of the column's coefficient monomial}
-    by_power = {}  # graded power -> that map, shared by the monos of that power
-    for mono in sorted(ops, key=lambda m: (len(m), m)):
-        op = ops[mono]
+    kept = []  # (mono, its graded power), in sorted order
+    for mono in sorted(ops):
         gpow = sum(gen_weights[i] for i in mono) - w_target
-        if op.is_zero() or gpow < 0:
-            continue
-        cexps = by_power.get(gpow)
-        if cexps is None:
-            cexps = by_power[gpow] = {
-                pexp: e[:gpos] + (gpow,) + e[gpos + 1:] if gpow else e for pexp, e in pmonos
-            }
-        columns[mono] = cexps
-        dens[mono], flat = _flatten(op)
-        for pexp, cexp in cexps.items():
-            col = (mono, pexp)
-            for (a, fe), v in flat.items():
-                key = tuple(map(add, fe, cexp))
-                if idem_pos:
-                    key = _clamp(key, idem_pos)
-                row = rows.setdefault((a, key), {})
-                old = row.get(col)
-                if old is None:
-                    row[col] = v
-                else:
-                    # only the quotient merges terms: a sum may vanish or turn real
-                    v += old
-                    if not v:
-                        del row[col]
-                    else:
-                        row[col] = v if type(v) is int or v.im else v.re.numerator
-        result.monomials_considered += 1
+        if not ops[mono].is_zero() and gpow >= 0:
+            kept.append((mono, gpow))
+    result.monomials_considered = len(kept)
+    result.unknowns = len(kept) * len(pmonos)
+    target_q = idempotent_reduce_op(target, idempotents) if idempotents else target
 
-    result.unknowns = result.monomials_considered * len(pmonos)
-    den_target, rhs_map = _flatten(
-        idempotent_reduce_op(target, idempotents) if idempotents else target
-    )
-    for key in rhs_map:
-        rows.setdefault(key, {})
+    # column exponents per graded power, and the packing width: a row key
+    # adds a product's exponents and a column's, so the widest field is at
+    # most the largest product degree plus the largest column degree
+    by_power = {
+        gpow: {pexp: e[:gpos] + (gpow,) + e[gpos + 1:] if gpow else e for pexp, e in pmonos}
+        for gpow in {gpow for _, gpow in kept}
+    }
+    top_a, top_e = _degrees(target_q)
+    for mono, _ in kept:
+        top_a, top_e = map(max, (top_a, top_e), _degrees(ops[mono]))
+    top_col = max((sum(e) for cexps in by_power.values() for e in cexps.values()), default=0)
+    width = max(top_a, top_e + top_col).bit_length() or 1
+    zero_a = (0,) * target.spec.nspace
+
+    # column ids number the (mono, pexp) pairs in sorted order, so the
+    # solver's largest-column pivot rule sees the order it would on the pairs
+    pexp_rank = {pexp: i for i, pexp in enumerate(sorted(pexp for pexp, _ in pmonos))}
+    decode = [  # column id -> (mono, coefficient exponents)
+        (mono, cexp) for mono, gpow in kept for _, cexp in sorted(by_power[gpow].items())
+    ]
+    shifts = {}  # graded power -> {pattern: [(column id offset, packed column shift)]}
+    for gpow, cexps in by_power.items():
+        groups = shifts[gpow] = {}
+        for pexp, cexp in cexps.items():
+            # modulo s^2 = s, a column's power of s only says whether s is
+            # there: the pattern picks the product terms' reading, and the
+            # shift leaves s out
+            pattern = tuple(min(cexp[i], 1) for i in idem_pos)
+            shift = list(cexp)
+            for i in idem_pos:
+                shift[i] = 0
+            groups.setdefault(pattern, []).append((pexp_rank[pexp], _pack(zero_a, shift, width)))
+
+    rows = defaultdict(dict)  # packed row key -> {column id: numerator in Z[i]}
+    dens = {}  # mono -> the denominator of its column numerators
+    for rank, (mono, gpow) in enumerate(kept):
+        dens[mono], flat = _flatten(ops[mono])
+        base = rank * len(pmonos)
+        for pattern, cols in shifts[gpow].items():
+            packed = _packed_terms(flat, idem_pos, pattern, width)
+            for offset, shift in cols:
+                col = base + offset
+                for key, v in packed:
+                    rows[key + shift][col] = v
+    den_target, rhs_flat = _flatten(target_q)
+    rhs_map = {_pack(a, e, width): v for (a, e), v in rhs_flat.items()}
 
     # the solver's unknowns are y = den_target*x/den_mono
     solver = SparseSolver()
-    for key in sorted(rows, key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]), reverse=True):
+    for key in sorted(rows.keys() | rhs_map.keys(), reverse=True):
         solver.add(rows[key], rhs_map.get(key, 0))
     result.rank = len(solver.pivots)
     if solver.contradictions:
@@ -391,10 +465,9 @@ def decompose(
         return result
 
     terms = {}  # mono -> {coefficient exponents: x}
-    for (mono, pexp), value in solver.solution().items():
-        if value:
-            value *= Fraction(dens[mono], den_target)
-            terms.setdefault(mono, {})[columns[mono][pexp]] = value
+    for col, value in solver.solution().items():
+        mono, cexp = decode[col]
+        terms.setdefault(mono, {})[cexp] = value * Fraction(dens[mono], den_target)
     coefficients = {mono: MultiPoly(ring, t) for mono, t in terms.items()}
 
     # exact reconstruction is the authoritative acceptance of the solve

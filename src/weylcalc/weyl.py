@@ -105,17 +105,23 @@ def _binom_prod(a, k) -> int:
 
 
 def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
-    """{k: D^k f} for every k in need; need is closed under lowering an
-    entry and sorted by total order, so each new entry is the derivative of
-    an earlier one."""
+    """{k: D^k f} for every k in need with D^k f != 0.  need is closed under
+    lowering an entry and sorted by total order, so each new entry is the
+    derivative of an earlier one, taken in its first nonzero slot.  An entry
+    one step above a vanished one vanishes too, so it is left out without
+    differentiating."""
+    if f.is_zero():
+        return {}
     table = {spec.zero_index: f}
     for k in need:
         if k in table:
             continue
-        j = next(i for i, v in enumerate(k) if v)
-        prev = list(k)
-        prev[j] -= 1
-        table[k] = table[tuple(prev)].differentiate(spec.space[j])
+        lowers = [(k[:j] + (v - 1,) + k[j + 1:], j) for j, v in enumerate(k) if v]
+        if all(lower in table for lower, _ in lowers):
+            lower, j = lowers[0]
+            dk = table[lower].differentiate(spec.space[j])
+            if not dk.is_zero():
+                table[k] = dk
     return table
 
 
@@ -244,8 +250,8 @@ class DiffOp:
             table = _derivative_table(d, need, spec)
             for a, c in self.terms.items():
                 for k in _sub_indices(a):
-                    dk = table[k]
-                    if dk.is_zero():
+                    dk = table.get(k)
+                    if dk is None:
                         continue
                     idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
                     items.setdefault(idx, []).append((_binom_prod(a, k), c, dk))
@@ -275,7 +281,7 @@ class DiffOp:
         table = _derivative_table(_as_coeff(self.spec, f), self._needed(), self.spec)
         return _sum_products(
             self.spec.ring,
-            [(1, c, table[a]) for a, c in self.terms.items() if not table[a].is_zero()],
+            [(1, c, table[a]) for a, c in self.terms.items() if a in table],
         )
 
     # -- structural transforms --------------------------------------------------------

@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 import weylcalc
-from weylcalc import registry, reports
-from weylcalc.cli import main
+from weylcalc import g2algebra, registry, reports
+from weylcalc.cli import MAX_DEGREE, main
 from weylcalc.reports import CheckResult
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
@@ -283,6 +283,20 @@ def test_decompose_rejects_negative_degree(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--degree" in captured.err
+
+
+def test_decompose_rejects_degree_past_the_limit(capsys, monkeypatch):
+    # the bound is checked before any product is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decompose_family ran")
+
+    monkeypatch.setattr(g2algebra, "decompose_family", unreachable)
+    code = main(["decompose", "c", "--degree", str(MAX_DEGREE + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--degree" in captured.err
+    assert "from 0 to %d" % MAX_DEGREE in captured.err
 
 
 def test_parse_command(capsys):

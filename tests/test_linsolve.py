@@ -186,6 +186,70 @@ def test_decompose_over_products_with_their_own_denominators():
     assert (quotient.rank, quotient.unknowns) == (12, 12)
 
 
+def test_quotient_solve_where_products_and_columns_carry_the_idempotent():
+    # G carries p and a p-free term, so the column p.G reads G's terms with
+    # p set (p.p = p, p.D[u] = p*D[u]) and the column 1.G with p capped at 1;
+    # p^3 and p^2 are out of reach of param_bound 1 unless p^2 = p
+    p = RU.var("p")
+    g = _J1().scale(Expr.of_poly(p)) + partial(RU_SPEC, "u")
+    gens = [("G", g), ("H", _J1())]
+    ops = monomial_ops(gens, 1)
+    target = g.scale(Expr.of_poly(p ** 3)) + _J1().scale(Expr.of_poly(RU.one() - p * p))
+    assert not decompose(target, gens, ops, params=("p",), param_bound=1).success
+    dec = decompose(target, gens, ops, params=("p",), param_bound=1, idempotents=("p",))
+    assert dec.success, dec.message
+    assert dec.coefficient_strings() == {"G": "p", "H": "-p + 1"}
+    assert (dec.rank, dec.unknowns) == (6, 6)
+
+
+def test_quotient_solve_with_two_idempotents():
+    # p and mu both two-valued: the columns 1, p, mu and p*mu read each
+    # product under all four patterns of (p, mu)
+    p, mu = RU.var("p"), RU.var("mu")
+    g = _J1().scale(Expr.of_poly(p)) + partial(RU_SPEC, "u").scale(Expr.of_poly(mu))
+    gens = [("G", g), ("H", _J1())]
+    ops = monomial_ops(gens, 2)
+    target = (
+        g.compose(_J1()).scale(Expr.of_poly(p * mu))
+        + g.scale(Expr.of_poly(p * p + mu ** 3))
+        + _J1().scale(Expr.of_poly(mu * mu - p))
+    )
+    want = {"G": "mu*p + mu", "G*H": "mu*p", "H": "-mu*p + mu"}
+    for idempotents in (("p", "mu"), ("mu", "p")):
+        dec = decompose(target, gens, ops, params=("p", "mu"), param_bound=2,
+                        idempotents=idempotents)
+        assert dec.success, dec.message
+        assert dec.residual.is_zero()
+        assert dec.coefficient_strings() == want
+        assert (dec.rank, dec.unknowns) == (18, 24)
+
+
+@pytest.mark.parametrize("n", [300, 70000])
+def test_decompose_with_large_column_exponents(n):
+    # the graded power puts beta^n on the column, not on any product
+    weights = {"r": 1, "u": 2, "beta": -1}
+    gens = [("J1", _J1())]
+    target = _J1().scale(Expr.of_poly(RU.var("beta") ** n))
+    dec = decompose(target, gens, monomial_ops(gens, 1), params=("beta",), weights=weights)
+    assert dec.success, dec.message
+    assert dec.coefficient_strings() == {"J1": "beta^%d" % n}
+
+
+@pytest.mark.parametrize("m, n", [(300, 500), (40000, 70000)])
+def test_decompose_with_large_product_and_column_exponents(m, n):
+    # (u^m D[u])^2 = u^(2m) D[u]^2 + m u^(2m-1) D[u], past 255 and 65535,
+    # and the column adds beta^n: the degree fields of the row keys need
+    # more bits than the products' own, and a carry out of one would land
+    # in the odd D[u] count
+    weights = {"r": 1, "u": 2, "beta": -1}
+    g = mul_op(RU_SPEC, RU.var("u") ** m).compose(partial(RU_SPEC, "u"))
+    gens = [("G", g)]
+    target = g.compose(g).scale(Expr.of_poly(RU.var("beta") ** n))
+    dec = decompose(target, gens, monomial_ops(gens, 2), params=("beta",), weights=weights)
+    assert dec.success, dec.message
+    assert dec.coefficient_strings() == {"G*G": "beta^%d" % n}
+
+
 # -- SparseSolver against a dense reference ------------------------------------
 #
 # The reference eliminates dense rows of (re, im) Fraction pairs with its own
@@ -329,7 +393,9 @@ def test_sparse_solver_matches_dense_reference():
         assert added == accepted
         assert list(solver.pivots) == order
         assert solver.contradictions == contradictions
-        assert {c: (v.re, v.im) for c, v in solver.solution().items()} == solution
+        # solution() leaves out the pivots whose value is zero
+        nonzero = {c: v for c, v in solution.items() if v != _G0}
+        assert {c: (v.re, v.im) for c, v in solver.solution().items()} == nonzero
         _assert_primitive(solver)
         seen["contradictory"] += contradictions > 0
         seen["underdetermined"] += len(order) < ncols
@@ -356,3 +422,12 @@ def test_sparse_solver_keeps_primitive_integer_rows():
     assert list(solver.pivots) == [1, 2]
     # free x = 0: y = 3/2 and z = (-3+5i)/(1+i) = 1+4i
     assert solver.solution() == {1: GaussRat(Fraction(3, 2)), 2: GaussRat(1, 4)}
+
+
+def test_solution_leaves_out_zero_values():
+    solver = SparseSolver()
+    assert solver.add({0: 1, 1: 2}, 0)  # pivot 1, value 0 with x free
+    assert solver.add({2: 3}, 6)  # pivot 2, value 2
+    assert solver.add({3: GaussRat(0, 1)}, 0)  # a non-real pivot, value 0
+    assert list(solver.pivots) == [1, 2, 3]
+    assert solver.solution() == {2: GaussRat(2)}

@@ -360,3 +360,37 @@ def test_compose_prepares_each_operand_once(monkeypatch):
     for a, b in ((0, 0), (1, 0), (2, 1), (3, 2)):
         f = Expr.of_poly(RU.monomial(1, r=a, u=b))
         assert (products[0].apply(f) - c.apply(c.apply(f))).is_zero()
+
+
+def test_derivative_tables_skip_vanished_entries(monkeypatch):
+    """A high-order operator composed with a low-degree coefficient never
+    differentiates a zero Expr: an entry one step above a vanished
+    derivative is left out of the table, and the product still acts as the
+    factors applied in turn."""
+    from weylcalc import coeffring
+
+    r, u = RU.var("r"), RU.var("u")
+    high = _dr(4).compose(_du(3)) + mul_op(RU_SPEC, r).compose(_dr(2)).compose(_du())
+    low = mul_op(RU_SPEC, r * u + u * u + 3).compose(_du())
+    calls = []
+    differentiate = coeffring.Expr.differentiate
+
+    def recording(self, var):
+        calls.append(self.is_zero())
+        return differentiate(self, var)
+
+    monkeypatch.setattr(coeffring.Expr, "differentiate", recording)
+    product = high.compose(low)
+    compose_calls = len(calls)
+    applied = high.apply(Expr.of_poly(r * r * u))
+    monkeypatch.undo()
+    assert not any(calls)
+    # an unpruned table differentiates once for each of the 19 nonzero
+    # multi-indices below D[r]^4 D[u]^3; for r*u + u^2 + 3 the pruned one
+    # stops after D[r], D[u], D[r]^2, D[r]D[u], D[u]^2, D[r]D[u]^2 and
+    # D[u]^3, three of which vanish, and for r^2*u after 7 as well
+    assert (compose_calls, len(calls) - compose_calls) == (7, 7)
+    assert applied == Expr.of_poly(2 * r)
+    for a, b in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 4)):
+        f = Expr.of_poly(RU.monomial(1, r=a, u=b))
+        assert (product.apply(f) - high.apply(low.apply(f))).is_zero()
