@@ -183,21 +183,24 @@ GR_I = GaussRat(0, 1)
 # -- product kernel -------------------------------------------------------------
 
 
-# field formats for packed exponents, by the largest exponent sum they hold
+# field formats for packed exponents, by the largest value they hold
 _FIELDS = ((0xFF, "B"), (0xFFFF, "H"), (0xFFFFFFFF, "I"), (0xFFFFFFFFFFFFFFFF, "Q"))
 
 
 @lru_cache(maxsize=None)
-def _packer(nfields: int, field: str, order: str = "<") -> Struct:
-    return Struct("%s%d%s" % (order, nfields, field))
+def _struct(nfields: int, code: str) -> Struct:
+    return Struct(">%d%s" % (nfields, code))
 
 
-def _field(top: int, guarded: bool = False) -> str:
-    """Narrowest field format that holds values up to top; a guarded field
-    keeps its top bit clear, for the borrow test of the exact division."""
+def _packer(nfields: int, top: int, guarded: bool = False) -> Struct:
+    """Big-endian Struct of nfields fields, each the narrowest of 8, 16, 32
+    or 64 bits that holds values up to top, so int.from_bytes(pack(...),
+    "big") orders keys as their field tuples.  A guarded field keeps its
+    top bit clear, for the borrow test of the exact division.  Raises
+    CoeffRingError past 64 bits rather than wrap."""
     for limit, code in _FIELDS:
         if top <= (limit >> 1 if guarded else limit):
-            return code
+            return _struct(nfields, code)
     raise CoeffRingError("exponent %d too large to pack" % top)
 
 
@@ -226,7 +229,7 @@ def _scaled(terms: dict, pack):
     whether every coefficient is real)."""
     den, nums = _numerators(terms.values())
     packed = [
-        (int.from_bytes(pack(*e), "little"), re, im) for e, (re, im) in zip(terms, nums)
+        (int.from_bytes(pack(*e), "big"), re, im) for e, (re, im) in zip(terms, nums)
     ]
     return den, packed, not any(im for _, im in nums)
 
@@ -244,7 +247,7 @@ def _prepare_operands(pairs, nsyms: int):
         ops[id(a)] = a
         ops[id(b)] = b
     bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
-    packer = _packer(nsyms, _field(max(bound[id(a)] + bound[id(b)] for a, b in pairs)))
+    packer = _packer(nsyms, max(bound[id(a)] + bound[id(b)] for a, b in pairs))
     return packer.unpack, packer.size, {i: _scaled(t, packer.pack) for i, t in ops.items()}
 
 
@@ -254,7 +257,7 @@ def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
     term order (b's when a is the one term, a's otherwise).  A shift by 0
     keeps the keys, and a scale by 1 keeps the coefficients, so a product
     by 1 is a copy."""
-    _field(_exp_bound(a, nsyms) + _exp_bound(b, nsyms))
+    _packer(nsyms, _exp_bound(a, nsyms) + _exp_bound(b, nsyms))
     if len(a) == 1:
         ((s, c),), terms = a.items(), b
     else:
@@ -349,11 +352,11 @@ def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
                     out.pop(k, None)
     if real:
         return {
-            unpack(k.to_bytes(size, "little")): _gr(Fraction(n, d))
+            unpack(k.to_bytes(size, "big")): _gr(Fraction(n, d))
             for k, n in out.items()
         }
     return {
-        unpack(k.to_bytes(size, "little")): _gr(
+        unpack(k.to_bytes(size, "big")): _gr(
             Fraction(re, d), Fraction(im, d) if im else _F0
         )
         for k, (re, im) in out.items()
@@ -403,7 +406,7 @@ def _div_packed(terms: dict, divisor: dict, nsyms: int) -> dict:
     if min(map(min, terms)) < 0 or min(map(min, divisor)) < 0:
         raise CoeffRingError("negative exponent in a division")
     top = max(max(map(sum, terms)), max(map(sum, divisor)))
-    packer = _packer(nsyms + 1, _field(top, guarded=True), ">")
+    packer = _packer(nsyms + 1, top, guarded=True)
     pack, size = packer.pack, packer.size
     width = size // (nsyms + 1)
     guard = int.from_bytes((b"\x80" + bytes(width - 1)) * (nsyms + 1), "big")
@@ -787,7 +790,7 @@ class MultiPoly:
         symbol that a term uses but that has no image.
         """
         src = self.ring
-        images = {src.index_of(s): _as_expr(dst, v) for s, v in (bindings or {}).items()}
+        images = {src.index_of(s): Expr.of(dst, v) for s, v in (bindings or {}).items()}
         slots = [dst.index.get(s) for s in src.symbols]
         powers = {}
         total = Expr.of_poly(dst.zero())
@@ -871,37 +874,37 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
+def format_monomial(names, exps) -> str:
+    """name or name^k for each nonzero exponent k, joined by '*'; '' for none."""
+    return "*".join(
+        name if k == 1 else "%s^%d" % (name, k) for name, k in zip(names, exps) if k
+    )
+
+
+def format_sum(parts) -> str:
+    """Printed terms joined by ' + ', or by ' - ' in place of a term's own
+    leading '-'."""
+    out = parts[0]
+    for t in parts[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
 def format_poly(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
-    ring = p.ring
     parts = []
     for e, c in p.sorted_terms():
-        syms = []
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            if k == 1:
-                syms.append(ring.symbols[i])
-            else:
-                syms.append("%s^%d" % (ring.symbols[i], k))
-        mono = "*".join(syms)
+        mono = format_monomial(p.ring.symbols, e)
         if not mono:
-            txt = str(c)
+            parts.append(str(c))
         elif c == 1:
-            txt = mono
+            parts.append(mono)
         elif c == -1:
-            txt = "-" + mono
+            parts.append("-" + mono)
         else:
-            txt = str(c) + "*" + mono
-        parts.append(txt)
-    out = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+            parts.append(str(c) + "*" + mono)
+    return format_sum(parts)
 
 
 # -- gcd over the coefficient field -----------------------------------------
@@ -1097,18 +1100,6 @@ def _pseudo_rem(f: MultiPoly, g: MultiPoly, idx: int) -> MultiPoly:
 # -- rational functions -------------------------------------------------------
 
 
-def _as_expr(ring: PolyRing, v) -> "Expr":
-    if isinstance(v, Expr):
-        if v.num.ring is not ring:
-            raise CoeffRingError("expression from a different ring")
-        return v
-    if isinstance(v, MultiPoly):
-        if v.ring is not ring:
-            raise CoeffRingError("polynomial from a different ring")
-        return Expr.of_poly(v)
-    return Expr.of_poly(ring.const(v))
-
-
 class Expr:
     """Reduced rational function num/den.
 
@@ -1137,6 +1128,21 @@ class Expr:
             raise CoeffRingError("use Expr.of_poly or Expr.make")
         self.num = num
         self.den = den
+
+    @staticmethod
+    def of(ring: PolyRing, v) -> "Expr":
+        """v as an Expr of ring: an Expr or MultiPoly of ring, or a rational
+        or Gaussian constant.  A value from another ring raises
+        CoeffRingError."""
+        if isinstance(v, Expr):
+            if v.num.ring is not ring:
+                raise CoeffRingError("expression from a different ring")
+            return v
+        if isinstance(v, MultiPoly):
+            if v.ring is not ring:
+                raise CoeffRingError("polynomial from a different ring")
+            return Expr.of_poly(v)
+        return Expr.of_poly(ring.const(v))
 
     @staticmethod
     def of_poly(p: MultiPoly) -> "Expr":
@@ -1170,7 +1176,7 @@ class Expr:
         return self.as_poly().const_value()
 
     def __add__(self, other):
-        other = _as_expr(self.ring, other)
+        other = Expr.of(self.ring, other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if b.terms == d.terms:
             return Expr.make(a + c, b)
@@ -1188,7 +1194,7 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_expr(self.ring, other)
+        other = Expr.of(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -1203,7 +1209,7 @@ class Expr:
             if c.is_zero():
                 return Expr.of_poly(self.ring.zero())
             return Expr(self.num * c, self.den, _trusted=True)
-        other = _as_expr(self.ring, other)
+        other = Expr.of(self.ring, other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if b.is_const() and d.is_const():
             return Expr.of_poly(a * c)
@@ -1221,7 +1227,7 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_expr(self.ring, other)
+        other = Expr.of(self.ring, other)
         if other.is_zero():
             raise ZeroDenominator("division by zero expression")
         if other.num.has_adjuncts():
@@ -1229,7 +1235,7 @@ class Expr:
         return self * _monic_fraction(other.den, other.num)
 
     def __rtruediv__(self, other):
-        return _as_expr(self.ring, other) / self
+        return Expr.of(self.ring, other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1240,7 +1246,7 @@ class Expr:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat, MultiPoly)):
-            other = _as_expr(self.ring, other)
+            other = Expr.of(self.ring, other)
         if not isinstance(other, Expr):
             return NotImplemented
         if self.den.terms == other.den.terms:

@@ -109,9 +109,9 @@ def cometric_from_embedding(coords, target_spec: VariableSpec) -> CoMetric:
     grads = []
     for name, data in coords:
         if isinstance(data, tuple):
-            grads.append(tuple(_as_amb(g) for g in data))
+            grads.append(tuple(Expr.of(AMB, g) for g in data))
         else:
-            f = _as_amb(data)
+            f = Expr.of(AMB, data)
             grads.append(tuple(f.differentiate(v) for v in ("x", "y", "z")))
     dim = len(coords)
     entries = [[None] * dim for _ in range(dim)]
@@ -124,16 +124,6 @@ def cometric_from_embedding(coords, target_spec: VariableSpec) -> CoMetric:
             entries[i][j] = entry
             entries[j][i] = entry
     return CoMetric(spec=target_spec, entries=entries)
-
-
-def _as_amb(v) -> Expr:
-    if isinstance(v, Expr):
-        if v.ring is not AMB:
-            raise ChartError("ambient data must live in the ambient ring")
-        return v
-    if isinstance(v, MultiPoly):
-        return Expr.of_poly(v)
-    return Expr.of_poly(AMB.const(v))
 
 
 # -- determinants and inverses -------------------------------------------------

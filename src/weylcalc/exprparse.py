@@ -15,7 +15,9 @@ with respect to one of the six chart variables.  The printers in weyl and
 coeffring emit exactly this grammar, so printing and parsing round-trip.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 never an exhausted interpreter stack.  An exponent is at most MAX_EXPONENT,
-since a power costs one composition per unit of the exponent.
+since a power costs one composition per unit of the exponent.  An integer
+literal longer than the interpreter's int-string limit (4300 digits by
+default) is a ParseError too.
 """
 
 from __future__ import annotations
@@ -59,11 +61,17 @@ def tokenize(text: str):
             pos += 1
             continue
         col = pos + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             end = pos
-            while end < size and text[end].isdigit():
+            while end < size and text[end].isdecimal():
                 end += 1
-            out.append(("int", int(text[pos:end]), col))
+            try:
+                value = int(text[pos:end])
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(
+                    "integer literal of %d digits is too long" % (end - pos), col
+                ) from None
+            out.append(("int", value, col))
             pos = end
             continue
         if ch.isalpha():

@@ -22,12 +22,14 @@ scaled back once.
 The system is a Macaulay matrix (as in Faugere's F4, JPAA 1999) on packed
 integer keys, after the packed monomials of Monagan & Pearce (CASC 2007).
 A row key, derivative multi-index a and exponents e, is one int of
-big-endian fields [|a|, a..., |e|, e...], so int order is the order of
-(|a|, a, |e|, e) and the rows are eliminated from the largest key down.
-A column, monomial M times parameter monomial m, shifts M's keys by the
-packed exponents of m: placing a product term in its row is one integer
-addition, and the field width fits the largest product degree plus the
-largest column degree, so no field carries into the next.  Modulo s^2 = s
+big-endian fields [|a|, a..., |e|, e...] from coeffring's exponent packer,
+so int order is the order of (|a|, a, |e|, e) and the rows are eliminated
+from the largest key down.  A column, monomial M times parameter monomial
+m, shifts M's keys by the packed exponents of m: placing a product term in
+its row is one integer addition, and the fields (8, 16, 32 or 64 bits) fit
+the largest product degree plus the largest column degree, so no field
+carries into the next.  A field that would pass 64 bits raises
+CoeffRingError.  Modulo s^2 = s
 each product is read once per pattern of the columns' powers of s (absent
 or present), and the column shift leaves s out.  Columns are ints
 numbered in sorted (M, m) order, so the pivot rule sees the order of the
@@ -43,7 +45,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import mul
 
-from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators
+from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators, _packer
 from .weyl import DiffOp, identity
 
 
@@ -272,28 +274,22 @@ def _degrees(op: DiffOp) -> tuple:
     )
 
 
-def _pack(a, e, width: int) -> int:
-    """The row key of derivative a and exponents e: one int of big-endian
-    width-bit fields [|a|, a..., |e|, e...].  Int order is the order of
-    (sum(a), a, sum(e), e), and adding two keys adds them field by field as
-    long as no field reaches 2**width."""
-    key = sum(a)
-    for x in a:
-        key = key << width | x
-    key = key << width | sum(e)
-    for x in e:
-        key = key << width | x
-    return key
+def _row_key(pack, a, e) -> int:
+    """The row key of derivative a and exponents e: one int of the
+    big-endian fields [|a|, a..., |e|, e...] of pack, a coeffring._packer
+    Struct's.  Int order is the order of (sum(a), a, sum(e), e), and adding
+    two keys adds them field by field as long as no sum passes the field."""
+    return int.from_bytes(pack(sum(a), *a, sum(e), *e), "big")
 
 
-def _packed_terms(flat: dict, slots, pattern, width: int) -> list:
-    """[(packed key, numerator)] of a _flatten result, its exponents read by
+def _packed_terms(flat: dict, slots, pattern, pack) -> list:
+    """[(row key, numerator)] of a _flatten result, its exponents read by
     _clamp(e, slots, pattern): pattern marks the idempotent symbols the
     column carries.  Terms whose keys meet are summed, and a sum that
     vanishes is dropped."""
     out = {}
     for (a, e), v in flat.items():
-        key = _pack(a, _clamp(e, slots, pattern), width)
+        key = _row_key(pack, a, _clamp(e, slots, pattern))
         old = out.get(key)
         if old is not None:
             # a sum may vanish or turn real
@@ -416,7 +412,7 @@ def decompose(
     for mono, _ in kept:
         top_a, top_e = map(max, (top_a, top_e), _degrees(ops[mono]))
     top_col = max((sum(e) for cexps in by_power.values() for e in cexps.values()), default=0)
-    width = max(top_a, top_e + top_col).bit_length() or 1
+    pack = _packer(target.spec.nspace + ring.nsyms + 2, max(top_a, top_e + top_col)).pack
     zero_a = (0,) * target.spec.nspace
 
     # column ids number the (mono, pexp) pairs in sorted order, so the
@@ -436,7 +432,7 @@ def decompose(
             shift = list(cexp)
             for i in idem_pos:
                 shift[i] = 0
-            groups.setdefault(pattern, []).append((pexp_rank[pexp], _pack(zero_a, shift, width)))
+            groups.setdefault(pattern, []).append((pexp_rank[pexp], _row_key(pack, zero_a, shift)))
 
     rows = defaultdict(dict)  # packed row key -> {column id: numerator in Z[i]}
     dens = {}  # mono -> the denominator of its column numerators
@@ -444,13 +440,13 @@ def decompose(
         dens[mono], flat = _flatten(ops[mono])
         base = rank * len(pmonos)
         for pattern, cols in shifts[gpow].items():
-            packed = _packed_terms(flat, idem_pos, pattern, width)
+            packed = _packed_terms(flat, idem_pos, pattern, pack)
             for offset, shift in cols:
                 col = base + offset
                 for key, v in packed:
                     rows[key + shift][col] = v
     den_target, rhs_flat = _flatten(target_q)
-    rhs_map = {_pack(a, e, width): v for (a, e), v in rhs_flat.items()}
+    rhs_map = {_row_key(pack, a, e): v for (a, e), v in rhs_flat.items()}
 
     # the solver's unknowns are y = den_target*x/den_mono
     solver = SparseSolver()

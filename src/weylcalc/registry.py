@@ -145,7 +145,7 @@ def run_group(names, function: str, args=()) -> list:
 def run_checks(requested, point=DEFAULT_POINT, jobs: int = 1) -> list:
     """Run the named checks, in the order requested; each shared computation
     runs once.  point is the full evaluation point of 2d.eigenbasis.  With
-    jobs > 1 the groups run in that many worker processes."""
+    jobs > 1 the groups run in worker processes, at most one per group."""
     want = set(requested)
     unknown = want - set(ALL_CHECKS)
     if unknown:
@@ -155,8 +155,9 @@ def run_checks(requested, point=DEFAULT_POINT, jobs: int = 1) -> list:
         for names, function in GROUPS
         if want & set(names)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(calls))  # a fork pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_group, *call) for call in calls]
             batches = [future.result() for future in futures]
     else:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .coeffring import format_monomial
+
 WITNESS_CAP = 8
 
 
@@ -42,29 +44,17 @@ def witness_terms(op, cap: int = WITNESS_CAP) -> list:
     """Printed leading terms of a nonzero operator or expression."""
     from .weyl import DiffOp
 
-    out = []
     if isinstance(op, DiffOp):
-        for a, c in op.sorted_terms():
-            d = "*".join(
-                "D[%s]^%d" % (op.spec.space[i], k) if k > 1 else "D[%s]" % op.spec.space[i]
-                for i, k in enumerate(a)
-                if k
-            )
-            out.append("(%s)%s" % (c, "*" + d if d else ""))
-            if len(out) >= cap:
-                break
-        return out
-    # Expr or MultiPoly
-    num = getattr(op, "num", op)
-    for e, cval in num.sorted_terms():
-        mono = "*".join(
-            "%s^%d" % (num.ring.symbols[i], k) if k > 1 else num.ring.symbols[i]
-            for i, k in enumerate(e)
-            if k
-        )
-        out.append("%s%s" % (cval, "*" + mono if mono else ""))
-        if len(out) >= cap:
-            break
+        names = ["D[%s]" % v for v in op.spec.space]
+        terms = [("(%s)" % c, a) for a, c in op.sorted_terms()[:cap]]
+    else:  # Expr or MultiPoly
+        num = getattr(op, "num", op)
+        names = num.ring.symbols
+        terms = [(str(c), e) for e, c in num.sorted_terms()[:cap]]
+    out = []
+    for c, e in terms:
+        mono = format_monomial(names, e)
+        out.append(c + "*" + mono if mono else c)
     return out
 
 

@@ -17,10 +17,11 @@ from .coeffring import (
     Expr,
     GR_I,
     GaussRat,
-    MultiPoly,
     PolyRing,
     _prepare_operands,
     _sum_products,
+    format_monomial,
+    format_sum,
 )
 
 
@@ -67,18 +68,6 @@ class VariableSpec:
 
     def without(self, var) -> "VariableSpec":
         return VariableSpec(self.ring, tuple(s for s in self.space if s != var))
-
-
-def _as_coeff(spec: VariableSpec, v) -> Expr:
-    if isinstance(v, Expr):
-        if v.ring is not spec.ring:
-            raise WeylError("coefficient from a different ring")
-        return v
-    if isinstance(v, MultiPoly):
-        if v.ring is not spec.ring:
-            raise WeylError("coefficient from a different ring")
-        return Expr.of_poly(v)
-    return Expr.of_poly(spec.ring.const(v))
 
 
 _SUB_CACHE = {}
@@ -135,7 +124,7 @@ class DiffOp:
         self.terms = {}
         if terms:
             for idx, c in terms.items():
-                c = _as_coeff(spec, c)
+                c = Expr.of(spec.ring, c)
                 if not c.is_zero():
                     self.terms[tuple(idx)] = c
 
@@ -203,7 +192,7 @@ class DiffOp:
 
     def scale(self, v) -> "DiffOp":
         """Left multiplication by a scalar or coefficient function."""
-        c = _as_coeff(self.spec, v)
+        c = Expr.of(self.spec.ring, v)
         op = DiffOp(self.spec)
         if c.is_zero():
             return op
@@ -278,7 +267,7 @@ class DiffOp:
     # -- action on functions -------------------------------------------------------
 
     def apply(self, f) -> Expr:
-        table = _derivative_table(_as_coeff(self.spec, f), self._needed(), self.spec)
+        table = _derivative_table(Expr.of(self.spec.ring, f), self._needed(), self.spec)
         return _sum_products(
             self.spec.ring,
             [(1, c, table[a]) for a, c in self.terms.items() if a in table],
@@ -321,7 +310,7 @@ class DiffOp:
         anything else is reported as an error.
         """
         spec = self.spec
-        charge = _as_coeff(spec, charge)
+        charge = Expr.of(spec.ring, charge)
         slot = spec.slot(var)
         factor = charge * GR_I
         new_spec = spec.without(var)
@@ -387,14 +376,14 @@ class GaugeData:
         self.loggrad = {}
         for v, w in loggrad.items():
             spec.slot(v)
-            self.loggrad[v] = _as_coeff(spec, w)
+            self.loggrad[v] = Expr.of(spec.ring, w)
         if angular is not None:
             var, charge = angular
             spec.slot(var)
             if var in self.loggrad:
                 raise GaugeError("angular variable duplicated in loggrad")
             self.angular_var = var
-            self.angular_charge = _as_coeff(spec, charge)
+            self.angular_charge = Expr.of(spec.ring, charge)
         else:
             self.angular_var = None
             self.angular_charge = None
@@ -452,7 +441,7 @@ class VariableChange:
 
     def _image(self, sym) -> Expr:
         if sym in self.coord_map:
-            return _as_coeff(self.dst, self.coord_map[sym])
+            return Expr.of(self.dst.ring, self.coord_map[sym])
         return Expr.of_poly(self.dst.ring.var(sym))
 
     def _validate(self):
@@ -463,7 +452,7 @@ class VariableChange:
             for w in self.src.space:
                 got = dv.apply(self._image(w))
                 want = 1 if v == w else 0
-                if not (got - _as_coeff(self.dst, want)).is_zero():
+                if not (got - want).is_zero():
                     raise WeylError(
                         "chain rule fails: image of d_%s applied to %s gives %s"
                         % (v, w, got)
@@ -510,21 +499,16 @@ def partial(spec: VariableSpec, var, k: int = 1) -> DiffOp:
 
 
 def mul_op(spec: VariableSpec, f) -> DiffOp:
-    return DiffOp(spec, {spec.zero_index: _as_coeff(spec, f)})
+    return DiffOp(spec, {spec.zero_index: f})
 
 
 def format_op(op: DiffOp) -> str:
     if op.is_zero():
         return "0"
+    dnames = ["D[%s]" % v for v in op.spec.space]
     parts = []
     for a, c in op.sorted_terms():
-        dsyms = []
-        for i, k in enumerate(a):
-            if not k:
-                continue
-            d = "D[%s]" % op.spec.space[i]
-            dsyms.append(d if k == 1 else "%s^%d" % (d, k))
-        mono = "*".join(dsyms)
+        mono = format_monomial(dnames, a)
         ctxt = str(c)
         if not mono:
             txt = ctxt if _is_atomic_coeff(c) else "(%s)" % ctxt
@@ -537,13 +521,7 @@ def format_op(op: DiffOp) -> str:
         else:
             txt = "(%s)*%s" % (ctxt, mono)
         parts.append(txt)
-    out = parts[0]
-    for t in parts[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    return format_sum(parts)
 
 
 def _is_atomic_coeff(c: Expr) -> bool:

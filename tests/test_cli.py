@@ -10,7 +10,7 @@ from pathlib import Path
 
 import weylcalc
 from weylcalc import g2algebra, registry, reports
-from weylcalc.cli import MAX_DEGREE, main
+from weylcalc.cli import MAX_DEGREE, MAX_LEVEL, main
 from weylcalc.reports import CheckResult
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
@@ -109,6 +109,41 @@ def test_verify_parallel_matches_sequential(capsys):
     par = {e["check"]: e["status"] for e in _json_lines(capsys)}
     assert code == 0
     assert seq == par
+
+
+def test_jobs_start_at_most_one_worker_per_group(capsys, monkeypatch):
+    # a fork pool starts all its workers at the first submit, so the pool
+    # size, not the number of submits, is what --jobs must bound; the fake
+    # pool runs the calls inline and records the size it was asked for
+    sizes = []
+
+    class InlineFuture:
+        def __init__(self, value):
+            self._value = value
+
+        def result(self):
+            return self._value
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return InlineFuture(fn(*args))
+
+    monkeypatch.setattr(registry, "ProcessPoolExecutor", InlinePool)
+    # 2d.pipeline.* is one group and geom.* two; a lone group runs here
+    assert main(["verify", "2d.pipeline.*", "geom.*", "--jobs", "5000"]) == 0
+    assert main(["verify", "geom.*", "--jobs", "5000"]) == 0
+    assert main(["verify", "2d.pipeline.*", "--jobs", "5000"]) == 0
+    assert sizes == [3, 2]
+    capsys.readouterr()
 
 
 def test_verify_point_reaches_worker_processes(capsys):
@@ -248,6 +283,22 @@ def test_matrix_unknown_operator_lists_known_names(capsys):
     assert "known: " + ", ".join(registry.operator_names()) in err
 
 
+def test_matrix_rejects_levels_past_the_limit(capsys, monkeypatch):
+    # the bound is checked before any basis is built
+    from weylcalc import flagrep
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("matrix_of ran")
+
+    monkeypatch.setattr(flagrep, "matrix_of", unreachable)
+    for n in (MAX_LEVEL + 1, -1):
+        code = main(["matrix", "h_a", str(n)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "from 0 to %d, got %d" % (MAX_LEVEL, n) in captured.err
+
+
 def test_matrix_rejects_wrong_chart(capsys):
     code = main(["matrix", "B_x", "2"])
     assert code == 2
@@ -315,6 +366,13 @@ def test_parse_command(capsys):
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
     assert "parentheses nested deeper than" in captured.err
+    # so is an integer literal past the interpreter's int-string limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        code = main(["parse", "x^" + "1" * (limit + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("parse error: column 3: integer literal")
 
 
 def test_closed_stdout_exits_one_without_traceback():

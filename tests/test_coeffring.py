@@ -27,10 +27,13 @@ from weylcalc.coeffring import (
     ZeroDenominator,
     _dot_terms,
     _monic,
+    _packer,
     _prepare_operands,
     _pseudo_rem,
     _sum_products,
+    format_monomial,
     format_poly,
+    format_sum,
     grlex_key,
     poly_gcd,
 )
@@ -417,6 +420,54 @@ def test_format_poly():
     assert format_poly((x + y) * (x + y)) == "x^2 + 2*x*y + y^2"
     assert format_poly(x * Fraction(-1, 2) + XYZ.one()) == "-1/2*x + 1"
     assert format_poly(XYZ.zero()) == "0"
+
+
+def test_monomial_and_sum_printers():
+    assert format_monomial(("x", "y", "z"), (2, 0, 1)) == "x^2*z"
+    assert format_monomial(("D[r]", "D[u]"), (1, 3)) == "D[r]*D[u]^3"
+    assert format_monomial(("x", "y"), (0, 0)) == ""
+    assert format_sum(["x", "-2*y", "1"]) == "x - 2*y + 1"
+    assert format_sum(["-x"]) == "-x"
+
+
+def test_expr_of_coerces_constants_and_values_of_its_ring():
+    import pytest
+
+    x = XYZ.var("x")
+    assert Expr.of(XYZ, 3) == XYZ.const(3)
+    assert Expr.of(XYZ, Fraction(-2, 7)).const_value() == Fraction(-2, 7)
+    assert Expr.of(XYZ, GaussRat(1, -1)).const_value() == GaussRat(1, -1)
+    assert Expr.of(XYZ, x).num is x
+    e = Expr.make(x, x + 1)
+    assert Expr.of(XYZ, e) is e
+    other = PolyRing(("x", "y", "z"))
+    for v in (other.var("x"), Expr.of_poly(other.var("x"))):
+        with pytest.raises(CoeffRingError):
+            Expr.of(XYZ, v)
+        with pytest.raises(CoeffRingError):
+            Expr.of_poly(x) + v
+        with pytest.raises(CoeffRingError):
+            x.map_ring(XYZ, {"y": v})
+
+
+def test_packer_picks_the_narrowest_big_endian_field():
+    import pytest
+
+    for top, width in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4),
+                       (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)):
+        assert _packer(3, top).size == 3 * width, top
+    for top, width in ((127, 1), (128, 2), (2**63 - 1, 8)):
+        assert _packer(2, top, guarded=True).size == 2 * width, top
+    with pytest.raises(CoeffRingError):
+        _packer(3, 2**64)
+    with pytest.raises(CoeffRingError):
+        _packer(3, 2**63, guarded=True)
+    # int order of the packed keys is the order of the field tuples
+    rng = random.Random(2020)
+    pack = _packer(3, 300).pack
+    tuples = [tuple(rng.randint(0, 300) for _ in range(3)) for _ in range(200)]
+    keys = {t: int.from_bytes(pack(*t), "big") for t in tuples}
+    assert sorted(tuples) == sorted(tuples, key=keys.get)
 
 
 def test_error_conditions():

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from weylcalc import diffgeo
-from weylcalc.coeffring import Expr, PolyRing
+from weylcalc.coeffring import CoeffRingError, Expr, PolyRing
 from weylcalc.diffgeo import (
     DiffGeoError,
     brioschi_curvature,
+    cometric_from_embedding,
     cylindrical_cometric,
     effective_potential,
     invert_and_det,
@@ -19,7 +20,7 @@ from weylcalc.diffgeo import (
     verify_geometry,
     verify_schrodinger_form,
 )
-from weylcalc.spaces import RRP, RU, RU_SPEC
+from weylcalc.spaces import AMB, RRP, RRP_SPEC, RU, RU_SPEC
 from weylcalc.weyl import VariableSpec, format_op
 
 
@@ -189,3 +190,12 @@ def test_schrodinger_form_check():
     assert any("p^2" in w for w in res.witnesses), (
         "the symbolic-parity defect should be announced: %s" % res.witnesses
     )
+
+
+def test_embedding_data_from_another_ring_is_rejected():
+    r, rho = Expr.of_poly(AMB.var("r")), Expr.of_poly(AMB.var("rho"))
+    zero = Expr.of_poly(AMB.zero())
+    foreign = RRP.var("phi")
+    for phi in (foreign, Expr.of_poly(foreign), (zero, zero, foreign)):
+        with pytest.raises(CoeffRingError):
+            cometric_from_embedding([("r", r), ("rho", rho), ("phi", phi)], RRP_SPEC)

@@ -1,6 +1,7 @@
 """Expression grammar: tokens, parsing, scalar restriction, and canonical
 print/parse round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,10 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as err:
         tokenize("r + $")
     assert "column 5" in str(err.value)
+    # a digit that is not a decimal digit is a stray character too
+    with pytest.raises(ParseError) as err:
+        tokenize("r^\u00b2")
+    assert "column 3" in str(err.value)
 
 
 def test_parse_basics():
@@ -162,3 +167,15 @@ def test_parse_whitespace_insensitive():
     a = parse("  r *D[r] + 1/2 * u ")
     b = parse("r*D[r]+1/2*u")
     assert (a - b).is_zero()
+
+
+def test_integer_literal_past_the_int_string_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string limit")
+    digits = "1" * (limit + 1)
+    for text, column in ((digits, 1), ("x^" + digits, 3), ("r + " + digits + "*u", 5)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.column == column
+        assert "%d digits is too long" % (limit + 1) in str(info.value)

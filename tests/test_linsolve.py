@@ -7,10 +7,10 @@ from math import gcd, lcm
 
 import pytest
 
-from weylcalc.coeffring import Expr, GaussRat
+from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
 from weylcalc.linsolve import SparseSolver, decompose, idempotent_reduce, monomial_ops
 from weylcalc.spaces import RU, RU_SPEC
-from weylcalc.weyl import format_op, identity, mul_op, partial
+from weylcalc.weyl import DiffOp, format_op, identity, mul_op, partial
 
 
 def _J1():
@@ -248,6 +248,19 @@ def test_decompose_with_large_product_and_column_exponents(m, n):
     dec = decompose(target, gens, monomial_ops(gens, 2), params=("beta",), weights=weights)
     assert dec.success, dec.message
     assert dec.coefficient_strings() == {"G*G": "beta^%d" % n}
+
+
+def test_decompose_row_key_past_64_bits_raises():
+    # a row-key field holds at most 2**64 - 1: the target's degree alone,
+    # or its degree plus a column's, past that raises instead of packing
+    gens = [("J1", _J1())]
+    ops = monomial_ops(gens, 1)
+    target = DiffOp(RU_SPEC, {(1, 0): RU.var("u", 2**64)})
+    with pytest.raises(CoeffRingError):
+        decompose(target, gens, ops)
+    target = DiffOp(RU_SPEC, {(1, 0): RU.var("u", 2**64 - 1)})
+    with pytest.raises(CoeffRingError):
+        decompose(target, gens, ops, params=("mu",), param_bound=1)
 
 
 # -- SparseSolver against a dense reference ------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from randops import random_expr, random_fraction, random_op, random_poly
 
-from weylcalc.coeffring import Expr, GaussRat
+from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
 from weylcalc.spaces import R3, R3_SPEC, RRP, RRP_SPEC, RU, RU_SPEC
 from weylcalc.weyl import (
     DiffOp,
@@ -322,6 +322,18 @@ def test_scale_and_coefficient():
     op = _mul(r).compose(_dr()).scale(Fraction(3, 2))
     assert (op.coefficient((1, 0)) - Expr.of_poly(r * Fraction(3, 2))).is_zero()
     assert op.coefficient((0, 1)).is_zero()
+
+
+def test_coefficients_from_another_ring_are_rejected():
+    import pytest
+
+    for v in (RRP.var("r"), Expr.of_poly(RRP.var("r"))):
+        with pytest.raises(CoeffRingError):
+            DiffOp(RU_SPEC, {(0, 0): v})
+        with pytest.raises(CoeffRingError):
+            mul_op(RU_SPEC, v)
+        with pytest.raises(CoeffRingError):
+            _dr().scale(v)
 
 
 def test_compose_prepares_each_operand_once(monkeypatch):
