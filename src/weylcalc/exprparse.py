@@ -15,7 +15,14 @@ with respect to one of the six chart variables.  The printers in weyl and
 coeffring emit exactly this grammar, so printing and parsing round-trip.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 never an exhausted interpreter stack.  An exponent is at most MAX_EXPONENT,
-since a power costs one composition per unit of the exponent.  An integer
+since a power costs one composition per unit of the exponent.  A power is
+also sized before it is expanded: the degree of an operator is the largest
+total degree of a term, counting coefficient symbols (numerator or
+denominator, whichever is larger) and derivatives, and degree(base) * k
+may not exceed MAX_DEGREE.  Composition adds degrees at most, so that
+bounds the result and stops nested powers such as ((r+u)^k)^k from growing
+as k^2.  It bounds the degree only: the term count of a power of a sum of
+many symbols still grows with the number of symbols.  An integer
 literal longer than the interpreter's int-string limit (4300 digits by
 default) is a ParseError too.
 """
@@ -32,6 +39,7 @@ _WS_SPEC = VariableSpec(WS, ("x", "y", "z", "r", "u", "rho"))
 _IMAGINARY = "i"
 MAX_NESTING = 100
 MAX_EXPONENT = 100
+MAX_DEGREE = 100
 
 
 def workspace_spec() -> VariableSpec:
@@ -167,6 +175,11 @@ class _Parser:
                 raise ParseError("exponent must be an unsigned integer", col)
             if value > MAX_EXPONENT:
                 raise ParseError("exponent %d exceeds %d" % (value, MAX_EXPONENT), col)
+            degree = _degree(op) * value
+            if degree > MAX_DEGREE:
+                raise ParseError(
+                    "power of degree %d exceeds %d" % (degree, MAX_DEGREE), col
+                )
             return op ** value
         return op
 
@@ -201,6 +214,18 @@ class _Parser:
                 return mul_op(_WS_SPEC, Expr.of_poly(WS.var(value)))
             raise ParseError("unknown symbol %r" % value, col)
         raise ParseError("expected a number, symbol, D[...], or parenthesis", col)
+
+
+def _degree(op: DiffOp) -> int:
+    """Largest total degree of a term of op: derivative order plus the
+    larger total degree of its coefficient's numerator and denominator."""
+    return max(
+        (
+            sum(a) + max(sum(e) for p in (c.num, c.den) for e in p.terms)
+            for a, c in op.terms.items()
+        ),
+        default=0,
+    )
 
 
 def parse(text: str) -> DiffOp:

@@ -165,7 +165,10 @@ def matrix_of(op: DiffOp, n: int) -> OperatorMatrix:
     if witnesses[n] is not None:
         raise NotInvariant(witnesses[n])
     dim = len(basis)
-    entries = [[RU.zero() for _ in range(dim)] for _ in range(dim)]
+    # one zero for every empty entry: no caller changes an entry in place
+    # (char_poly's Bareiss elimination works on its own differences)
+    zero = RU.zero()
+    entries = [[zero] * dim for _ in range(dim)]
     for j, split in enumerate(splits):
         for ab, coeff in split.items():
             entries[basis.index[ab]][j] = coeff

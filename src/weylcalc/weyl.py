@@ -7,18 +7,46 @@ left of the derivatives.  Composition applies the Leibniz rule
 
 and immediately renormal-orders, so equality of operators is equality of the
 coefficient maps.
+
+Composition takes one of two routes, with the same result, term order
+included.  When both operands have polynomial coefficients and no adjunct
+of the ring involves a space variable (every operator on the (r, u) and
+cylindrical charts and on the parser's workspace), the rule is applied
+monomial by monomial:
+
+    c x^e D^a . d x^f D^b
+        = sum_{k <= a, k <= f} binom(a, k) f!/(f-k)! c d x^(e+f-k) D^(a-k+b)
+
+on packed integer term maps, with no Expr arithmetic per term
+(_compose_terms).  Rational coefficients, and rings whose adjuncts involve
+the space variables (R3's r), take the Expr route: derivative tables from
+Expr.differentiate, summed per output index by coeffring._sum_products.
+
+DiffOp.apply stays on the Expr route on purpose.  The cross-checks that
+compare a product with its factors applied in turn (flagrep.equality_oracle,
+the benchmark's product check) then share none of the term-level
+composition's Leibniz factors, derivatives or accumulation; the two meet
+only in coeffring's exponent packer and its scaling to integer numerators.
 """
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, lcm, perm, prod
+from operator import add, mul, sub
 
 from .coeffring import (
+    _F0,
     Expr,
     GR_I,
     GaussRat,
+    MultiPoly,
     PolyRing,
+    _exp_bound,
+    _gr,
+    _packer,
     _prepare_operands,
+    _scaled,
     _sum_products,
     format_monomial,
     format_sum,
@@ -112,6 +140,112 @@ def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
             if not dk.is_zero():
                 table[k] = dk
     return table
+
+
+def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
+    """left . right for operands with polynomial coefficients, in a ring
+    whose adjuncts involve no space variable, by the monomial Leibniz rule
+    of the module docstring (multi-index binomials and falling factorials,
+    one factor per space variable).  Each coefficient is scaled once to
+    integer numerators over its own denominator (_scaled), on monomials
+    packed with one field width for the call, so D^k x^f is one packed
+    subtraction, taken only where k <= f.  Every output index
+    multiply-accumulates its products into its own dict over the lcm of its
+    products' denominators, and its terms come out in the order the Expr
+    route gives them.  No Expr is differentiated, multiplied or added.  The
+    accumulation loop is this function's own rather than
+    coeffring._dot_terms, so DiffOp.apply, which the cross-checks use,
+    shares none of it.
+    """
+    spec = left.spec
+    ring = spec.ring
+    nsyms = ring.nsyms
+    packer = _packer(
+        nsyms,
+        max(_exp_bound(c.num.terms, nsyms) for c in left.terms.values())
+        + max(_exp_bound(d.num.terms, nsyms) for d in right.terms.values()),
+    )
+    pack, unpack, size = packer.pack, packer.unpack, packer.size
+    slots = [ring.index_of(v) for v in spec.space]
+    units = [
+        int.from_bytes(pack(*(int(i == s) for i in range(nsyms))), "big") for s in slots
+    ]
+    real = True
+    factors = []  # (den, packed terms, [(k, binom(a, k), a - k) for k <= a])
+    for a, c in left.terms.items():
+        den, packed, is_real = _scaled(c.num.terms, pack)
+        real = real and is_real
+        leibniz = [(k, _binom_prod(a, k), tuple(map(sub, a, k))) for k in _sub_indices(a)]
+        factors.append((den, packed, leibniz))
+    items = {}
+    for b, d in right.terms.items():
+        den, packed, is_real = _scaled(d.num.terms, pack)
+        real = real and is_real
+        rows = [
+            (key, re, im, [e[s] for s in slots])
+            for (key, re, im), e in zip(packed, d.num.terms)
+        ]
+        table = {}
+        for da, pa, leibniz in factors:
+            for k, binom, rest in leibniz:
+                dk = table.get(k)
+                if dk is None:
+                    shift = sum(map(mul, k, units))
+                    dk = table[k] = [
+                        (key - shift, re * m, im * m)
+                        for key, re, im, f in rows
+                        if (m := prod(map(perm, f, k)))
+                    ]
+                if dk:
+                    idx = tuple(map(add, rest, b))
+                    items.setdefault(idx, []).append((binom, da * den, pa, dk))
+    one = next(iter(left.terms.values())).den
+    op = DiffOp(spec)
+    for idx, group in items.items():
+        dl = lcm(*(dd for _, dd, _, _ in group))
+        out = {}
+        get = out.get
+        for m, dd, pa, pb in group:
+            m *= dl // dd
+            if real:
+                for ka, na, _ in pa:
+                    na *= m
+                    for kb, nb, _ in pb:
+                        k = ka + kb
+                        n = get(k, 0) + na * nb
+                        if n:
+                            out[k] = n
+                        else:
+                            out.pop(k, None)
+                continue
+            for ka, ra, ia in pa:
+                ra *= m
+                ia *= m
+                for kb, rb, ib in pb:
+                    k = ka + kb
+                    v = get(k)
+                    re = ra * rb - ia * ib
+                    im = ra * ib + ia * rb
+                    if v is not None:
+                        re += v[0]
+                        im += v[1]
+                    if re or im:
+                        out[k] = (re, im)
+                    else:
+                        out.pop(k, None)
+        if real:
+            terms = {unpack(k.to_bytes(size, "big")): _gr(Fraction(n, dl)) for k, n in out.items()}
+        else:
+            terms = {
+                unpack(k.to_bytes(size, "big")): _gr(
+                    Fraction(re, dl), Fraction(im, dl) if im else _F0
+                )
+                for k, (re, im) in out.items()
+            }
+        num = MultiPoly(ring, terms, reduce=bool(ring.adjuncts))
+        if num.terms:
+            op.terms[idx] = Expr(num, one, _trusted=True)
+    return op
 
 
 class DiffOp:
@@ -224,15 +358,28 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self . other, renormal-ordered.
 
-        Every output coefficient gathers its Leibniz terms
-        binom(a, k) c_a D^k d_b and sums them fraction-free in one call.
-        Each distinct coefficient c_a and derivative-table entry D^k d_b
-        is scaled and packed once for the whole product, with one field
-        width, and every call takes it from there; nothing is kept after
+        Two routes give the same operator, term order included (see the
+        module docstring).  When both operands have polynomial coefficients
+        and no adjunct of the ring involves a space variable,
+        _compose_terms applies the Leibniz rule monomial by monomial on
+        packed term maps.  Otherwise (rational coefficients, or a root such
+        as r^2 = x^2+y^2+z^2 whose derivative is rational) every output
+        coefficient gathers its Leibniz terms binom(a, k) c_a D^k d_b, with
+        D^k d_b from _derivative_table, and sums them fraction-free in one
+        _sum_products call; each distinct operand is scaled and packed
+        once for the whole product.  Neither route keeps anything after
         the product returns.
         """
         self._check(other)
         spec = self.spec
+        if not self.terms or not other.terms:
+            return DiffOp(spec)
+        if (
+            self.is_polynomial()
+            and other.is_polynomial()
+            and not any(adj.square.uses(v) for adj in spec.ring.adjuncts for v in spec.space)
+        ):
+            return _compose_terms(self, other)
         need = self._needed()
         items = {}
         for b, d in other.terms.items():
@@ -245,7 +392,7 @@ class DiffOp:
                     idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
                     items.setdefault(idx, []).append((_binom_prod(a, k), c, dk))
         pairs = [(c.num.terms, dk.num.terms) for group in items.values() for _, c, dk in group]
-        prepared = _prepare_operands(pairs, spec.ring.nsyms) if pairs else None
+        prepared = _prepare_operands(pairs, spec.ring.nsyms)
         op = DiffOp(spec)
         for idx, group in items.items():
             s = _sum_products(spec.ring, group, prepared)

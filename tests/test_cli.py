@@ -373,6 +373,12 @@ def test_parse_command(capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("parse error: column 3: integer literal")
+    # and a nested power past the degree limit, before it expands
+    code = main(["parse", "(((x+y)^100)^100)^100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: column 14: power of degree 10000 exceeds")
 
 
 def test_closed_stdout_exits_one_without_traceback():

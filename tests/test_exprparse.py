@@ -8,6 +8,7 @@ import pytest
 
 from weylcalc.coeffring import GaussRat
 from weylcalc.exprparse import (
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
     ParseError,
@@ -141,6 +142,30 @@ def test_exponent_limit_is_a_parse_error():
     # the limit itself still parses
     assert format_op(parse("D[r]^%d" % MAX_EXPONENT)) == "D[r]^%d" % MAX_EXPONENT
     assert str(parse_scalar("2^%d" % MAX_EXPONENT)) == str(2 ** MAX_EXPONENT)
+
+
+def test_nested_power_degree_limit_is_a_parse_error():
+    # degree(base) * k is checked before a power expands, at two nesting
+    # depths; the limit itself still parses
+    for text, column, degree in (
+        ("((r+u)^10)^11", 12, 110),
+        ("(((r+u)^2)^5)^11", 15, 110),
+        ("(((x+y)^100)^100)^100", 14, 10000),
+        ("(r*D[u])^51", 10, 102),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.column == column
+        assert "power of degree %d exceeds %d" % (degree, MAX_DEGREE) in str(err.value)
+    assert MAX_DEGREE == 100
+    two = parse("((r+u)^10)^10")
+    three = parse("(((r+u)^2)^5)^10")
+    assert two == three == parse("(r+u)^100")
+    assert format_op(two).startswith("(r^100 + 100*r^99*u + 4950*r^98*u^2 + ")
+    # a constant base has degree 0, and a denominator counts like a numerator
+    assert str(parse_scalar("(2*i)^100")) == str(2 ** 100)
+    with pytest.raises(ParseError, match="power of degree 102 exceeds"):
+        parse("(1/(r*u))^51")
 
 
 def test_imaginary_unit_versus_symbols():

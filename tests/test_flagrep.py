@@ -423,3 +423,26 @@ def test_equality_oracle_never_subtracts_operators(monkeypatch):
     monkeypatch.setattr(DiffOp, "__sub__", refuse)
     assert equality_oracle(a, b, 4)
     assert not equality_oracle(a, h_a(), 4)
+
+
+def test_matrix_readers_leave_the_entries_as_they_were():
+    """matrix_of fills every empty entry with one shared zero, so no reader
+    may change an entry in place: the characteristic polynomial (Bareiss on
+    c's matrix, which is not triangular), the spectrum witnesses, leading
+    blocks and the eigenbases all leave every entry as it was."""
+    c_matrix, h_matrix = matrix_of(c_op(), 4), matrix_of(h_a(), 4)
+    assert not flagrep._is_upper_triangular(c_matrix.entries)
+    assert not flagrep._is_lower_triangular(c_matrix.entries)
+    matrices = (c_matrix, h_matrix)
+    before = [[[(e, dict(e.terms)) for e in row] for row in m.entries] for m in matrices]
+    char_poly(c_matrix)
+    spectrum_witnesses(h_matrix)
+    eigenpolynomials(h_matrix, DEFAULT_POINT)
+    for m in matrices:
+        m.leading_block(2)
+    for m, rows in zip(matrices, before):
+        for row, was in zip(m.entries, rows):
+            for e, (old, terms) in zip(row, was):
+                assert e is old and e.terms == terms
+    zeros = {id(e) for row in c_matrix.entries for e in row if e.is_zero()}
+    assert len(zeros) == 1

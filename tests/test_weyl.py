@@ -4,6 +4,8 @@ variable changes, and angular projection."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from randops import random_expr, random_fraction, random_op, random_poly
 
 from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
@@ -336,12 +338,26 @@ def test_coefficients_from_another_ring_are_rejected():
             _dr().scale(v)
 
 
+def _r3_polynomial_op():
+    """An R3 operator with polynomial coefficients in x, y and z: the r
+    adjunct involves the space variables, so compose takes the Expr route."""
+    x, y, z = (R3.var(s) for s in ("x", "y", "z"))
+    return DiffOp(
+        R3_SPEC,
+        {
+            (2, 0, 0): x * y + z,
+            (1, 0, 1): y * y,
+            (0, 1, 0): x * x * z * 3 - y,
+            (0, 0, 0): x * y * z + 1,
+        },
+    )
+
+
 def test_compose_prepares_each_operand_once(monkeypatch):
-    """One compose scales and packs each distinct coefficient and
-    derivative-table entry exactly once; a second identical compose does it
-    all again, so nothing is kept between calls."""
+    """On the Expr route one compose scales and packs each distinct
+    coefficient and derivative-table entry exactly once; a second identical
+    compose does it all again, so nothing is kept between calls."""
     from weylcalc import coeffring, weyl
-    from weylcalc.coulomb2d import c_op
 
     scaled, sums = [], []
     scale, sum_products = coeffring._scaled, weyl._sum_products
@@ -357,7 +373,7 @@ def test_compose_prepares_each_operand_once(monkeypatch):
 
     monkeypatch.setattr(coeffring, "_scaled", counting_scale)
     monkeypatch.setattr(weyl, "_sum_products", recording_sums)
-    c = c_op()
+    c = _r3_polynomial_op()
     products = []
     for _ in range(2):
         scaled.clear()
@@ -369,21 +385,27 @@ def test_compose_prepares_each_operand_once(monkeypatch):
     assert products[0] == products[1]
     monkeypatch.undo()
     # the product still acts as the factors applied in sequence
-    for a, b in ((0, 0), (1, 0), (2, 1), (3, 2)):
-        f = Expr.of_poly(RU.monomial(1, r=a, u=b))
+    x, y = R3.var("x"), R3.var("y")
+    for f in (R3.one(), x, x * x * y, y * y):
+        f = Expr.of_poly(f)
         assert (products[0].apply(f) - c.apply(c.apply(f))).is_zero()
 
 
 def test_derivative_tables_skip_vanished_entries(monkeypatch):
-    """A high-order operator composed with a low-degree coefficient never
+    """A high-order operator composed with a low-degree coefficient (on the
+    Expr route, in R3) or applied to a low-degree function never
     differentiates a zero Expr: an entry one step above a vanished
     derivative is left out of the table, and the product still acts as the
     factors applied in turn."""
     from weylcalc import coeffring
 
+    x, y = R3.var("x"), R3.var("y")
+    high = partial(R3_SPEC, "x", 4).compose(partial(R3_SPEC, "y", 3)) + mul_op(
+        R3_SPEC, x
+    ).compose(partial(R3_SPEC, "x", 2)).compose(partial(R3_SPEC, "y"))
+    low = mul_op(R3_SPEC, x * y + y * y + 3).compose(partial(R3_SPEC, "y"))
     r, u = RU.var("r"), RU.var("u")
-    high = _dr(4).compose(_du(3)) + mul_op(RU_SPEC, r).compose(_dr(2)).compose(_du())
-    low = mul_op(RU_SPEC, r * u + u * u + 3).compose(_du())
+    high_ru = _dr(4).compose(_du(3)) + mul_op(RU_SPEC, r).compose(_dr(2)).compose(_du())
     calls = []
     differentiate = coeffring.Expr.differentiate
 
@@ -394,15 +416,192 @@ def test_derivative_tables_skip_vanished_entries(monkeypatch):
     monkeypatch.setattr(coeffring.Expr, "differentiate", recording)
     product = high.compose(low)
     compose_calls = len(calls)
-    applied = high.apply(Expr.of_poly(r * r * u))
+    applied = high_ru.apply(Expr.of_poly(r * r * u))
     monkeypatch.undo()
     assert not any(calls)
     # an unpruned table differentiates once for each of the 19 nonzero
-    # multi-indices below D[r]^4 D[u]^3; for r*u + u^2 + 3 the pruned one
-    # stops after D[r], D[u], D[r]^2, D[r]D[u], D[u]^2, D[r]D[u]^2 and
-    # D[u]^3, three of which vanish, and for r^2*u after 7 as well
+    # multi-indices below D[x]^4 D[y]^3; for x*y + y^2 + 3 the pruned one
+    # stops after D[x], D[y], D[x]^2, D[x]D[y], D[y]^2, D[x]D[y]^2 and
+    # D[y]^3, three of which vanish, and for r^2*u after 7 as well
     assert (compose_calls, len(calls) - compose_calls) == (7, 7)
     assert applied == Expr.of_poly(2 * r)
     for a, b in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 4)):
-        f = Expr.of_poly(RU.monomial(1, r=a, u=b))
+        f = Expr.of_poly(R3.monomial(1, x=a, y=b))
         assert (product.apply(f) - high.apply(low.apply(f))).is_zero()
+
+
+# -- the term-level route for polynomial coefficients ---------------------------
+
+
+def _acts_as_sequence(a, b, bound):
+    """a.compose(b) applied to every r^i u^j with i, j <= bound equals a
+    applied to b applied to it.  With bound at least the product's order in
+    each variable this proves the product right: an operator of that order
+    vanishing on those monomials is zero (see flagrep.equality_oracle)."""
+    product = a.compose(b)
+    for i in range(bound + 1):
+        for j in range(bound + 1):
+            f = Expr.of_poly(RU.monomial(1, r=i, u=j))
+            if not (product.apply(f) - a.apply(b.apply(f))).is_zero():
+                return False
+    return True
+
+
+def _real_part(op):
+    return DiffOp(
+        op.spec, {a: RU.poly({e: v.re for e, v in c.num.terms.items()}) for a, c in op.terms.items()}
+    )
+
+
+def _polynomial_op(rng, symbols=("r", "u", "beta", "mu", "p")):
+    """Up to three terms of order up to 3 in each variable, each with a
+    coefficient of up to three Gaussian-rational terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        idx = (rng.randint(0, 3), rng.randint(0, 3))
+        terms[idx] = random_poly(RU, rng, symbols, terms=3, degree=2, span=4, nonzero=True)
+    return DiffOp(RU_SPEC, terms)
+
+
+def test_polynomial_compose_matches_sequential_apply():
+    """Seeded operators of order up to 3 in each variable, with Gaussian or
+    real rational coefficients in r, u, beta, mu and p: the product acts as
+    the factors applied in turn, on enough monomials to prove it."""
+    rng = random.Random(2121)
+    for case in range(16):
+        a, b = _polynomial_op(rng), _polynomial_op(rng)
+        if case % 2:
+            a, b = _real_part(a), _real_part(b)
+        assert _acts_as_sequence(a, b, min(a.order() + b.order(), 6)), "A=%s\nB=%s" % (
+            format_op(a),
+            format_op(b),
+        )
+
+
+def test_polynomial_compose_packs_wide_exponents():
+    """Exponent sums past 255 and past 65535 take 16- and 32-bit fields and
+    still give the product; a sum past 64 bits raises rather than wraps."""
+    r, u = RU.var("r"), RU.var("u")
+    for top in (200, 40000):
+        a = _mul(r ** top * u).compose(_dr(2)) + _mul(u ** 3).compose(_du())
+        b = _mul(RU.monomial(GaussRat(1, 2), r=top // 2 + 60, u=2)).compose(_du()) + _dr()
+        assert _acts_as_sequence(a, b, 3)
+        assert a.compose(b).coefficient((2, 1)) == Expr.of_poly(
+            RU.monomial(GaussRat(1, 2), r=top + top // 2 + 60, u=3)
+        )
+    huge = _mul(RU.monomial(1, r=2 ** 63)).compose(_dr())
+    with pytest.raises(CoeffRingError):
+        huge.compose(huge)
+
+
+def test_polynomial_compose_drops_cancelled_terms():
+    """Leibniz terms that cancel leave no entry: D[r] + D[u] after u - r
+    gives (u - r)(D[r] + D[u]), and D[r] + i*D[u] after i*r - u gives
+    (i*r - u)(D[r] + i*D[u]), the real and the Gaussian accumulators."""
+    r, u = RU.var("r"), RU.var("u")
+    i = GaussRat(0, 1)
+    for left, f in ((_dr() + _du(), u - r), (_dr() + _du().scale(i), r * i - u)):
+        product = left.compose(_mul(f))
+        assert (0, 0) not in product.terms
+        assert product == _mul(f).compose(left)
+        assert _acts_as_sequence(left, _mul(f), 1)
+
+
+def test_polynomial_compose_identity_and_zero():
+    rng = random.Random(2323)
+    one, zero = identity(RU_SPEC), zero_op(RU_SPEC)
+    for _ in range(20):
+        a = _polynomial_op(rng)
+        for product in (one.compose(a), a.compose(one)):
+            assert product == a
+            assert list(product.terms) == list(a.terms)
+        assert zero.compose(a).is_zero() and a.compose(zero).is_zero()
+    assert one.compose(one) == one
+
+
+def test_polynomial_compose_under_a_parameter_root():
+    """A root of a parameter involves no space variable, so compose stays on
+    the term-level route and reduces s^2 = a in its products."""
+    from weylcalc.coeffring import PolyRing
+    from weylcalc.weyl import VariableSpec
+
+    ring = PolyRing(("a", "x", "y", "s"))
+    ring.define_adjunct("s", ring.var("a"))
+    spec = VariableSpec(ring, ("x", "y"))
+    a, x, y, s = (ring.var(v) for v in ("a", "x", "y", "s"))
+    left = mul_op(spec, s * x).compose(partial(spec, "x")) + mul_op(spec, s)
+    right = mul_op(spec, s * x * y) + mul_op(spec, y).compose(partial(spec, "y"))
+    product = left.compose(right)
+    assert format_op(product) == "x*y*s*D[x]*D[y] + a*x^2*y*D[x] + y*s*D[y] + 2*a*x*y"
+    for f in (ring.one(), x, y, x * x * y):
+        f = Expr.of_poly(f)
+        assert (product.apply(f) - left.apply(right.apply(f))).is_zero()
+
+
+class _Reached(Exception):
+    pass
+
+
+def _unreachable(name):
+    def raising(*args, **kwargs):
+        raise _Reached(name)
+
+    return raising
+
+
+def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
+    """With the derivative tables, the operand preparation, the grouped sums
+    and Expr.differentiate all raising, a polynomial compose still gives the
+    product; an R3 compose, whose r adjunct involves x, y and z, still
+    reaches each of them."""
+    from weylcalc import coeffring, weyl
+    from weylcalc.coulomb2d import c_op, h_a
+    from weylcalc.g2algebra import generator
+
+    cases = [(c_op(), h_a()), (generator("T2", 0), generator("J4", 0))]
+    want = [a.compose(b) for a, b in cases]
+    targets = [
+        (weyl, "_derivative_table"),
+        (weyl, "_prepare_operands"),
+        (weyl, "_sum_products"),
+        (coeffring, "_sum_products"),
+        (coeffring.Expr, "differentiate"),
+    ]
+    x, y = R3.var("x"), R3.var("y")
+    r3_left = mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x"))
+    r3_right = mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x)
+    # weyl calls its own reference to _sum_products, not coeffring's name
+    for owner, name in targets[:3] + targets[4:]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, _unreachable(name))
+            with pytest.raises(_Reached, match=name):
+                r3_left.compose(r3_right)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, _unreachable(name))
+    got = [a.compose(b) for a, b in cases]
+    monkeypatch.undo()
+    assert got == want
+    for (a, b), product in zip(cases, got):
+        for i, j in ((0, 0), (1, 0), (2, 1), (3, 2)):
+            f = Expr.of_poly(RU.monomial(1, r=i, u=j))
+            assert (product.apply(f) - a.apply(b.apply(f))).is_zero()
+
+
+def test_both_routes_give_the_same_terms_in_the_same_order(monkeypatch):
+    """The term-level route and the Expr route (forced here by declaring
+    every operator non-polynomial) give the same coefficients, with the
+    output indices and each coefficient's terms in the same order."""
+    from weylcalc.coulomb2d import c_op, h_a, l_a
+    from weylcalc.g2algebra import generator
+
+    rng = random.Random(2424)
+    cases = [(_polynomial_op(rng), _polynomial_op(rng)) for _ in range(12)]
+    cases += [(_real_part(a), _real_part(b)) for a, b in cases[:6]]
+    cases += [(c_op(), h_a()), (l_a(), c_op()), (generator("T2", 0), generator("T1", 0))]
+
+    def layout(op):
+        return [(a, list(c.num.terms.items()), c.den) for a, c in op.terms.items()]
+
+    term_level = [layout(a.compose(b)) for a, b in cases]
+    monkeypatch.setattr(DiffOp, "is_polynomial", lambda self: False)
+    assert term_level == [layout(a.compose(b)) for a, b in cases]
