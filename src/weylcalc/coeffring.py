@@ -234,23 +234,6 @@ def _scaled(terms: dict, pack):
     return den, packed, not any(im for _, im in nums)
 
 
-def _prepare_operands(pairs, nsyms: int):
-    """Every distinct operand of the products a*b in pairs, scaled once by
-    _scaled and packed with one field width wide enough for all of them:
-    (unpack, packed size, {id(term dict): _scaled result}).
-
-    The result belongs to one call: it holds no reference to the operands,
-    so it must not outlive them.
-    """
-    ops = {}
-    for a, b in pairs:
-        ops[id(a)] = a
-        ops[id(b)] = b
-    bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
-    packer = _packer(nsyms, max(bound[id(a)] + bound[id(b)] for a, b in pairs))
-    return packer.unpack, packer.size, {i: _scaled(t, packer.pack) for i, t in ops.items()}
-
-
 def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
     """m*a*b when a or b has one term: an exponent shift and a coefficient
     scale, with the convolution's exponent checks, integer arithmetic and
@@ -284,7 +267,7 @@ def _times(values, c: GaussRat, m: int = 1) -> list:
     return out
 
 
-def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
+def _dot_terms(triples, nsyms: int) -> dict:
     """Sum of m*a*b over (int m, term dict a, term dict b), exact to the term.
 
     Fraction-free on packed monomials (after Monagan & Pearce, CASC 2007):
@@ -299,10 +282,7 @@ def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
     that drops a sum when it cancels.
 
     A lone triple with a one-term operand skips all of that set-up: it is
-    an exponent shift plus a coefficient scale (_shifted).  prepared, from
-    _prepare_operands over a superset of the triples' products, supplies
-    operands already scaled and packed, so a caller with many sums over the
-    same operands (DiffOp.compose) pays the set-up once per operand.
+    an exponent shift plus a coefficient scale (_shifted).
     """
     triples = [t for t in triples if t[0] and t[1] and t[2]]
     if not triples:
@@ -311,9 +291,14 @@ def _dot_terms(triples, nsyms: int, prepared=None) -> dict:
         m, a, b = triples[0]
         if len(a) == 1 or len(b) == 1:
             return _shifted(m, a, b, nsyms)
-    if prepared is None:
-        prepared = _prepare_operands([(a, b) for _, a, b in triples], nsyms)
-    unpack, size, scaled = prepared
+    ops = {}
+    for _, a, b in triples:
+        ops[id(a)] = a
+        ops[id(b)] = b
+    bound = {i: _exp_bound(t, nsyms) for i, t in ops.items()}
+    packer = _packer(nsyms, max(bound[id(a)] + bound[id(b)] for _, a, b in triples))
+    unpack, size = packer.unpack, packer.size
+    scaled = {i: _scaled(t, packer.pack) for i, t in ops.items()}
     d = lcm(*(scaled[id(a)][0] * scaled[id(b)][0] for _, a, b in triples))
     real = all(scaled[id(a)][2] and scaled[id(b)][2] for _, a, b in triples)
     out = {}
@@ -1288,21 +1273,20 @@ class Expr:
         return "Expr(%s)" % self
 
 
-def _sum_products(ring: PolyRing, items, prepared=None) -> Expr:
+def _sum_products(ring: PolyRing, items) -> Expr:
     """Sum of m*c*e over (int m, Expr c, Expr e) items.
 
     Items sharing a pair of denominators are summed in one kernel call on
     their numerators and then adjunct-reduced; reduction is linear, so that
     equals summing the reduced products.  Only a group with a non-constant
     denominator goes through Expr.make, and the groups are added as Exprs.
-    prepared is handed to each kernel call (see _dot_terms).
     """
     groups = {}
     for m, c, e in items:
         groups.setdefault((c.den, e.den), []).append((m, c.num.terms, e.num.terms))
     total = Expr.of_poly(ring.zero())
     for (dc, de), triples in groups.items():
-        num = MultiPoly(ring, _dot_terms(triples, ring.nsyms, prepared), reduce=True)
+        num = MultiPoly(ring, _dot_terms(triples, ring.nsyms), reduce=True)
         if dc.is_const() and de.is_const():  # both 1: the denominator is monic
             part = Expr(num, dc, _trusted=True)
         else:

@@ -241,8 +241,8 @@ def _pairwise_rule(name: str, vec, scale_op) -> CheckResult:
 def verify_sturm_link() -> CheckResult:
     """r(H - E) = K - alpha: the eigenvalue problem and its radial form."""
     h, k = hamiltonian(), sturm_operator()
-    lhs = mul_op(R3_SPEC, Expr.of_poly(_r)).compose(h - identity(R3_SPEC).scale(Expr.of_poly(_E)))
-    rhs = k - identity(R3_SPEC).scale(Expr.of_poly(_alpha))
+    lhs = mul_op(R3_SPEC, Expr.of_poly(_r)).compose(h - mul_op(R3_SPEC, _E))
+    rhs = k - mul_op(R3_SPEC, _alpha)
     return residual_check("3d.sturm", lhs - rhs)
 
 
@@ -286,8 +286,8 @@ def verify_norms() -> list:
     a, b = runge_lenz(), spectral_lenz()
     h, k = hamiltonian(), sturm_operator()
     ell = angular_momentum()
-    alpha_sq = identity(R3_SPEC).scale(Expr.of_poly(_alpha * _alpha))
-    energy = identity(R3_SPEC).scale(Expr.of_poly(_E))
+    alpha_sq = mul_op(R3_SPEC, _alpha * _alpha)
+    energy = mul_op(R3_SPEC, _E)
     out = [
         _norm_relation("3d.norm.A2", a, alpha_sq, h),
         _norm_relation("3d.norm.B2", b, k.compose(k), energy),
@@ -327,7 +327,7 @@ def verify_spectral_vector() -> list:
         )
     ]
     out.append(_vector_rule("3d.comm.BL", b, b))
-    out.append(_pairwise_rule("3d.comm.BB", b, identity(R3_SPEC).scale(Expr.of_poly(_E))))
+    out.append(_pairwise_rule("3d.comm.BB", b, mul_op(R3_SPEC, _E)))
     return out
 
 

@@ -21,18 +21,21 @@ total degree of a term, counting coefficient symbols (numerator or
 denominator, whichever is larger) and derivatives, and degree(base) * k
 may not exceed MAX_DEGREE.  Composition adds degrees at most, so that
 bounds the result and stops nested powers such as ((r+u)^k)^k from growing
-as k^2.  It bounds the degree only: the term count of a power of a sum of
-many symbols still grows with the number of symbols.  An integer
-literal longer than the interpreter's int-string limit (4300 digits by
-default) is a ParseError too.
+as k^2.  The degree alone does not bound the term count, which grows with
+the number of symbols: a power of degree D in a base that uses s distinct
+coefficient symbols and derivative variables has at most C(D + s, s)
+terms, the monomials of degree up to D in s symbols, and that count may
+not exceed MAX_TERMS.  An integer literal longer than the interpreter's
+int-string limit (4300 digits by default) is a ParseError too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .coeffring import Expr, GaussRat, PolyRing, ZeroDenominator
-from .weyl import DiffOp, VariableSpec, identity, mul_op, partial
+from .weyl import DiffOp, VariableSpec, mul_op, partial
 
 WS = PolyRing(("x", "y", "z", "alpha", "E", "r", "u", "rho", "beta", "mu", "p", "n"))
 _WS_SPEC = VariableSpec(WS, ("x", "y", "z", "r", "u", "rho"))
@@ -40,6 +43,7 @@ _IMAGINARY = "i"
 MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_DEGREE = 100
+MAX_TERMS = 10000
 
 
 def workspace_spec() -> VariableSpec:
@@ -180,13 +184,18 @@ class _Parser:
                 raise ParseError(
                     "power of degree %d exceeds %d" % (degree, MAX_DEGREE), col
                 )
+            terms = comb(degree + _symbols(op), degree)
+            if terms > MAX_TERMS:
+                raise ParseError(
+                    "power of up to %d terms exceeds %d" % (terms, MAX_TERMS), col
+                )
             return op ** value
         return op
 
     def atom(self) -> DiffOp:
         kind, value, col = self.take()
         if kind == "int":
-            return identity(_WS_SPEC).scale(Fraction(value))
+            return mul_op(_WS_SPEC, Fraction(value))
         if kind == "punct" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, col)
@@ -209,7 +218,7 @@ class _Parser:
             return partial(_WS_SPEC, var)
         if kind == "name":
             if value == _IMAGINARY:
-                return identity(_WS_SPEC).scale(GaussRat(0, 1))
+                return mul_op(_WS_SPEC, GaussRat(0, 1))
             if value in WS.index:
                 return mul_op(_WS_SPEC, Expr.of_poly(WS.var(value)))
             raise ParseError("unknown symbol %r" % value, col)
@@ -226,6 +235,21 @@ def _degree(op: DiffOp) -> int:
         ),
         default=0,
     )
+
+
+def _symbols(op: DiffOp) -> int:
+    """Number of distinct coefficient symbols (numerator or denominator)
+    and derivative variables that op uses."""
+    derivatives = {j for a in op.terms for j, v in enumerate(a) if v}
+    symbols = {
+        i
+        for c in op.terms.values()
+        for p in (c.num, c.den)
+        for e in p.terms
+        for i, v in enumerate(e)
+        if v
+    }
+    return len(derivatives) + len(symbols)
 
 
 def parse(text: str) -> DiffOp:

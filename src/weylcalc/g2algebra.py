@@ -30,7 +30,7 @@ from .flagrep import invariance_witnesses
 from .linsolve import Decomposition, decompose, monomial_ops
 from .reports import CheckResult, merge_checks, residual_check, verdict
 from .spaces import RU, RU_SPEC
-from .weyl import DiffOp, identity, mul_op, partial
+from .weyl import DiffOp, mul_op, partial
 
 _r = RU.var("r")
 _u = RU.var("u")
@@ -59,29 +59,25 @@ def _mul(poly) -> DiffOp:
     return mul_op(RU_SPEC, Expr.of_poly(poly))
 
 
-def _const(poly) -> DiffOp:
-    return identity(RU_SPEC).scale(Expr.of_poly(poly))
-
-
 def generator(name: str, mark=None) -> DiffOp:
     """One named generator at the given mark (default: symbolic n)."""
     m = _mark_poly(mark)
     dr = partial(RU_SPEC, "r")
     du = partial(RU_SPEC, "u")
-    euler = _mul(_r).compose(dr) + _mul(_u * 2).compose(du) - _const(m)
+    euler = _mul(_r).compose(dr) + _mul(_u * 2).compose(du) - _mul(m)
     third = m * Fraction(1, 3)
     table = {
         "J0t": lambda: euler,
         "J1": lambda: dr,
-        "J2": lambda: _mul(_r).compose(dr) - _const(third),
-        "J3": lambda: _mul(_u * 2).compose(du) - _const(third),
+        "J2": lambda: _mul(_r).compose(dr) - _mul(third),
+        "J3": lambda: _mul(_u * 2).compose(du) - _mul(third),
         "J4": lambda: _mul(_r).compose(euler),
         "R0": lambda: du,
         "R1": lambda: _mul(_r).compose(du),
         "R2": lambda: _mul(_r * _r).compose(du),
         "T0": lambda: _mul(_u).compose(dr).compose(dr),
         "T1": lambda: _mul(_u).compose(dr).compose(euler),
-        "T2": lambda: _mul(_u).compose(euler).compose(euler + _const(_one)),
+        "T2": lambda: _mul(_u).compose(euler).compose(euler + _mul(_one)),
     }
     if name not in table:
         raise KeyError("unknown generator %r" % name)
@@ -100,7 +96,7 @@ def sl2_set(mark=None):
     dr = partial(RU_SPEC, "r")
     return [
         ("J+", _mul(_r * _r).compose(dr) - _mul(m * _r)),
-        ("J0", _mul(_r * 2).compose(dr) - _const(m)),
+        ("J0", _mul(_r * 2).compose(dr) - _mul(m)),
         ("J-", dr),
     ]
 
@@ -242,7 +238,7 @@ def lie_form_h() -> DiffOp:
         + generator("J0t", 0).scale(Expr.of_poly(_beta))
         - j1.scale(Expr.of_poly(_one + _p + _mu))
         - r1.scale(Expr.of_poly((_one + _mu) * 2))
-        + _const(_beta * (_one + _p + _mu))
+        + _mul(_beta * (_one + _p + _mu))
     )
 
 

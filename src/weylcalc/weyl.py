@@ -21,17 +21,21 @@ on packed integer term maps, with no Expr arithmetic per term
 (_compose_terms).  Rational coefficients, and rings whose adjuncts involve
 the space variables (R3's r), take the Expr route: derivative tables from
 Expr.differentiate, summed per output index by coeffring._sum_products.
+Both routes expand each left term's D^a once, by _leibniz, and keep
+nothing after the product returns: this module holds no cache.
 
-DiffOp.apply stays on the Expr route on purpose.  The cross-checks that
-compare a product with its factors applied in turn (flagrep.equality_oracle,
-the benchmark's product check) then share none of the term-level
-composition's Leibniz factors, derivatives or accumulation; the two meet
-only in coeffring's exponent packer and its scaling to integer numerators.
+DiffOp.apply stays on the Expr route on purpose, and off _leibniz.  The
+cross-checks that compare a product with its factors applied in turn
+(flagrep.equality_oracle, the benchmark's product check) then share none of
+the term-level composition's Leibniz factors, derivatives or accumulation;
+the two meet only in coeffring's exponent packer and its scaling to integer
+numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, perm, prod
 from operator import add, mul, sub
 
@@ -45,7 +49,6 @@ from .coeffring import (
     _exp_bound,
     _gr,
     _packer,
-    _prepare_operands,
     _scaled,
     _sum_products,
     format_monomial,
@@ -98,27 +101,15 @@ class VariableSpec:
         return VariableSpec(self.ring, tuple(s for s in self.space if s != var))
 
 
-_SUB_CACHE = {}
-
-
 def _sub_indices(a):
     """All multi-indices k with 0 <= k <= a, by increasing total order."""
-    got = _SUB_CACHE.get(a)
-    if got is not None:
-        return got
-    out = [()]
-    for top in a:
-        out = [k + (j,) for k in out for j in range(top + 1)]
-    out.sort(key=sum)
-    _SUB_CACHE[a] = out
-    return out
+    return sorted(product(*(range(t + 1) for t in a)), key=sum)
 
 
-def _binom_prod(a, k) -> int:
-    n = 1
-    for ai, ki in zip(a, k):
-        n *= comb(ai, ki)
-    return n
+def _leibniz(a):
+    """The Leibniz terms of D^a: [(k, binom(a, k), a - k)] for every k <= a,
+    by increasing total order of k."""
+    return [(k, prod(map(comb, a, k)), tuple(map(sub, a, k))) for k in _sub_indices(a)]
 
 
 def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
@@ -171,12 +162,11 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
         int.from_bytes(pack(*(int(i == s) for i in range(nsyms))), "big") for s in slots
     ]
     real = True
-    factors = []  # (den, packed terms, [(k, binom(a, k), a - k) for k <= a])
+    factors = []  # (den, packed terms, _leibniz(a))
     for a, c in left.terms.items():
         den, packed, is_real = _scaled(c.num.terms, pack)
         real = real and is_real
-        leibniz = [(k, _binom_prod(a, k), tuple(map(sub, a, k))) for k in _sub_indices(a)]
-        factors.append((den, packed, leibniz))
+        factors.append((den, packed, _leibniz(a)))
     items = {}
     for b, d in right.terms.items():
         den, packed, is_real = _scaled(d.num.terms, pack)
@@ -366,9 +356,8 @@ class DiffOp:
         as r^2 = x^2+y^2+z^2 whose derivative is rational) every output
         coefficient gathers its Leibniz terms binom(a, k) c_a D^k d_b, with
         D^k d_b from _derivative_table, and sums them fraction-free in one
-        _sum_products call; each distinct operand is scaled and packed
-        once for the whole product.  Neither route keeps anything after
-        the product returns.
+        _sum_products call, as apply does.  Neither route keeps anything
+        after the product returns.
         """
         self._check(other)
         spec = self.spec
@@ -381,21 +370,19 @@ class DiffOp:
         ):
             return _compose_terms(self, other)
         need = self._needed()
+        factors = [(c, _leibniz(a)) for a, c in self.terms.items()]
         items = {}
         for b, d in other.terms.items():
             table = _derivative_table(d, need, spec)
-            for a, c in self.terms.items():
-                for k in _sub_indices(a):
+            for c, leibniz in factors:
+                for k, binom, rest in leibniz:
                     dk = table.get(k)
-                    if dk is None:
-                        continue
-                    idx = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    items.setdefault(idx, []).append((_binom_prod(a, k), c, dk))
-        pairs = [(c.num.terms, dk.num.terms) for group in items.values() for _, c, dk in group]
-        prepared = _prepare_operands(pairs, spec.ring.nsyms)
+                    if dk is not None:
+                        idx = tuple(map(add, rest, b))
+                        items.setdefault(idx, []).append((binom, c, dk))
         op = DiffOp(spec)
         for idx, group in items.items():
-            s = _sum_products(spec.ring, group, prepared)
+            s = _sum_products(spec.ring, group)
             if not s.is_zero():
                 op.terms[idx] = s
         return op

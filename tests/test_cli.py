@@ -379,6 +379,12 @@ def test_parse_command(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("parse error: column 14: power of degree 10000 exceeds")
+    # and a power with more possible terms than MAX_TERMS, far inside that degree
+    code = main(["parse", "(D[x]+D[y]+D[z]+D[r]+D[u]+D[rho])^16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: column 35: power of up to 74613 terms exceeds")
 
 
 def test_closed_stdout_exits_one_without_traceback():

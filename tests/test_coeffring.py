@@ -28,7 +28,6 @@ from weylcalc.coeffring import (
     _dot_terms,
     _monic,
     _packer,
-    _prepare_operands,
     _pseudo_rem,
     _sum_products,
     format_monomial,
@@ -663,25 +662,6 @@ def test_one_term_product_rejects_unpackable_exponents():
     with pytest.raises(CoeffRingError):
         XYZ.var("x", 2**64) * XYZ.const(3)
     assert (XYZ.var("x", 2**64 - 2) * XYZ.var("x")).terms == {(2**64 - 1, 0, 0): GaussRat(1)}
-
-
-def test_prepared_operands_give_the_same_sums():
-    """Operands scaled once for a superset of products, with one wider field,
-    give the same terms in the same order as a kernel call that scales its own."""
-    rng = random.Random(1818)
-    for _ in range(100):
-        polys = [random_poly(XYZ, rng, terms=4, degree=2, span=9).terms for _ in range(5)]
-        polys.append(XYZ.var("y", rng.choice((3, 300, 70000))).terms)
-        polys = [t for t in polys if t]
-        triples = [
-            (rng.choice((1, -2, 3)), rng.choice(polys), rng.choice(polys))
-            for _ in range(rng.randint(2, 4))
-        ]
-        pairs = [(a, b) for a in polys for b in polys]
-        got = _dot_terms(triples, 3, _prepare_operands(pairs, 3))
-        want = _dot_terms(triples, 3)
-        assert _exact(got) == _exact(want)
-        assert list(got) == list(want)
 
 
 # -- exact division against the plain leading-term loop -----------------------------

@@ -11,6 +11,7 @@ from weylcalc.exprparse import (
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     ParseError,
     parse,
     parse_scalar,
@@ -166,6 +167,37 @@ def test_nested_power_degree_limit_is_a_parse_error():
     assert str(parse_scalar("(2*i)^100")) == str(2 ** 100)
     with pytest.raises(ParseError, match="power of degree 102 exceeds"):
         parse("(1/(r*u))^51")
+
+
+SYMBOLS = "x+y+z+alpha+E+r+u+rho+beta+mu+p+n"
+DERIVATIVES = "D[x]+D[y]+D[z]+D[r]+D[u]+D[rho]"
+
+
+def test_power_term_count_limit_is_a_parse_error(monkeypatch):
+    # C(D + s, s), for a power of degree D in a base with s distinct
+    # coefficient symbols and derivative variables, is checked before the
+    # power expands: sums of many symbols, of many derivatives, of both, and
+    # under a denominator, each far inside the degree limit
+    from weylcalc.weyl import DiffOp
+
+    assert MAX_TERMS == 10000
+    with monkeypatch.context() as patch:
+        patch.setattr(DiffOp, "__pow__", lambda self, k: pytest.fail("power expanded"))
+        for text, column, terms in (
+            ("(%s)^8" % SYMBOLS, 37, 125970),
+            ("(%s)^16" % DERIVATIVES, 35, 74613),
+            ("r + (%s)^6" % SYMBOLS, 41, 18564),
+            ("(x*D[y]+y*D[z]+z*D[x]+r*D[u]+u*D[rho]+rho*D[r])^3", 49, 18564),
+            ("(1/(%s))^6" % SYMBOLS, 41, 18564),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.column == column
+            assert "power of up to %d terms exceeds %d" % (terms, MAX_TERMS) in str(err.value)
+    # under the limit a power still expands: C(17, 12) = 6188 bounds the
+    # 4368 terms of the fifth power of twelve symbols
+    fifth = parse_scalar("(%s)^5" % SYMBOLS)
+    assert len(fifth.num.terms) == 4368
 
 
 def test_imaginary_unit_versus_symbols():

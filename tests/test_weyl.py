@@ -107,6 +107,21 @@ def _rational_cases():
     ]
 
 
+def _r3_polynomial_op():
+    """An R3 operator with polynomial coefficients in x, y and z: the r
+    adjunct involves the space variables, so compose takes the Expr route."""
+    x, y, z = (R3.var(s) for s in ("x", "y", "z"))
+    return DiffOp(
+        R3_SPEC,
+        {
+            (2, 0, 0): x * y + z,
+            (1, 0, 1): y * y,
+            (0, 1, 0): x * x * z * 3 - y,
+            (0, 0, 0): x * y * z + 1,
+        },
+    )
+
+
 def test_compose_rational_coefficients():
     """Compose against nested application, and associativity, when the
     coefficients carry non-constant denominators and adjunct roots."""
@@ -120,6 +135,37 @@ def test_compose_rational_coefficients():
                 "compose/apply mismatch:\nA=%s\nB=%s\nf=%s" % (format_op(a), format_op(b), f)
             )
             assert (ab.compose(c) - a.compose(b.compose(c))).is_zero()
+
+
+def test_compose_prepares_each_operand_once(monkeypatch):
+    """On the Expr route the sums scale and pack their own operands: a
+    second identical compose scales exactly as many operands as the first,
+    so nothing is kept between calls, and both products are equal and act
+    as the factor applied twice."""
+    from weylcalc import coeffring
+
+    scaled = []
+    scale = coeffring._scaled
+
+    def counting_scale(terms, pack):
+        scaled.append(id(terms))
+        return scale(terms, pack)
+
+    monkeypatch.setattr(coeffring, "_scaled", counting_scale)
+    c = _r3_polynomial_op()
+    products, counts = [], []
+    for _ in range(2):
+        scaled.clear()
+        products.append(c.compose(c))
+        counts.append(len(scaled))
+    assert counts[0] == counts[1] > len(c.terms)  # the derivative-table entries too
+    assert products[0] == products[1]
+    monkeypatch.undo()
+    # the product still acts as the factors applied in sequence
+    x, y = R3.var("x"), R3.var("y")
+    for f in (R3.one(), x, x * x * y, y * y):
+        f = Expr.of_poly(f)
+        assert (products[0].apply(f) - c.apply(c.apply(f))).is_zero()
 
 
 def test_compose_gaussian_rational_coefficients():
@@ -338,59 +384,6 @@ def test_coefficients_from_another_ring_are_rejected():
             _dr().scale(v)
 
 
-def _r3_polynomial_op():
-    """An R3 operator with polynomial coefficients in x, y and z: the r
-    adjunct involves the space variables, so compose takes the Expr route."""
-    x, y, z = (R3.var(s) for s in ("x", "y", "z"))
-    return DiffOp(
-        R3_SPEC,
-        {
-            (2, 0, 0): x * y + z,
-            (1, 0, 1): y * y,
-            (0, 1, 0): x * x * z * 3 - y,
-            (0, 0, 0): x * y * z + 1,
-        },
-    )
-
-
-def test_compose_prepares_each_operand_once(monkeypatch):
-    """On the Expr route one compose scales and packs each distinct
-    coefficient and derivative-table entry exactly once; a second identical
-    compose does it all again, so nothing is kept between calls."""
-    from weylcalc import coeffring, weyl
-
-    scaled, sums = [], []
-    scale, sum_products = coeffring._scaled, weyl._sum_products
-
-    def counting_scale(terms, pack):
-        scaled.append(id(terms))
-        return scale(terms, pack)
-
-    def recording_sums(ring, items, prepared=None):
-        for _, c, e in items:
-            sums.extend((id(c.num.terms), id(e.num.terms)))
-        return sum_products(ring, items, prepared)
-
-    monkeypatch.setattr(coeffring, "_scaled", counting_scale)
-    monkeypatch.setattr(weyl, "_sum_products", recording_sums)
-    c = _r3_polynomial_op()
-    products = []
-    for _ in range(2):
-        scaled.clear()
-        sums.clear()
-        products.append(c.compose(c))
-        assert len(scaled) == len(set(scaled)), "an operand was scaled twice"
-        assert set(scaled) == set(sums)
-        assert len(scaled) > len(c.terms)  # the derivative-table entries too
-    assert products[0] == products[1]
-    monkeypatch.undo()
-    # the product still acts as the factors applied in sequence
-    x, y = R3.var("x"), R3.var("y")
-    for f in (R3.one(), x, x * x * y, y * y):
-        f = Expr.of_poly(f)
-        assert (products[0].apply(f) - c.apply(c.apply(f))).is_zero()
-
-
 def test_derivative_tables_skip_vanished_entries(monkeypatch):
     """A high-order operator composed with a low-degree coefficient (on the
     Expr route, in R3) or applied to a low-degree function never
@@ -550,10 +543,10 @@ def _unreachable(name):
 
 
 def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
-    """With the derivative tables, the operand preparation, the grouped sums
-    and Expr.differentiate all raising, a polynomial compose still gives the
-    product; an R3 compose, whose r adjunct involves x, y and z, still
-    reaches each of them."""
+    """With the derivative tables, the grouped sums and Expr.differentiate
+    all raising, a polynomial compose still gives the product; an R3
+    compose, whose r adjunct involves x, y and z, still reaches each of
+    them."""
     from weylcalc import coeffring, weyl
     from weylcalc.coulomb2d import c_op, h_a
     from weylcalc.g2algebra import generator
@@ -562,7 +555,6 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
     want = [a.compose(b) for a, b in cases]
     targets = [
         (weyl, "_derivative_table"),
-        (weyl, "_prepare_operands"),
         (weyl, "_sum_products"),
         (coeffring, "_sum_products"),
         (coeffring.Expr, "differentiate"),
@@ -571,7 +563,7 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
     r3_left = mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x"))
     r3_right = mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x)
     # weyl calls its own reference to _sum_products, not coeffring's name
-    for owner, name in targets[:3] + targets[4:]:
+    for owner, name in targets[:2] + targets[3:]:
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, _unreachable(name))
             with pytest.raises(_Reached, match=name):
@@ -585,6 +577,36 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
         for i, j in ((0, 0), (1, 0), (2, 1), (3, 2)):
             f = Expr.of_poly(RU.monomial(1, r=i, u=j))
             assert (product.apply(f) - a.apply(b.apply(f))).is_zero()
+
+
+def test_compose_leaves_module_state_alone():
+    """Composing operators of orders no other test composes, on both routes,
+    and applying one, leaves every module-level container of weyl as it
+    was: nothing is cached between products."""
+    import copy
+
+    from weylcalc import weyl
+
+    def containers():
+        return {
+            name: copy.copy(value)
+            for name, value in vars(weyl).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    before = containers()
+    r, u = RU.var("r"), RU.var("u")
+    x, y = R3.var("x"), R3.var("y")
+    term_level = _dr(37).compose(_du(5)).compose(_mul(r ** 3 * u))
+    expr_route = partial(R3_SPEC, "x", 23).compose(partial(R3_SPEC, "z", 7)).compose(
+        mul_op(R3_SPEC, x * x * y)
+    )
+    applied = partial(R3_SPEC, "y", 19).apply(Expr.of_poly(y ** 19))
+    assert containers() == before
+    # D[r]^37 D[u]^5 . r^3 u has the coefficient 37*36*35*u at D[r]^34 D[u]^5
+    assert term_level.coefficient((34, 5)) == Expr.of_poly(u * (37 * 36 * 35))
+    assert expr_route.coefficient((21, 0, 7)) == Expr.of_poly(y * (23 * 22))
+    assert applied == Expr.of_poly(R3.const(121645100408832000))
 
 
 def test_both_routes_give_the_same_terms_in_the_same_order(monkeypatch):
