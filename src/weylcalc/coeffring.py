@@ -728,20 +728,18 @@ class MultiPoly:
     # -- calculus and substitution ------------------------------------------
 
     def diff_poly_part(self, symbol) -> "MultiPoly":
-        """Plain partial derivative, ignoring adjunct dependence on symbol."""
+        """Plain partial derivative, ignoring adjunct dependence on symbol.
+
+        Lowering the exponent of symbol is one-to-one on the terms that
+        carry it, so no two terms meet and no coefficient vanishes.
+        """
         idx = self.ring.index_of(symbol)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if not k:
-                continue
-            d = list(e)
-            d[idx] = k - 1
-            key = tuple(d)
-            v = out.get(key)
-            nc = c * k
-            out[key] = nc if v is None else v + nc
-        return MultiPoly(self.ring, {e: c for e, c in out.items() if not c.is_zero()})
+        terms = {
+            e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+            for e, c in self.terms.items()
+            if e[idx]
+        }
+        return MultiPoly(self.ring, terms)
 
     def differentiate(self, symbol) -> "Expr":
         """d/d symbol, with chain rule through adjunct square roots."""

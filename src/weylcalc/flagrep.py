@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import Expr, GaussRat, GR_ONE, GR_ZERO, MultiPoly
+from .coeffring import Expr, GaussRat, GR_ONE, MultiPoly
 from .linsolve import SparseSolver, integral_form
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
@@ -74,23 +74,16 @@ _U_POS = RU.index_of("u")
 
 
 def _split_image(image: Expr):
-    """Image polynomial -> {(a, b): nonzero parameter-coefficient poly}."""
-    poly = image.as_poly()
-    out = {}
-    for e, c in poly.terms.items():
-        ab = (e[_R_POS], e[_U_POS])
-        rest = list(e)
-        rest[_R_POS] = 0
-        rest[_U_POS] = 0
-        d = out.setdefault(ab, {})
-        key = tuple(rest)
-        d[key] = d.get(key, GR_ZERO) + c
+    """Image polynomial -> {(a, b): nonzero parameter-coefficient poly}.
+
+    Distinct terms stay distinct with r and u zeroed, so each coefficient
+    is copied, never summed.
+    """
     split = {}
-    for ab, d in out.items():
-        terms = {e: c for e, c in d.items() if not c.is_zero()}
-        if terms:
-            split[ab] = MultiPoly(RU, terms)
-    return split
+    for e, c in image.as_poly().terms.items():
+        rest = tuple(0 if i in (_R_POS, _U_POS) else v for i, v in enumerate(e))
+        split.setdefault((e[_R_POS], e[_U_POS]), {})[rest] = c
+    return {ab: MultiPoly(RU, terms) for ab, terms in split.items()}
 
 
 _LEAVES = "image of %s leaves P_%d at r^%d*u^%d (coefficient %s)"

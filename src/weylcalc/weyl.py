@@ -9,20 +9,21 @@ and immediately renormal-orders, so equality of operators is equality of the
 coefficient maps.
 
 Composition takes one of two routes, with the same result, term order
-included.  When both operands have polynomial coefficients and no adjunct
-of the ring involves a space variable (every operator on the (r, u) and
-cylindrical charts and on the parser's workspace), the rule is applied
-monomial by monomial:
+included.  When both operands are real operators with polynomial
+coefficients in a ring with no adjunct (every operator of the (r, u) and
+cylindrical charts: all of 2D, g2 and the cubic algebra), the rule is
+applied monomial by monomial:
 
     c x^e D^a . d x^f D^b
         = sum_{k <= a, k <= f} binom(a, k) f!/(f-k)! c d x^(e+f-k) D^(a-k+b)
 
 on packed integer term maps, with no Expr arithmetic per term
-(_compose_terms).  Rational coefficients, and rings whose adjuncts involve
-the space variables (R3's r), take the Expr route: derivative tables from
-Expr.differentiate, summed per output index by coeffring._sum_products.
-Both routes expand each left term's D^a once, by _leibniz, and keep
-nothing after the product returns: this module holds no cache.
+(_compose_terms).  Every other operand (rational or Gaussian coefficients,
+or a ring with an adjoined root, such as R3's r) takes the Expr route:
+derivative tables from Expr.differentiate, summed per output index by
+coeffring._sum_products.  Both routes expand each left term's D^a once, by
+_leibniz, and keep nothing after the product returns: this module holds no
+cache.
 
 DiffOp.apply stays on the Expr route on purpose, and off _leibniz.  The
 cross-checks that compare a product with its factors applied in turn
@@ -40,7 +41,6 @@ from math import comb, lcm, perm, prod
 from operator import add, mul, sub
 
 from .coeffring import (
-    _F0,
     Expr,
     GR_I,
     GaussRat,
@@ -133,14 +133,23 @@ def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
     return table
 
 
+def _term_route(left: "DiffOp", right: "DiffOp") -> bool:
+    """Whether left . right takes _compose_terms: both operands have real
+    polynomial coefficients, in a ring with no adjunct."""
+    return not left.spec.ring.adjuncts and all(
+        c.is_poly() and all(v.is_real() for v in c.num.terms.values())
+        for op in (left, right)
+        for c in op.terms.values()
+    )
+
+
 def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
-    """left . right for operands with polynomial coefficients, in a ring
-    whose adjuncts involve no space variable, by the monomial Leibniz rule
-    of the module docstring (multi-index binomials and falling factorials,
-    one factor per space variable).  Each coefficient is scaled once to
-    integer numerators over its own denominator (_scaled), on monomials
-    packed with one field width for the call, so D^k x^f is one packed
-    subtraction, taken only where k <= f.  Every output index
+    """left . right for the operands of _term_route, by the monomial Leibniz
+    rule of the module docstring (multi-index binomials and falling
+    factorials, one factor per space variable).  Each coefficient is scaled
+    once to integer numerators over its own denominator (_scaled), on
+    monomials packed with one field width for the call, so D^k x^f is one
+    packed subtraction, taken only where k <= f.  Every output index
     multiply-accumulates its products into its own dict over the lcm of its
     products' denominators, and its terms come out in the order the Expr
     route gives them.  No Expr is differentiated, multiplied or added.  The
@@ -161,20 +170,14 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
     units = [
         int.from_bytes(pack(*(int(i == s) for i in range(nsyms))), "big") for s in slots
     ]
-    real = True
     factors = []  # (den, packed terms, _leibniz(a))
     for a, c in left.terms.items():
-        den, packed, is_real = _scaled(c.num.terms, pack)
-        real = real and is_real
+        den, packed, _ = _scaled(c.num.terms, pack)
         factors.append((den, packed, _leibniz(a)))
     items = {}
     for b, d in right.terms.items():
-        den, packed, is_real = _scaled(d.num.terms, pack)
-        real = real and is_real
-        rows = [
-            (key, re, im, [e[s] for s in slots])
-            for (key, re, im), e in zip(packed, d.num.terms)
-        ]
+        den, packed, _ = _scaled(d.num.terms, pack)
+        rows = [(key, n, [e[s] for s in slots]) for (key, n, _), e in zip(packed, d.num.terms)]
         table = {}
         for da, pa, leibniz in factors:
             for k, binom, rest in leibniz:
@@ -182,9 +185,7 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
                 if dk is None:
                     shift = sum(map(mul, k, units))
                     dk = table[k] = [
-                        (key - shift, re * m, im * m)
-                        for key, re, im, f in rows
-                        if (m := prod(map(perm, f, k)))
+                        (key - shift, n * m) for key, n, f in rows if (m := prod(map(perm, f, k)))
                     ]
                 if dk:
                     idx = tuple(map(add, rest, b))
@@ -197,44 +198,18 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
         get = out.get
         for m, dd, pa, pb in group:
             m *= dl // dd
-            if real:
-                for ka, na, _ in pa:
-                    na *= m
-                    for kb, nb, _ in pb:
-                        k = ka + kb
-                        n = get(k, 0) + na * nb
-                        if n:
-                            out[k] = n
-                        else:
-                            out.pop(k, None)
-                continue
-            for ka, ra, ia in pa:
-                ra *= m
-                ia *= m
-                for kb, rb, ib in pb:
+            for ka, na, _ in pa:
+                na *= m
+                for kb, nb in pb:
                     k = ka + kb
-                    v = get(k)
-                    re = ra * rb - ia * ib
-                    im = ra * ib + ia * rb
-                    if v is not None:
-                        re += v[0]
-                        im += v[1]
-                    if re or im:
-                        out[k] = (re, im)
+                    n = get(k, 0) + na * nb
+                    if n:
+                        out[k] = n
                     else:
                         out.pop(k, None)
-        if real:
+        if out:
             terms = {unpack(k.to_bytes(size, "big")): _gr(Fraction(n, dl)) for k, n in out.items()}
-        else:
-            terms = {
-                unpack(k.to_bytes(size, "big")): _gr(
-                    Fraction(re, dl), Fraction(im, dl) if im else _F0
-                )
-                for k, (re, im) in out.items()
-            }
-        num = MultiPoly(ring, terms, reduce=bool(ring.adjuncts))
-        if num.terms:
-            op.terms[idx] = Expr(num, one, _trusted=True)
+            op.terms[idx] = Expr(MultiPoly(ring, terms), one, _trusted=True)
     return op
 
 
@@ -349,25 +324,19 @@ class DiffOp:
         """Operator product self . other, renormal-ordered.
 
         Two routes give the same operator, term order included (see the
-        module docstring).  When both operands have polynomial coefficients
-        and no adjunct of the ring involves a space variable,
-        _compose_terms applies the Leibniz rule monomial by monomial on
-        packed term maps.  Otherwise (rational coefficients, or a root such
-        as r^2 = x^2+y^2+z^2 whose derivative is rational) every output
-        coefficient gathers its Leibniz terms binom(a, k) c_a D^k d_b, with
-        D^k d_b from _derivative_table, and sums them fraction-free in one
-        _sum_products call, as apply does.  Neither route keeps anything
-        after the product returns.
+        module docstring).  When _term_route holds (real polynomial
+        coefficients, a ring with no adjunct), _compose_terms applies the
+        Leibniz rule monomial by monomial on packed term maps.  Otherwise
+        every output coefficient gathers its Leibniz terms
+        binom(a, k) c_a D^k d_b, with D^k d_b from _derivative_table, and
+        sums them fraction-free in one _sum_products call, as apply does.
+        Neither route keeps anything after the product returns.
         """
         self._check(other)
         spec = self.spec
         if not self.terms or not other.terms:
             return DiffOp(spec)
-        if (
-            self.is_polynomial()
-            and other.is_polynomial()
-            and not any(adj.square.uses(v) for adj in spec.ring.adjuncts for v in spec.space)
-        ):
+        if _term_route(self, other):
             return _compose_terms(self, other)
         need = self._needed()
         factors = [(c, _leibniz(a)) for a, c in self.terms.items()]
@@ -394,8 +363,8 @@ class DiffOp:
         if n < 0:
             raise WeylError("negative operator power")
         out = identity(self.spec)
-        for _ in range(n):
-            out = out.compose(self)
+        for _ in range(n):  # the base on the left expands only its own Leibniz terms
+            out = self.compose(out)
         return out
 
     # -- action on functions -------------------------------------------------------

@@ -489,8 +489,8 @@ def test_polynomial_compose_packs_wide_exponents():
 
 def test_polynomial_compose_drops_cancelled_terms():
     """Leibniz terms that cancel leave no entry: D[r] + D[u] after u - r
-    gives (u - r)(D[r] + D[u]), and D[r] + i*D[u] after i*r - u gives
-    (i*r - u)(D[r] + i*D[u]), the real and the Gaussian accumulators."""
+    gives (u - r)(D[r] + D[u]) on the term-level route, and D[r] + i*D[u]
+    after i*r - u gives (i*r - u)(D[r] + i*D[u]) on the Expr route."""
     r, u = RU.var("r"), RU.var("u")
     i = GaussRat(0, 1)
     for left, f in ((_dr() + _du(), u - r), (_dr() + _du().scale(i), r * i - u)):
@@ -512,18 +512,27 @@ def test_polynomial_compose_identity_and_zero():
     assert one.compose(one) == one
 
 
-def test_polynomial_compose_under_a_parameter_root():
-    """A root of a parameter involves no space variable, so compose stays on
-    the term-level route and reduces s^2 = a in its products."""
+def _parameter_root_ops():
+    """(left, right) over a ring with the root s of a parameter a adjoined,
+    s^2 = a."""
     from weylcalc.coeffring import PolyRing
     from weylcalc.weyl import VariableSpec
 
     ring = PolyRing(("a", "x", "y", "s"))
     ring.define_adjunct("s", ring.var("a"))
     spec = VariableSpec(ring, ("x", "y"))
-    a, x, y, s = (ring.var(v) for v in ("a", "x", "y", "s"))
+    x, y, s = (ring.var(v) for v in ("x", "y", "s"))
     left = mul_op(spec, s * x).compose(partial(spec, "x")) + mul_op(spec, s)
     right = mul_op(spec, s * x * y) + mul_op(spec, y).compose(partial(spec, "y"))
+    return left, right
+
+
+def test_polynomial_compose_under_a_parameter_root():
+    """A ring with an adjoined root takes the Expr route, even when the root
+    is a parameter's: compose reduces s^2 = a in its products."""
+    left, right = _parameter_root_ops()
+    ring = left.spec.ring
+    x, y = ring.var("x"), ring.var("y")
     product = left.compose(right)
     assert format_op(product) == "x*y*s*D[x]*D[y] + a*x^2*y*D[x] + y*s*D[y] + 2*a*x*y"
     for f in (ring.one(), x, y, x * x * y):
@@ -544,9 +553,10 @@ def _unreachable(name):
 
 def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
     """With the derivative tables, the grouped sums and Expr.differentiate
-    all raising, a polynomial compose still gives the product; an R3
-    compose, whose r adjunct involves x, y and z, still reaches each of
-    them."""
+    all raising, a compose of real polynomial operators still gives the
+    product; an R3 compose (the r adjunct), a Gaussian compose on the
+    (r, u) chart and a compose under a parameter's root all take the Expr
+    route and still reach each of them."""
     from weylcalc import coeffring, weyl
     from weylcalc.coulomb2d import c_op, h_a
     from weylcalc.g2algebra import generator
@@ -560,14 +570,23 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
         (coeffring.Expr, "differentiate"),
     ]
     x, y = R3.var("x"), R3.var("y")
-    r3_left = mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x"))
-    r3_right = mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x)
+    r, u = RU.var("r"), RU.var("u")
+    i = GaussRat(0, 1)
+    general = [
+        (
+            mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x")),
+            mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x),
+        ),
+        (_dr() + _du().scale(i), _mul(r * u) + _mul(u * u).compose(_dr())),
+        _parameter_root_ops(),
+    ]
     # weyl calls its own reference to _sum_products, not coeffring's name
-    for owner, name in targets[:2] + targets[3:]:
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, _unreachable(name))
-            with pytest.raises(_Reached, match=name):
-                r3_left.compose(r3_right)
+    for left, right in general:
+        for owner, name in targets[:2] + targets[3:]:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, _unreachable(name))
+                with pytest.raises(_Reached, match=name):
+                    left.compose(right)
     for owner, name in targets:
         monkeypatch.setattr(owner, name, _unreachable(name))
     got = [a.compose(b) for a, b in cases]
@@ -610,9 +629,11 @@ def test_compose_leaves_module_state_alone():
 
 
 def test_both_routes_give_the_same_terms_in_the_same_order(monkeypatch):
-    """The term-level route and the Expr route (forced here by declaring
-    every operator non-polynomial) give the same coefficients, with the
-    output indices and each coefficient's terms in the same order."""
+    """The term-level route and the Expr route (forced here by patching the
+    route predicate) give the same coefficients, with the output indices
+    and each coefficient's terms in the same order.  The Gaussian cases
+    take the Expr route either way; the real ones take both."""
+    from weylcalc import weyl
     from weylcalc.coulomb2d import c_op, h_a, l_a
     from weylcalc.g2algebra import generator
 
@@ -625,5 +646,35 @@ def test_both_routes_give_the_same_terms_in_the_same_order(monkeypatch):
         return [(a, list(c.num.terms.items()), c.den) for a, c in op.terms.items()]
 
     term_level = [layout(a.compose(b)) for a, b in cases]
-    monkeypatch.setattr(DiffOp, "is_polynomial", lambda self: False)
+    assert sum(weyl._term_route(a, b) for a, b in cases) == 9
+    monkeypatch.setattr(weyl, "_term_route", lambda left, right: False)
     assert term_level == [layout(a.compose(b)) for a, b in cases]
+
+
+def test_power_composes_the_base_on_the_left(monkeypatch):
+    """op ** k composes op . op^(k-1), so each step expands the base's own
+    Leibniz terms, never the growing power's: _leibniz runs len(op.terms)
+    times per step.  Powers of one operator commute, so the result is the
+    k-fold product from either side, for a base whose terms do not commute."""
+    from weylcalc import weyl
+    from weylcalc.exprparse import parse
+
+    base = parse("x*D[y] + D[x]")
+    assert parse("x*D[y]*D[x]") != parse("D[x]*x*D[y]")
+    calls = []
+    leibniz = weyl._leibniz
+
+    def counting(a):
+        calls.append(a)
+        return leibniz(a)
+
+    for k in (0, 1, 2, 5):
+        left = right = identity(base.spec)
+        for _ in range(k):
+            left, right = base.compose(left), right.compose(base)
+        monkeypatch.setattr(weyl, "_leibniz", counting)
+        calls.clear()
+        power = base ** k
+        monkeypatch.undo()
+        assert len(calls) == len(base.terms) * k
+        assert power == left == right
