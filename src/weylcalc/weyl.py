@@ -10,9 +10,9 @@ coefficient maps.
 
 Composition takes one of two routes, with the same result, term order
 included.  When both operands are real operators with polynomial
-coefficients in a ring with no adjunct (every operator of the (r, u) and
-cylindrical charts: all of 2D, g2 and the cubic algebra), the rule is
-applied monomial by monomial:
+coefficients in a ring with no adjunct (the operators of 2D, g2 and the
+cubic algebra on the (r, u) chart), the rule is applied monomial by
+monomial:
 
     c x^e D^a . d x^f D^b
         = sum_{k <= a, k <= f} binom(a, k) f!/(f-k)! c d x^(e+f-k) D^(a-k+b)
