@@ -22,11 +22,15 @@ denominator, whichever is larger) and derivatives, and degree(base) * k
 may not exceed MAX_DEGREE.  Composition adds degrees at most, so that
 bounds the result and stops nested powers such as ((r+u)^k)^k from growing
 as k^2.  The degree alone does not bound the term count, which grows with
-the number of symbols: a power of degree D in a base that uses s distinct
-coefficient symbols and derivative variables has at most C(D + s, s)
-terms, the monomials of degree up to D in s symbols, and that count may
-not exceed MAX_TERMS.  An integer literal longer than the interpreter's
-int-string limit (4300 digits by default) is a ParseError too.
+the number of symbols.  A power is refused only when two bounds on its
+term count both exceed MAX_TERMS: C(D + s, s), for the power's degree D,
+the monomials of degree up to D in the s distinct coefficient symbols and
+derivative variables of the base, and C(k*ord + d, d) * C(k*cdeg + c, c), the derivative indices
+of order up to k*ord in the d derivative variables times the coefficient
+monomials of degree up to k*cdeg in the c coefficient symbols, for a base
+of derivative order ord and coefficient degree cdeg raised to the k.  An
+integer literal longer than the interpreter's int-string limit (4300
+digits by default) is a ParseError too.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ class _Parser:
                 raise ParseError(
                     "power of degree %d exceeds %d" % (degree, MAX_DEGREE), col
                 )
-            terms = comb(degree + _symbols(op), degree)
+            terms = _term_bound(op, value, degree)
             if terms > MAX_TERMS:
                 raise ParseError(
                     "power of up to %d terms exceeds %d" % (terms, MAX_TERMS), col
@@ -237,9 +241,12 @@ def _degree(op: DiffOp) -> int:
     )
 
 
-def _symbols(op: DiffOp) -> int:
-    """Number of distinct coefficient symbols (numerator or denominator)
-    and derivative variables that op uses."""
+def _term_bound(op: DiffOp, k: int, degree: int) -> int:
+    """An upper bound on the term count of op^k, of the given degree: the
+    smaller of C(degree + s, s), for s the distinct coefficient symbols
+    (numerator or denominator) and derivative variables op uses, and
+    C(k*ord + d, d) * C(k*cdeg + c, c), for ord its derivative order over d
+    derivative variables and cdeg its coefficient degree over c symbols."""
     derivatives = {j for a in op.terms for j, v in enumerate(a) if v}
     symbols = {
         i
@@ -249,7 +256,14 @@ def _symbols(op: DiffOp) -> int:
         for i, v in enumerate(e)
         if v
     }
-    return len(derivatives) + len(symbols)
+    cdeg = max(
+        (sum(e) for c in op.terms.values() for p in (c.num, c.den) for e in p.terms), default=0
+    )
+    d, c = len(derivatives), len(symbols)
+    return min(
+        comb(degree + d + c, degree),
+        comb(k * op.order() + d, d) * comb(k * cdeg + c, c),
+    )
 
 
 def parse(text: str) -> DiffOp:

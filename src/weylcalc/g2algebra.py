@@ -103,15 +103,17 @@ def sl2_set(mark=None):
 
 def u_excess(op: DiffOp):
     """Largest (power of u) - (order in d_u) over normal-ordered terms,
-    with one witness term.
+    with one witness term: the first of largest excess, walking the
+    derivatives and then each coefficient's terms in their printed order,
+    so the witness does not depend on how the terms were built.
 
     Products of the first-order generators never exceed zero, so a positive
     value proves the operator lies outside their enveloping algebra.
     """
     best = None
     witness = None
-    for a, c in op.terms.items():
-        for e, v in c.as_poly().terms.items():
+    for a, c in op.sorted_terms():
+        for e, v in c.as_poly().sorted_terms():
             excess = e[_U_POS] - a[1]
             if best is None or excess > best:
                 best = excess

@@ -9,15 +9,18 @@ and immediately renormal-orders, so equality of operators is equality of the
 coefficient maps.
 
 Composition takes one of two routes, with the same result, term order
-included.  When both operands are real operators with polynomial
-coefficients in a ring with no adjunct (the operators of 2D, g2 and the
-cubic algebra on the (r, u) chart), the rule is applied monomial by
-monomial:
+included: the output indices in the order the Leibniz terms first reach
+them, and each coefficient's terms in descending exponent order.  When both
+operands are real operators with polynomial coefficients in a ring with no
+adjunct (the operators of 2D, g2 and the cubic algebra on the (r, u)
+chart), the rule is applied monomial by monomial:
 
     c x^e D^a . d x^f D^b
         = sum_{k <= a, k <= f} binom(a, k) f!/(f-k)! c d x^(e+f-k) D^(a-k+b)
 
-on packed integer term maps, with no Expr arithmetic per term
+on packed integer term maps, with no Expr arithmetic per term, grouped by
+left term: the Leibniz terms of one left coefficient c_a that reach one
+output index are summed first, so c_a is multiplied once per index
 (_compose_terms).  Every other operand (rational or Gaussian coefficients,
 or a ring with an adjoined root, such as R3's r) takes the Expr route:
 derivative tables from Expr.differentiate, summed per output index by
@@ -143,19 +146,38 @@ def _term_route(left: "DiffOp", right: "DiffOp") -> bool:
     )
 
 
+def _packed_operator(op: "DiffOp", pack):
+    """(d, [(index, [(packed monomial, integer numerator, exponents)])]) for
+    an operator with real polynomial coefficients: every term's value is its
+    numerator over d, the operator's one common denominator."""
+    scaled = [(a, c.num.terms, _scaled(c.num.terms, pack)) for a, c in op.terms.items()]
+    den = lcm(*(d for _, _, (d, _, _) in scaled))
+    return den, [
+        (a, [(key, n * (den // d), e) for (key, n, _), e in zip(packed, terms)])
+        for a, terms, (d, packed, _) in scaled
+    ]
+
+
 def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
     """left . right for the operands of _term_route, by the monomial Leibniz
     rule of the module docstring (multi-index binomials and falling
-    factorials, one factor per space variable).  Each coefficient is scaled
-    once to integer numerators over its own denominator (_scaled), on
-    monomials packed with one field width for the call, so D^k x^f is one
-    packed subtraction, taken only where k <= f.  Every output index
-    multiply-accumulates its products into its own dict over the lcm of its
-    products' denominators, and its terms come out in the order the Expr
-    route gives them.  No Expr is differentiated, multiplied or added.  The
-    accumulation loop is this function's own rather than
-    coeffring._dot_terms, so DiffOp.apply, which the cross-checks use,
-    shares none of it.
+    factorials, one factor per space variable), grouped by left term.
+
+    Each operand is scaled once to integer numerators over its own common
+    denominator (_packed_operator), on monomials packed with one field width
+    for the call, so D^k x^f is one packed subtraction, taken only where
+    k <= f.  By distributivity the coefficient at an output index is
+    sum_a c_a S_a, with S_a = sum binom(a, k) D^k d_b over the Leibniz
+    terms (b, k) that a - k + b sends there.  Each S_a is summed linearly
+    first, and a sum is opened only when a second term lands on it, so
+    every (output index, left term) pair costs one convolution with c_a.
+    The shorter of c_a and S_a runs in the outer loop.  Each output index
+    is converted to an Expr as soon as its own accumulator is done, its
+    terms in descending exponent order (the packed keys' order), and terms
+    with the same numerator or monomial share one GaussRat or exponent
+    tuple.  No Expr is differentiated, multiplied or added.  The
+    accumulation is this function's own rather than coeffring._dot_terms,
+    so DiffOp.apply, which the cross-checks use, shares none of it.
     """
     spec = left.spec
     ring = spec.ring
@@ -170,16 +192,15 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
     units = [
         int.from_bytes(pack(*(int(i == s) for i in range(nsyms))), "big") for s in slots
     ]
-    factors = []  # (den, packed terms, _leibniz(a))
-    for a, c in left.terms.items():
-        den, packed, _ = _scaled(c.num.terms, pack)
-        factors.append((den, packed, _leibniz(a)))
-    items = {}
-    for b, d in right.terms.items():
-        den, packed, _ = _scaled(d.num.terms, pack)
-        rows = [(key, n, [e[s] for s in slots]) for (key, n, _), e in zip(packed, d.num.terms)]
+    dl, lefts = _packed_operator(left, pack)
+    dr, rights = _packed_operator(right, pack)
+    factors = [([(key, n) for key, n, _ in pa], _leibniz(a)) for a, pa in lefts]
+    # {output index: {left term: (binom, D^k d_b) or {packed monomial: numerator}}}
+    sums = {}
+    for b, rows in rights:
+        rows = [(key, n, [e[s] for s in slots]) for key, n, e in rows]
         table = {}
-        for da, pa, leibniz in factors:
+        for i, (_, leibniz) in enumerate(factors):
             for k, binom, rest in leibniz:
                 dk = table.get(k)
                 if dk is None:
@@ -187,28 +208,57 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
                     dk = table[k] = [
                         (key - shift, n * m) for key, n, f in rows if (m := prod(map(perm, f, k)))
                     ]
-                if dk:
-                    idx = tuple(map(add, rest, b))
-                    items.setdefault(idx, []).append((binom, da * den, pa, dk))
+                if not dk:
+                    continue
+                idx = tuple(map(add, rest, b))
+                group = sums.get(idx)
+                if group is None:
+                    sums[idx] = {i: (binom, dk)}
+                    continue
+                sa = group.get(i)
+                if sa is None:
+                    group[i] = (binom, dk)
+                    continue
+                if type(sa) is tuple:
+                    m, first = sa
+                    sa = group[i] = {key: m * n for key, n in first}
+                get = sa.get
+                for key, n in dk:
+                    sa[key] = get(key, 0) + binom * n
+    den = dl * dr
     one = next(iter(left.terms.values())).den
+    # {numerator: GaussRat} and {packed monomial: exponent tuple}, each
+    # shared by every coefficient of the product
+    values, monomials = {}, {}
     op = DiffOp(spec)
-    for idx, group in items.items():
-        dl = lcm(*(dd for _, dd, _, _ in group))
+    for idx in list(sums):
         out = {}
         get = out.get
-        for m, dd, pa, pb in group:
-            m *= dl // dd
-            for ka, na, _ in pa:
+        for i, sa in sums.pop(idx).items():
+            if type(sa) is tuple:
+                m, pb = sa
+            else:
+                m, pb = 1, [(key, n) for key, n in sa.items() if n]
+            pa = factors[i][0]
+            if len(pb) < len(pa):
+                pa, pb = pb, pa
+            for ka, na in pa:
                 na *= m
                 for kb, nb in pb:
                     k = ka + kb
-                    n = get(k, 0) + na * nb
-                    if n:
-                        out[k] = n
-                    else:
-                        out.pop(k, None)
-        if out:
-            terms = {unpack(k.to_bytes(size, "big")): _gr(Fraction(n, dl)) for k, n in out.items()}
+                    out[k] = get(k, 0) + na * nb
+        terms = {}
+        for key in sorted(out, reverse=True):
+            n = out[key]
+            if n:
+                g = values.get(n)
+                if g is None:
+                    g = values[n] = _gr(Fraction(n, den))
+                e = monomials.get(key)
+                if e is None:
+                    e = monomials[key] = unpack(key.to_bytes(size, "big"))
+                terms[e] = g
+        if terms:
             op.terms[idx] = Expr(MultiPoly(ring, terms), one, _trusted=True)
     return op
 
@@ -326,11 +376,13 @@ class DiffOp:
         Two routes give the same operator, term order included (see the
         module docstring).  When _term_route holds (real polynomial
         coefficients, a ring with no adjunct), _compose_terms applies the
-        Leibniz rule monomial by monomial on packed term maps.  Otherwise
-        every output coefficient gathers its Leibniz terms
-        binom(a, k) c_a D^k d_b, with D^k d_b from _derivative_table, and
-        sums them fraction-free in one _sum_products call, as apply does.
-        Neither route keeps anything after the product returns.
+        Leibniz rule monomial by monomial on packed term maps, one
+        convolution per output index and left term.  Otherwise every output
+        coefficient gathers its Leibniz terms binom(a, k) c_a D^k d_b, with
+        D^k d_b from _derivative_table, sums them fraction-free in one
+        _sum_products call, as apply does, and lists the sum's terms in
+        descending exponent order.  Neither route keeps anything after the
+        product returns.
         """
         self._check(other)
         spec = self.spec
@@ -353,7 +405,8 @@ class DiffOp:
         for idx, group in items.items():
             s = _sum_products(spec.ring, group)
             if not s.is_zero():
-                op.terms[idx] = s
+                terms = dict(sorted(s.num.terms.items(), reverse=True))
+                op.terms[idx] = Expr(MultiPoly(spec.ring, terms), s.den, _trusted=True)
         return op
 
     def commutator(self, other: "DiffOp") -> "DiffOp":

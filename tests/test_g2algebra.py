@@ -150,6 +150,26 @@ def test_targets_carry_positive_excess():
     assert u_excess(l_a())[0] <= 0
 
 
+def test_excess_witness_ignores_term_insertion_order():
+    # the same operator with its derivatives and each coefficient's terms
+    # inserted in reverse order gives the same excess and the same witness
+    from weylcalc.coeffring import MultiPoly
+    from weylcalc.weyl import DiffOp
+
+    def reversed_terms(op):
+        out = DiffOp(op.spec)
+        for a, c in reversed(list(op.terms.items())):
+            terms = dict(reversed(list(c.num.terms.items())))
+            out.terms[a] = Expr(MultiPoly(RU, terms), c.den, _trusted=True)
+        return out
+
+    for op in (b_a(), c_op(), generator("T2"), b_a().compose(c_op())):
+        flipped = reversed_terms(op)
+        assert flipped == op
+        assert list(flipped.terms) != list(op.terms)
+        assert u_excess(flipped) == u_excess(op)
+
+
 def test_decompositions_and_their_limits():
     res = {c.check: c for c in verify_decompositions()}
     for name in ("g2.decompose.h", "g2.decompose.l", "g2.decompose.b", "g2.decompose.c"):

@@ -678,3 +678,81 @@ def test_power_composes_the_base_on_the_left(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == len(base.terms) * k
         assert power == left == right
+
+
+def _descending(op):
+    """Whether every coefficient of op lists its numerator's terms in
+    descending exponent order."""
+    return all(list(c.num.terms) == sorted(c.num.terms, reverse=True) for c in op.terms.values())
+
+
+def test_every_route_lists_coefficient_terms_in_descending_order(monkeypatch):
+    """Both routes give each coefficient's terms in descending exponent
+    order: real operators on the term-level route and, forced, on the Expr
+    route; Gaussian ones and rational R3 ones, which take the Expr route
+    anyway."""
+    from weylcalc import weyl
+    from weylcalc.coulomb2d import c_op, h_a, l_a
+
+    rng = random.Random(2626)
+    gaussian = [(_polynomial_op(rng), _polynomial_op(rng)) for _ in range(6)]
+    real = [(_real_part(a), _real_part(b)) for a, b in gaussian]
+    real += [(c_op(), h_a()), (l_a(), c_op())]
+    (spec, atoms, _, _), _ = _rational_cases()
+    rational = [tuple(_rational_op(spec, rng, atoms) for _ in range(2)) for _ in range(6)]
+    rational.append((_r3_polynomial_op(), _r3_polynomial_op()))
+    assert all(weyl._term_route(a, b) for a, b in real)
+    assert not any(weyl._term_route(a, b) for a, b in gaussian + rational)
+    term_level = [a.compose(b) for a, b in real]
+    assert all(_descending(op) for op in term_level)
+    assert all(_descending(a.compose(b)) for a, b in gaussian + rational)
+    monkeypatch.setattr(weyl, "_term_route", lambda left, right: False)
+    forced = [a.compose(b) for a, b in real]
+    assert all(_descending(op) for op in forced)
+    assert forced == term_level
+
+
+def test_grouped_sums_that_cancel_leave_no_zero_term_or_index(monkeypatch):
+    """Leibniz terms from different right terms land on one (output index,
+    left term) sum: D[r] . (r + r^2 u) D[r] and D[r] . (-1) both reach
+    D[r].  When that sum cancels, it adds nothing; when every sum at an
+    index cancels, the index is absent; when part of it cancels, no zero
+    term is kept.  The sums of different left terms cancel too:
+    (r D[r] - 1) . r has no order-zero term.  The Expr route agrees, and
+    the products act as the factors applied in turn."""
+    from weylcalc import weyl
+
+    r, u = RU.var("r"), RU.var("u")
+    right = _mul(r).compose(_dr()) - identity(RU_SPEC)
+    partly = _mul(r + r * r * u).compose(_dr()) - identity(RU_SPEC)
+    cases = [
+        (_dr(), right, {(2, 0): r}),
+        (_dr() + _mul(u), right, {(2, 0): r, (1, 0): r * u, (0, 0): -u}),
+        (_dr(), partly, {(2, 0): r + r * r * u, (1, 0): r * u * 2}),
+        (right, _mul(r), {(1, 0): r * r}),
+    ]
+    products = [a.compose(b) for a, b, _ in cases]
+    monkeypatch.setattr(weyl, "_term_route", lambda left, right: False)
+    forced = [a.compose(b) for a, b, _ in cases]
+    monkeypatch.undo()
+    for (a, b, want), product, expr_route in zip(cases, products, forced):
+        assert product == DiffOp(RU_SPEC, want) == expr_route
+        assert list(product.terms) == list(expr_route.terms)
+        assert all(c.num.terms and all(c.num.terms.values()) for c in product.terms.values())
+        assert _acts_as_sequence(a, b, 3)
+
+
+def test_cubic_products_act_as_their_factors_on_flag_monomials():
+    """c . c and (c . c) . h_a, the products the cubic algebra is checked
+    with, applied to every flag monomial r^a u^b with a + 2b <= 8, equal
+    their factors applied in turn through DiffOp.apply, which shares no
+    Leibniz code with compose."""
+    from weylcalc.coulomb2d import c_op, h_a
+
+    c, h = c_op(), h_a()
+    cc = c.compose(c)
+    for a, b, product in ((c, c, cc), (cc, h, cc.compose(h))):
+        for j in range(5):
+            for i in range(9 - 2 * j):
+                f = Expr.of_poly(RU.monomial(1, r=i, u=j))
+                assert product.apply(f) == a.apply(b.apply(f)), (i, j)
