@@ -10,7 +10,11 @@ matrix on P_top gives the matrix on each P_n as its leading block.  Matrices
 are exact; characteristic polynomials come from a fraction-free elimination
 with a fast path for triangular matrices, and spectrum_witnesses lists every
 way a matrix misses the expected triangular structure and spectrum (an empty
-list is the verdict that it has both).  Eigenspaces at a rational
+list is the verdict that it has both).  On a triangular matrix with no lam on
+its diagonal, spectrum_witnesses reads the spectrum off the diagonal: both
+characteristic polynomials are products of monic linear factors in lam, which
+factor uniquely, so comparing the factor multisets is exact and no product is
+expanded; every other matrix goes through char_poly.  Eigenspaces at a rational
 parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
 from the unique reduced row echelon form of M - lam*I, each row scaled into
 Z[i] by its own lcm; flagrep does no elimination of its own.
@@ -18,6 +22,7 @@ Z[i] by its own lcm; flagrep does no elimination of its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,6 +242,14 @@ def spectrum_witnesses(matrix: OperatorMatrix) -> list:
     triangular structure or its full spectrum: the first nonzero entry below
     the diagonal in each row, each diagonal entry off its level eigenvalue,
     and a characteristic-polynomial mismatch.  Empty when the matrix has both.
+
+    On a triangular matrix (upper or lower) with no lam in its diagonal the
+    characteristic polynomial is prod_i (lam - M_ii), a product of monic
+    linear factors in lam over the UFD Q(i)[lam, beta, mu, p, ...], as is the
+    expected prod_k (lam - level_eigenvalue(k))^(k//2+1).  Two such products
+    are equal exactly when their factor multisets are, so the check compares
+    the diagonal with the level eigenvalues as multisets and expands neither
+    product.  Any other matrix goes through char_poly.
     """
     entries = matrix.entries
     witnesses = []
@@ -244,16 +257,25 @@ def spectrum_witnesses(matrix: OperatorMatrix) -> list:
         j = next((j for j in range(i) if not entries[i][j].is_zero()), None)
         if j is not None:
             witnesses.append("below-diagonal entry (%d,%d) = %s" % (i, j, entries[i][j]))
+    # no below-diagonal witness means upper triangular
+    triangular = not witnesses or _is_lower_triangular(entries)
+    eigs = [level_eigenvalue(k) for k in range(matrix.basis.n + 1)]
+    diagonal = [entries[i][i] for i in range(matrix.dim)]
     for i, (a, b) in enumerate(matrix.basis.pairs):
-        want = level_eigenvalue(a + 2 * b)
-        if entries[i][i] != want:
-            witnesses.append("diagonal %d: got %s, want %s" % (i, entries[i][i], want))
-    cp = char_poly(matrix)
-    lam = RU.var("lam")
-    expected = RU.one()
-    for k in range(matrix.basis.n + 1):
-        expected = expected * (lam - level_eigenvalue(k)) ** (k // 2 + 1)
-    if cp != expected:
+        want = eigs[a + 2 * b]
+        if diagonal[i] != want:
+            witnesses.append("diagonal %d: got %s, want %s" % (i, diagonal[i], want))
+    if triangular and not any(d.uses("lam") for d in diagonal):
+        same = Counter(diagonal) == Counter(
+            {eig: k // 2 + 1 for k, eig in enumerate(eigs)}
+        )
+    else:
+        lam = RU.var("lam")
+        expected = RU.one()
+        for k, eig in enumerate(eigs):
+            expected = expected * (lam - eig) ** (k // 2 + 1)
+        same = char_poly(matrix) == expected
+    if not same:
         witnesses.append("characteristic polynomial mismatch")
     return witnesses
 

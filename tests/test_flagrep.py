@@ -147,9 +147,17 @@ def test_level_eigenvalue_formula():
         assert level_eigenvalue(k) == want
 
 
-def test_spectrum_reports():
-    for n in range(5):
-        matrix = matrix_of(h_a(), n)
+def _no_char_poly(matrix):
+    raise AssertionError("a triangular block reached char_poly")
+
+
+def test_spectrum_reports(monkeypatch):
+    # every block of h_a is upper triangular with a lam-free diagonal, so its
+    # spectrum is read off the diagonal and char_poly never runs
+    monkeypatch.setattr(flagrep, "char_poly", _no_char_poly)
+    top = matrix_of(h_a(), 8)
+    for n in range(9):
+        matrix = top.leading_block(n)
         assert spectrum_witnesses(matrix) == []
         assert matrix.dim == flag_dim(n)
 
@@ -185,6 +193,64 @@ def test_spectrum_witnesses_below_diagonal_entry():
         "below-diagonal entry (3,1) = 2",
         "characteristic polynomial mismatch",
     ]
+
+
+def _reference_spectrum_witnesses(basis, entries):
+    """spectrum_witnesses by the definition: the characteristic polynomial by
+    cofactor expansion against the expanded product of level factors."""
+    out = []
+    for i, row in enumerate(entries):
+        j = next((j for j in range(i) if not row[j].is_zero()), None)
+        if j is not None:
+            out.append("below-diagonal entry (%d,%d) = %s" % (i, j, row[j]))
+    for i, (a, b) in enumerate(basis.pairs):
+        want = level_eigenvalue(a + 2 * b)
+        if entries[i][i] != want:
+            out.append("diagonal %d: got %s, want %s" % (i, entries[i][i], want))
+    lam = RU.var("lam")
+    expected = RU.one()
+    for k in range(basis.n + 1):
+        for _ in range(k // 2 + 1):
+            expected = expected * (lam - level_eigenvalue(k))
+    if _char_poly_by_cofactors(entries) != expected:
+        out.append("characteristic polynomial mismatch")
+    return out
+
+
+def test_spectrum_witnesses_swapped_levels_keep_the_spectrum(monkeypatch):
+    # P_2 basis 1, r, r^2, u: swapping the diagonal slots of r (level 1) and
+    # u (level 2) puts both off their levels but keeps the eigenvalue
+    # multiset, so the characteristic polynomial still matches; the
+    # transpose is lower triangular and takes the same factored comparison
+    monkeypatch.setattr(flagrep, "char_poly", _no_char_poly)
+    basis, entries = _h_a_entries(2)
+    entries[1][1], entries[3][3] = entries[3][3], entries[1][1]
+    got = spectrum_witnesses(OperatorMatrix(basis, entries))
+    assert [w.split(":")[0] for w in got] == ["diagonal 1", "diagonal 3"]
+    assert got == _reference_spectrum_witnesses(basis, entries)
+    transpose = [list(col) for col in zip(*entries)]
+    got = spectrum_witnesses(OperatorMatrix(basis, transpose))
+    assert "characteristic polynomial mismatch" not in got
+    assert got == _reference_spectrum_witnesses(basis, transpose)
+
+
+def test_spectrum_witnesses_lam_on_the_diagonal_uses_char_poly(monkeypatch):
+    # lam - M_00 is no longer a monic linear factor in lam, so the factored
+    # comparison does not apply and the block goes through char_poly
+    calls = []
+    true_char_poly = flagrep.char_poly
+
+    def spy(matrix):
+        calls.append(matrix)
+        return true_char_poly(matrix)
+
+    monkeypatch.setattr(flagrep, "char_poly", spy)
+    basis, entries = _h_a_entries(2)
+    entries[0][0] = entries[0][0] + RU.var("lam")
+    got = spectrum_witnesses(OperatorMatrix(basis, entries))
+    assert len(calls) == 1
+    assert got == _reference_spectrum_witnesses(basis, entries)
+    assert got[-1] == "characteristic polynomial mismatch"
 
 
 def test_eigenpolynomials_simple_point():

@@ -4,6 +4,7 @@ first-order subset, grading obstructions, and enveloping-algebra rewrites."""
 from fractions import Fraction
 from itertools import combinations
 
+from weylcalc import g2algebra
 from weylcalc.coeffring import Expr
 from weylcalc.coulomb2d import b_a, c_op, h_a, l_a
 from weylcalc.flagrep import invariance_witnesses
@@ -180,6 +181,25 @@ def test_decompositions_and_their_limits():
             "the impossibility argument must be part of the report: %s"
             % res[name].witnesses
         )
+
+
+def test_infeasibility_argument_needs_its_premise(monkeypatch):
+    # the every-degree line rests on each first-order generator having
+    # u-excess <= 0; a generator reporting a positive excess drops it and
+    # leaves the degree-4 verdict as it was
+    true_excess = g2algebra.u_excess
+    j1 = generator("J1", 0)
+
+    def excess(op):
+        return (1, "J1 term") if op == j1 else true_excess(op)
+
+    monkeypatch.setattr(g2algebra, "u_excess", excess)
+    # the uncached function, so the cached verdicts stay as they were
+    res = {c.check: c for c in verify_decompositions.__wrapped__()}
+    for name in ("g2.decompose.b.gl2", "g2.decompose.c.gl2"):
+        assert not res[name].passed
+        assert len(res[name].witnesses) == 1
+        assert res[name].witnesses[0].startswith("infeasible at degree 4: ")
 
 
 def test_quadratic_family_rebuilds_h():
