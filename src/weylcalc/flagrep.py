@@ -300,7 +300,7 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
         shifted = {-j: v for j, v in enumerate(row)}
         shifted[-i] = row[i] - lam
         # the system is homogeneous, so scaling a row keeps the kernel
-        solver.add(integral_form(shifted)[1], 0)
+        solver.add(integral_form(shifted)[1], ())
     out = []
     for f in range(len(dense)):
         if -f in solver.pivots:

@@ -3,8 +3,10 @@
 The solver keeps a reduced row echelon basis of pivot rows keyed by column,
 so adding an equation costs one pass over its support.  Its rows are over
 the Gaussian integers Z[i], and it eliminates fraction-free: each pivot row
-carries its own integer pivot entry instead of being divided by it.  There
-is no pivoting heuristic to tune and no tolerance anywhere.
+carries its own integer pivot entry instead of being divided by it.  Each
+row has a vector of right-hand sides, so one elimination of a coefficient
+matrix solves several systems that share it.  There is no pivoting
+heuristic to tune and no tolerance anywhere.
 
 On top of it, decompose() writes a target operator as
 
@@ -34,16 +36,28 @@ each product is read once per pattern of the columns' powers of s (absent
 or present), and the column shift leaves s out.  Columns are ints
 numbered in sorted (M, m) order, so the pivot rule sees the order of the
 pairs.
+
+When no product carries a parameter, the column (M, m) only meets rows
+whose parameter exponents are m, so the system is one copy per parameter
+monomial of a single matrix.  Then the columns are the products alone, each
+with the power the grading fixes, and each parameter monomial m is one
+component of the right-hand side: a target term with parameter exponents m
+goes to component m of the row of its other exponents, and a target term
+whose m is past the bounds makes the solve inconsistent.  Within a block the
+rows keep their order and the columns the order of M, so each block has the
+pivots and values it has in the full system, and the rank is the number of
+blocks times the matrix's rank.  When some product carries a parameter
+there is one component and the columns are the (M, m) pairs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators, _packer
 from .weyl import DiffOp, identity
@@ -53,34 +67,44 @@ class SparseSolver:
     """Incremental fraction-free Gaussian elimination over sparse rows.
 
     Columns are arbitrary comparable hashables.  Rows are added one at a
-    time, and every entry and right-hand side is an element of Z[i]: a
-    plain int when real, a GaussRat with integral parts otherwise.  Entries
-    are nonzero; the caller scales its rows (see integral_form) and the
-    solver takes them as given.  Each pivot row keeps its own integer pivot
-    entry d > 0, so it stands for d*x_pivot + sum row[c]*x_c = rhs.
-    Eliminating an entry f against it forms d*row - f*prow, so nothing is
-    ever divided by a pivot; a pivot row is divided by the integer content
-    of its entries after it is formed and after each back-reduction, which
-    keeps its entries small.
+    time, each with a tuple of right-hand sides, one per component: the
+    solver eliminates one coefficient matrix for several systems at once
+    (none for a homogeneous one).  Every entry and right-hand side is an
+    element of Z[i]: a plain int when real, a GaussRat with integral parts
+    otherwise.  Entries are nonzero; the caller scales its rows (see
+    integral_form) and the solver takes them as given.  A row keeps its
+    right-hand sides as a sparse map, component -> nonzero value, and each
+    pivot row keeps its own integer pivot entry d > 0, so it stands for
+    d*x_pivot + sum row[c]*x_c = rhs[k] in every component k.  Eliminating an
+    entry f against it forms d*row - f*prow, and the same on the right-hand
+    sides, so nothing is ever divided by a pivot; a pivot row is divided by
+    the integer content of its entries and right-hand sides after it is
+    formed and after each back-reduction, which keeps its entries small.
 
     The pivot rule is the largest column of the reduced row, and the pivot
     basis is kept fully reduced, so consistency is known as soon as a
-    contradictory row arrives.  Every row stays a nonzero multiple of the
-    row that elimination over the Gaussian rationals would form, so the
-    pivots, the contradictions and the solution are the same.
+    contradictory row arrives; contradictions counts, per component, the
+    rows that reduce to 0 = nonzero there.  The pivots never read a
+    right-hand side, so each component's pivots, contradictions and solution
+    are those of a solve with that right-hand side alone.  Every row stays a
+    nonzero multiple of the row that elimination over the Gaussian rationals
+    would form, so the pivots, the contradictions and the solution are the
+    same as there.
     """
 
     def __init__(self):
-        self.pivots = {}        # col -> (row dict without col, rhs, pivot entry d)
+        self.pivots = {}        # col -> (row without col, {component: rhs}, pivot entry d)
         self.occ = {}           # col -> set of pivot cols whose rows touch it
-        self.contradictions = 0
+        self.contradictions = Counter()  # component -> rows contradicting it
 
-    def add(self, coeffs: dict, rhs) -> bool:
-        """Add equation sum coeffs[c]*x_c = rhs over Z[i]; False on
-        contradiction.  coeffs is copied, never changed."""
+    def add(self, coeffs: dict, rhs: tuple) -> bool:
+        """Add the equations sum coeffs[c]*x_c = rhs[k] over Z[i], one per
+        component k; False when some component contradicts.  coeffs is
+        copied, never changed."""
         pivots = self.pivots
         occ = self.occ
         row = dict(coeffs)
+        rhs = {k: r for k, r in enumerate(rhs) if r}
         for col in list(row):
             piv = pivots.get(col)
             if piv is None:
@@ -90,19 +114,20 @@ class SparseSolver:
             if d != 1:
                 for c2 in row:
                     row[c2] *= d
-                rhs *= d
+                for k in rhs:
+                    rhs[k] *= d
             for c2, v2 in prow.items():
                 nv = row.get(c2, 0) - f * v2
                 if nv:
                     row[c2] = nv
                 else:
                     row.pop(c2, None)
-            rhs -= f * prhs
+            if prhs:
+                _subtract(rhs, f, prhs)
         if not row:
-            if rhs:
-                self.contradictions += 1
-                return False
-            return True
+            for k in rhs:
+                self.contradictions[k] += 1
+            return not rhs
         pivot_col = max(row)
         d = row.pop(pivot_col)
         if type(d) is not int:
@@ -110,7 +135,7 @@ class SparseSolver:
                 # a non-real pivot: multiply through by its conjugate
                 conj = d.conj()
                 row = {c: v * conj for c, v in row.items()}
-                rhs *= conj
+                rhs = {k: v * conj for k, v in rhs.items()}
                 d *= conj
             d = d.re.numerator
         prow, prhs, d = _primitive(row, rhs, d)
@@ -123,7 +148,8 @@ class SparseSolver:
             if d != 1:
                 for c2 in orow:
                     orow[c2] *= d
-                orhs *= d
+                for k in orhs:
+                    orhs[k] *= d
                 od *= d
             for c2, v2 in prow.items():
                 nv = orow.get(c2, 0) - f * v2
@@ -135,7 +161,9 @@ class SparseSolver:
                     if c2 in orow:
                         del orow[c2]
                         occ[c2].discard(owner)
-            pivots[owner] = _primitive(orow, orhs - f * prhs, od)
+            if prhs:
+                _subtract(orhs, f, prhs)
+            pivots[owner] = _primitive(orow, orhs, od)
         occ.pop(pivot_col, None)
         pivots[pivot_col] = (prow, prhs, d)
         for c2 in prow:
@@ -143,11 +171,25 @@ class SparseSolver:
         return True
 
     def solution(self) -> dict:
-        """Particular solution with all free columns set to zero: the nonzero
-        values of the pivot columns, in pivot creation order."""
+        """Particular solution of every component with all free columns set
+        to zero: for each pivot column, in pivot creation order, its nonzero
+        values as {component: value}; a pivot whose values all vanish is
+        left out."""
         return {
-            col: GaussRat.of(rhs) / d for col, (_, rhs, d) in self.pivots.items() if rhs
+            col: {k: GaussRat.of(r) / d for k, r in rhs.items()}
+            for col, (_, rhs, d) in self.pivots.items()
+            if rhs
         }
+
+
+def _subtract(vec: dict, f, other: dict) -> None:
+    """vec -= f*other on sparse maps, dropping the entries that vanish."""
+    for k, v in other.items():
+        nv = vec.get(k, 0) - f * v
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
 
 
 def integral_form(values: dict) -> tuple:
@@ -173,20 +215,25 @@ def _divided(v, c: int):
     return GaussRat(re, im) if im else re
 
 
-def _primitive(row: dict, rhs, d: int):
-    """A pivot row over the integer content of its entries, with d > 0."""
+def _primitive(row: dict, rhs: dict, d: int):
+    """A pivot row over the integer content of its entries and right-hand
+    sides, with d > 0."""
     try:
-        c = gcd(d, rhs, *row.values())
+        c = gcd(d, *rhs.values(), *row.values())
     except TypeError:
         # non-real entries: the content is the gcd of all their parts, and
         # dividing by it also turns entries that became real back into ints
-        c = gcd(d, *_parts(rhs), *(p for v in row.values() for p in _parts(v)))
+        c = gcd(d, *(p for v in (*rhs.values(), *row.values()) for p in _parts(v)))
     else:
         if c == 1 and d > 0:
             return row, rhs, d
     if d < 0:
         c = -c
-    return {k: _divided(v, c) for k, v in row.items()}, _divided(rhs, c), d // c
+    return (
+        {k: _divided(v, c) for k, v in row.items()},
+        {k: _divided(v, c) for k, v in rhs.items()},
+        d // c,
+    )
 
 
 # -- weight grading ------------------------------------------------------------
@@ -351,7 +398,9 @@ def decompose(
     (conventionally beta), or decompose raises ValueError; the grading fixes
     each monomial's power of that parameter and prunes impossible monomials.
     idempotents names symbols s to be treated modulo s^2 = s (two-valued
-    parameters), so the solve happens in the quotient ring.
+    parameters), so the solve happens in the quotient ring.  When no product
+    carries a parameter, the product matrix is eliminated once, with one
+    right-hand side per parameter monomial (see the module docstring).
     """
     ring = target.spec.ring
     if not target.is_polynomial():
@@ -401,11 +450,21 @@ def decompose(
     result.unknowns = len(kept) * len(pmonos)
     target_q = idempotent_reduce_op(target, idempotents) if idempotents else target
 
+    # when no product carries a parameter, the column (M, m) only meets the
+    # rows whose parameter exponents are m: the system is one matrix, over
+    # the products alone, with one right-hand side per parameter monomial m
+    ppos = [i for i in map(ring.index_of, params) if i != gpos]
+    split = bool(ppos) and not any(
+        e[i] for mono, _ in kept for c in ops[mono].terms.values() for e in c.num.terms
+        for i in ppos
+    )
+    col_pmonos, rhs_pmonos = (pmonos[:1], pmonos) if split else (pmonos, pmonos[:1])
+
     # column exponents per graded power, and the packing width: a row key
     # adds a product's exponents and a column's, so the widest field is at
     # most the largest product degree plus the largest column degree
     by_power = {
-        gpow: {pexp: e[:gpos] + (gpow,) + e[gpos + 1:] if gpow else e for pexp, e in pmonos}
+        gpow: {pexp: e[:gpos] + (gpow,) + e[gpos + 1:] if gpow else e for pexp, e in col_pmonos}
         for gpow in {gpow for _, gpow in kept}
     }
     top_a, top_e = _degrees(target_q)
@@ -417,7 +476,7 @@ def decompose(
 
     # column ids number the (mono, pexp) pairs in sorted order, so the
     # solver's largest-column pivot rule sees the order it would on the pairs
-    pexp_rank = {pexp: i for i, pexp in enumerate(sorted(pexp for pexp, _ in pmonos))}
+    pexp_rank = {pexp: i for i, pexp in enumerate(sorted(pexp for pexp, _ in col_pmonos))}
     decode = [  # column id -> (mono, coefficient exponents)
         (mono, cexp) for mono, gpow in kept for _, cexp in sorted(by_power[gpow].items())
     ]
@@ -438,22 +497,36 @@ def decompose(
     dens = {}  # mono -> the denominator of its column numerators
     for rank, (mono, gpow) in enumerate(kept):
         dens[mono], flat = _flatten(ops[mono])
-        base = rank * len(pmonos)
+        base = rank * len(col_pmonos)
         for pattern, cols in shifts[gpow].items():
             packed = _packed_terms(flat, idem_pos, pattern, pack)
             for offset, shift in cols:
                 col = base + offset
                 for key, v in packed:
                     rows[key + shift][col] = v
+
+    # a target term with parameter exponents m goes to block m of the row of
+    # its other exponents; with no block m it is out of reach of every column
     den_target, rhs_flat = _flatten(target_q)
-    rhs_map = {_row_key(pack, a, e): v for (a, e), v in rhs_flat.items()}
+    blocks = {e: k for k, (_, e) in enumerate(rhs_pmonos)}
+    blocked = set(ppos) if split else set()
+    rhs_map = {}  # packed row key -> right-hand side per block
+    unreachable = False
+    for (a, e), v in rhs_flat.items():
+        m = tuple(x if i in blocked else 0 for i, x in enumerate(e))
+        k = blocks.get(m)
+        if k is None:
+            unreachable = True
+        else:
+            rhs_map.setdefault(_row_key(pack, a, tuple(map(sub, e, m))), [0] * len(blocks))[k] = v
 
     # the solver's unknowns are y = den_target*x/den_mono
     solver = SparseSolver()
+    zeros = (0,) * len(blocks)
     for key in sorted(rows.keys() | rhs_map.keys(), reverse=True):
-        solver.add(rows[key], rhs_map.get(key, 0))
-    result.rank = len(solver.pivots)
-    if solver.contradictions:
+        solver.add(rows[key], tuple(rhs_map.get(key, zeros)))
+    result.rank = len(solver.pivots) * len(blocks)
+    if unreachable or solver.contradictions:
         result.message = (
             "no decomposition within degree bound %d / parameter bound %d"
             % (degree_bound, param_bound)
@@ -461,9 +534,11 @@ def decompose(
         return result
 
     terms = {}  # mono -> {coefficient exponents: x}
-    for col, value in solver.solution().items():
+    for col, values in solver.solution().items():
         mono, cexp = decode[col]
-        terms.setdefault(mono, {})[cexp] = value * Fraction(dens[mono], den_target)
+        scale = Fraction(dens[mono], den_target)
+        for k, value in values.items():
+            terms.setdefault(mono, {})[tuple(map(add, cexp, rhs_pmonos[k][1]))] = value * scale
     coefficients = {mono: MultiPoly(ring, t) for mono, t in terms.items()}
 
     # exact reconstruction is the authoritative acceptance of the solve

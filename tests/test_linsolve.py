@@ -258,9 +258,16 @@ def test_decompose_row_key_past_64_bits_raises():
     target = DiffOp(RU_SPEC, {(1, 0): RU.var("u", 2**64)})
     with pytest.raises(CoeffRingError):
         decompose(target, gens, ops)
+    # a product that carries mu keeps mu on its columns, and mu*u^(2**64-1)
+    # passes the field
     target = DiffOp(RU_SPEC, {(1, 0): RU.var("u", 2**64 - 1)})
+    carrier = [("G", _J1().scale(Expr.of_poly(RU.var("mu"))))]
     with pytest.raises(CoeffRingError):
-        decompose(target, gens, ops, params=("mu",), param_bound=1)
+        decompose(target, carrier, monomial_ops(carrier, 1), params=("mu",), param_bound=1)
+    # J1 carries no mu, so its columns are the products alone, mu^k goes to
+    # the right-hand sides, and the same target packs and is out of reach
+    dec = decompose(target, gens, ops, params=("mu",), param_bound=1)
+    assert not dec.success and "degree bound" in dec.message
 
 
 # -- SparseSolver against a dense reference ------------------------------------
@@ -318,12 +325,13 @@ def _dense_rref(rows, ncols):
     return accepted, order, contradictions, {pc: basis[pc][1] for pc in order}
 
 
-def _random_system(rng, nrows, ncols, gaussian):
+def _random_system(rng, nrows, ncols, gaussian, ncomp=1):
     """Sparse rows over small Gaussian rationals with mixed denominators, mixed
     with repeated rows and with combinations of two earlier rows whose
-    right-hand side is kept (consistent) or perturbed (contradictory).  Some
-    rows carry a common factor such as 12 or 35/5, which the solver divides
-    out of its integer rows."""
+    right-hand sides are kept (consistent) or perturbed (contradictory), each
+    component on its own coin.  Every row has a tuple of ncomp right-hand
+    sides.  Some rows carry a common factor such as 12 or 35/5, which the
+    solver divides out of its integer rows."""
 
     def number():
         re = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
@@ -345,10 +353,11 @@ def _random_system(rng, nrows, ncols, gaussian):
                 v = _gsub(_gmul(m1, c1.get(c, _G0)), _gmul(m2, c2.get(c, _G0)))
                 if v != _G0:
                     coeffs[c] = v
-            rhs = _gsub(_gmul(m1, r1), _gmul(m2, r2))
-            if rng.random() < 0.5:
-                rhs = _gsub(rhs, number())
-            rows.append((coeffs, rhs))
+            rhs = []
+            for a, b in zip(r1, r2):
+                v = _gsub(_gmul(m1, a), _gmul(m2, b))
+                rhs.append(_gsub(v, number()) if rng.random() < 0.5 else v)
+            rows.append((coeffs, tuple(rhs)))
         else:
             scale = (Fraction(rng.choice((1, 1, 6, 12, 35)), rng.choice((1, 5))), Fraction(0))
             coeffs = {}
@@ -356,36 +365,38 @@ def _random_system(rng, nrows, ncols, gaussian):
                 v = _gmul(number(), scale)
                 if v != _G0:
                     coeffs[c] = v
-            rows.append((coeffs, _gmul(number(), scale)))
+            rows.append((coeffs, tuple(_gmul(number(), scale) for _ in range(ncomp))))
     return rows
 
 
 def _gaussian_integer_row(coeffs, rhs):
-    """A row and its right-hand side times the lcm of all their denominators,
-    as the solver takes them: ints when real, GaussRat otherwise."""
-    den = lcm(*(p.denominator for v in (*coeffs.values(), rhs) for p in v))
+    """A row and its right-hand sides times the lcm of all their
+    denominators, as the solver takes them: ints when real, GaussRat
+    otherwise."""
+    den = lcm(*(p.denominator for v in (*coeffs.values(), *rhs) for p in v))
 
     def scaled(v):
         re, im = (int(p * den) for p in v)
         return GaussRat(re, im) if im else re
 
-    return {c: scaled(v) for c, v in coeffs.items()}, scaled(rhs)
+    return {c: scaled(v) for c, v in coeffs.items()}, tuple(map(scaled, rhs))
 
 
 def _lifted_content(coeffs, rhs):
     """gcd of a row's parts once scaled to integers by their common denominator."""
-    parts = [p for v in (*coeffs.values(), rhs) for p in v]
+    parts = [p for v in (*coeffs.values(), *rhs) for p in v]
     den = lcm(*(p.denominator for p in parts))
     return gcd(*(p.numerator * (den // p.denominator) for p in parts))
 
 
 def _assert_primitive(solver):
     # every pivot row is over Z[i] with an integer pivot entry d > 0 and no
-    # common integer factor, and its real entries are plain ints
+    # common integer factor across its entries and right-hand sides, and its
+    # real entries are plain ints
     for prow, prhs, d in solver.pivots.values():
         assert type(d) is int and d > 0
         parts = [d]
-        for v in list(prow.values()) + [prhs]:
+        for v in [*prow.values(), *prhs.values()]:
             if type(v) is int:
                 parts.append(v)
             else:
@@ -402,13 +413,15 @@ def test_sparse_solver_matches_dense_reference():
         rows = _random_system(rng, rng.randint(1, 10), ncols, gaussian=trial % 3 != 0)
         solver = SparseSolver()
         added = [solver.add(*_gaussian_integer_row(coeffs, rhs)) for coeffs, rhs in rows]
-        accepted, order, contradictions, solution = _dense_rref(rows, ncols)
+        accepted, order, contradictions, solution = _dense_rref(
+            [(coeffs, rhs) for coeffs, (rhs,) in rows], ncols
+        )
         assert added == accepted
         assert list(solver.pivots) == order
-        assert solver.contradictions == contradictions
+        assert solver.contradictions[0] == contradictions
         # solution() leaves out the pivots whose value is zero
         nonzero = {c: v for c, v in solution.items() if v != _G0}
-        assert {c: (v.re, v.im) for c, v in solver.solution().items()} == nonzero
+        assert {c: (v[0].re, v[0].im) for c, v in solver.solution().items()} == nonzero
         _assert_primitive(solver)
         seen["contradictory"] += contradictions > 0
         seen["underdetermined"] += len(order) < ncols
@@ -421,26 +434,247 @@ def test_sparse_solver_matches_dense_reference():
 def test_sparse_solver_keeps_primitive_integer_rows():
     solver = SparseSolver()
     # 6x + 12y = 18: pivot y, divided by the content 6
-    assert solver.add({0: 6, 1: 12}, 18)
-    assert solver.pivots[1] == ({0: 1}, 3, 2)
+    assert solver.add({0: 6, 1: 12}, (18,))
+    assert solver.pivots[1] == ({0: 1}, {0: 3}, 2)
     # 4y + (2+2i)z = 10i: reduced against y to a multiple of
     # (1+i)z - x = -3+5i, multiplied by the conjugate of its pivot entry,
     # then divided by the content: 2z + (-1+i)x = 2+8i
-    assert solver.add({1: 4, 2: GaussRat(2, 2)}, GaussRat(0, 10))
-    assert solver.pivots[2] == ({0: GaussRat(-1, 1)}, GaussRat(2, 8), 2)
+    assert solver.add({1: 4, 2: GaussRat(2, 2)}, (GaussRat(0, 10),))
+    assert solver.pivots[2] == ({0: GaussRat(-1, 1)}, {0: GaussRat(2, 8)}, 2)
     _assert_primitive(solver)
     # 3x + 6y = 10 reduces to 0 = 1
-    assert not solver.add({0: 3, 1: 6}, 10)
-    assert solver.contradictions == 1
+    assert not solver.add({0: 3, 1: 6}, (10,))
+    assert solver.contradictions == {0: 1}
     assert list(solver.pivots) == [1, 2]
     # free x = 0: y = 3/2 and z = (-3+5i)/(1+i) = 1+4i
-    assert solver.solution() == {1: GaussRat(Fraction(3, 2)), 2: GaussRat(1, 4)}
+    assert solver.solution() == {1: {0: GaussRat(Fraction(3, 2))}, 2: {0: GaussRat(1, 4)}}
 
 
 def test_solution_leaves_out_zero_values():
     solver = SparseSolver()
-    assert solver.add({0: 1, 1: 2}, 0)  # pivot 1, value 0 with x free
-    assert solver.add({2: 3}, 6)  # pivot 2, value 2
-    assert solver.add({3: GaussRat(0, 1)}, 0)  # a non-real pivot, value 0
+    assert solver.add({0: 1, 1: 2}, (0,))  # pivot 1, value 0 with x free
+    assert solver.add({2: 3}, (6,))  # pivot 2, value 2
+    assert solver.add({3: GaussRat(0, 1)}, (0,))  # a non-real pivot, value 0
     assert list(solver.pivots) == [1, 2, 3]
-    assert solver.solution() == {2: GaussRat(2)}
+    assert solver.solution() == {2: {0: GaussRat(2)}}
+
+
+def test_several_right_hand_sides_match_one_reference_solve_each():
+    # the pivots never read a right-hand side, so each component of a solve
+    # with several is the dense reference's solve with that component alone:
+    # the same pivots in the same order, its own contradictions and values
+    rng = random.Random(20281)
+    seen = {"one of several contradicts": 0, "all consistent": 0, "non-real": 0,
+            "content": 0, "underdetermined": 0}
+    for trial in range(200):
+        ncols, ncomp = rng.randint(1, 7), rng.randint(2, 4)
+        rows = _random_system(rng, rng.randint(1, 10), ncols, trial % 3 != 0, ncomp)
+        solver = SparseSolver()
+        added = [solver.add(*_gaussian_integer_row(coeffs, rhs)) for coeffs, rhs in rows]
+        values = solver.solution()
+        contradicted, accepted_by = 0, []
+        for k in range(ncomp):
+            accepted, order, contradictions, solution = _dense_rref(
+                [(coeffs, rhs[k]) for coeffs, rhs in rows], ncols
+            )
+            assert list(solver.pivots) == order
+            assert solver.contradictions[k] == contradictions
+            nonzero = {c: v for c, v in solution.items() if v != _G0}
+            assert {c: (v[k].re, v[k].im) for c, v in values.items() if k in v} == nonzero
+            accepted_by.append(accepted)
+            contradicted += contradictions > 0
+            seen["non-real"] += any(v[1] for v in solution.values())
+            seen["underdetermined"] += len(order) < ncols
+        # a row is accepted exactly when no component contradicts it
+        assert added == [all(row) for row in zip(*accepted_by)]
+        # only nonzero values are listed, and only pivots that have some
+        assert all(v and all(v.values()) for v in values.values())
+        assert sorted(solver.contradictions) == [
+            k for k in range(ncomp) if solver.contradictions[k]
+        ]
+        _assert_primitive(solver)
+        seen["one of several contradicts"] += contradicted == 1
+        seen["all consistent"] += contradicted == 0
+        seen["content"] += any(_lifted_content(c, r) > 1 for c, r in rows)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_one_component_contradicts_and_the_others_solve():
+    solver = SparseSolver()
+    # x + y = (1, 2, i) and 2x + 2y = (2, 5, 2i): only the middle component
+    # contradicts; the others keep y = 1 and y = i with x free
+    assert solver.add({0: 1, 1: 1}, (1, 2, GaussRat(0, 1)))
+    assert not solver.add({0: 2, 1: 2}, (2, 5, GaussRat(0, 2)))
+    assert solver.contradictions == {1: 1}
+    # (2+2i)x = (0, 4, 4): times the conjugate of the pivot entry,
+    # 8x = (0, 8-8i, 8-8i), and over the content 8 of the pivot entry and
+    # every component, x = (0, 1-i, 1-i); back-reducing y's row leaves
+    # y = (1, 1+i, -1+2i)
+    assert solver.add({0: GaussRat(2, 2)}, (0, 4, 4))
+    assert list(solver.pivots) == [1, 0]
+    _assert_primitive(solver)
+    assert solver.solution() == {
+        1: {0: GaussRat(1), 1: GaussRat(1, 1), 2: GaussRat(-1, 2)},
+        0: {1: GaussRat(1, -1), 2: GaussRat(1, -1)},
+    }
+    # a homogeneous system has no components and never contradicts
+    solver = SparseSolver()
+    assert solver.add({0: 1, 1: 1}, ())
+    assert solver.add({0: 2, 1: 2}, ())
+    assert not solver.contradictions
+    assert solver.pivots == {1: ({0: 1}, {}, 1)}
+    assert solver.solution() == {}
+
+
+# -- decompose against the full (product x parameter monomial) system ----------
+#
+# The reference builds one column per (product, parameter monomial) pair, in
+# sorted pair order, and one row per (derivative, exponents) of the products
+# times the columns' monomials, read modulo p^2 = p when asked; it eliminates
+# over Fraction in the row order (|a|, a, |e|, e) from the largest down, with
+# the largest column of the reduced row as pivot and a fully reduced basis.
+# It shares no assembly or elimination code with decompose.
+
+
+def _fraction_rref(rows):
+    """(pivot cols in creation order, contradictions, solution) of sparse
+    Fraction rows [(coeffs, rhs)]."""
+    basis, contradictions = {}, 0  # pivot col -> (row without the pivot, rhs)
+    for coeffs, rhs in rows:
+        vec = dict(coeffs)
+        for pc in [c for c in vec if c in basis]:
+            f = vec.pop(pc)
+            prow, prhs = basis[pc]
+            for c, v in prow.items():
+                nv = vec.get(c, 0) - f * v
+                if nv:
+                    vec[c] = nv
+                else:
+                    vec.pop(c, None)
+            rhs -= f * prhs
+        if not vec:
+            contradictions += rhs != 0
+            continue
+        pc = max(vec)
+        inv = 1 / vec.pop(pc)
+        prow, prhs = {c: v * inv for c, v in vec.items()}, rhs * inv
+        for oc, (orow, orhs) in basis.items():
+            f = orow.pop(pc, 0)
+            if f:
+                for c, v in prow.items():
+                    nv = orow.get(c, 0) - f * v
+                    if nv:
+                        orow[c] = nv
+                    else:
+                        orow.pop(c, None)
+                basis[oc] = (orow, orhs - f * prhs)
+        basis[pc] = (prow, prhs)
+    return list(basis), contradictions, {pc: rhs for pc, (_, rhs) in basis.items()}
+
+
+def _full_system_solve(target, gens, ops, param_bound, idempotent_p):
+    """(rank, consistent, {names: {exponents: Fraction}}, distinct rows once
+    mu and p are dropped) of target over the (product, mu^i p^j) columns, each
+    product's power of beta fixed by GRADING."""
+    from weylcalc.coulomb2d import GRADING
+    from weylcalc.linsolve import op_weight
+
+    ibeta, imu, ip = (RU.index_of(s) for s in ("beta", "mu", "p"))
+    w_target = op_weight(target, GRADING)
+    gen_w = [op_weight(op, GRADING) for _, op in gens]
+    caps = (param_bound, 1 if idempotent_p else param_bound)
+    pmonos = [
+        (i, j) for i in range(caps[0] + 1) for j in range(caps[1] + 1) if i + j <= param_bound
+    ]
+
+    def clamp(e):
+        return e[:ip] + (min(e[ip], 1),) + e[ip + 1:] if idempotent_p else e
+
+    def real(v):
+        assert not v.im
+        return v.re
+
+    columns, rows = [], {}
+    for mono in sorted(ops):
+        gpow = sum(gen_w[i] for i in mono) - w_target
+        if gpow < 0 or ops[mono].is_zero():
+            continue
+        for i, j in sorted(pmonos):
+            col = len(columns)
+            cexp = [0] * RU.nsyms
+            cexp[ibeta], cexp[imu], cexp[ip] = gpow, i, j
+            columns.append((mono, tuple(cexp)))
+            for a, c in ops[mono].terms.items():
+                for e, v in c.as_poly().terms.items():
+                    key = (a, clamp(tuple(x + y for x, y in zip(e, cexp))))
+                    row = rows.setdefault(key, [{}, 0])
+                    row[0][col] = row[0].get(col, 0) + real(v)
+    for a, c in target.terms.items():
+        for e, v in c.as_poly().terms.items():
+            rows.setdefault((a, clamp(e)), [{}, 0])[1] += real(v)
+    order = sorted(rows, key=lambda k: (sum(k[0]), k[0], sum(k[1]), k[1]), reverse=True)
+    pivots, contradictions, solution = _fraction_rref(
+        [({c: v for c, v in rows[k][0].items() if v}, rows[k][1]) for k in order]
+    )
+    coefficients = {}
+    for col, value in solution.items():
+        if value:
+            mono, cexp = columns[col]
+            coefficients.setdefault(tuple(gens[i][0] for i in mono), {})[cexp] = value
+    dropped = {(a, tuple(0 if i in (imu, ip) else x for i, x in enumerate(e))) for a, e in rows}
+    return len(pivots), not contradictions, coefficients, len(dropped)
+
+
+@pytest.mark.parametrize("name", ["h_a", "l_a"])
+@pytest.mark.parametrize("idempotents", [(), ("p",)])
+def test_g2_solves_match_the_full_system(name, idempotents, monkeypatch):
+    # at mark 0 the products carry no mu or p, so decompose solves one
+    # product matrix with a right-hand side per parameter monomial; its rank,
+    # verdict and coefficients are those of the full system, and the solver
+    # takes one row per distinct (derivative, exponents without mu and p)
+    from weylcalc import coulomb2d
+    from weylcalc.coulomb2d import GRADING
+    from weylcalc.g2algebra import LOWERING_GL2, generator_set
+
+    target = getattr(coulomb2d, name)()
+    gens = generator_set(0, LOWERING_GL2)
+    ops = monomial_ops(gens, 2)
+    added = []
+    add = SparseSolver.add
+    monkeypatch.setattr(SparseSolver, "add", lambda self, *a: added.append(1) or add(self, *a))
+    dec = decompose(target, gens, ops, params=("mu", "p"), param_bound=4, weights=GRADING,
+                    idempotents=idempotents)
+    rank, consistent, coefficients, rows = _full_system_solve(
+        target, gens, ops, 4, bool(idempotents)
+    )
+    assert dec.rank == rank
+    assert dec.success == consistent
+    assert dec.success
+    got = {}
+    for names, poly in dec.coefficients.items():
+        assert all(not v.im for v in poly.terms.values())
+        got[names] = {e: v.re for e, v in poly.terms.items()}
+    assert got == coefficients
+    assert len(added) == rows
+
+
+def test_parameter_monomial_past_the_bound_is_out_of_reach():
+    # J1 and R1 carry no mu, so mu^k rides on the right-hand side; a term
+    # with mu^2 past param_bound 1 reaches no block, and the solve fails as
+    # a column-less row does, with the base target's rank
+    weights = {"r": 1, "u": 2, "beta": -1}
+    beta, mu = RU.var("beta"), RU.var("mu")
+    gens = [("J1", _J1()), ("R1", _R1())]
+    ops = monomial_ops(gens, 2)
+    solve = dict(params=("mu",), param_bound=1, weights=weights)
+    base = _J1().compose(_J1()) + _R1().scale(Expr.of_poly(beta * mu))
+    ok = decompose(base, gens, ops, **solve)
+    assert ok.success, ok.message
+    assert ok.coefficient_strings() == {"J1*J1": "1", "R1": "beta*mu"}
+    target = base + _R1().scale(Expr.of_poly(beta * mu * mu))
+    dec = decompose(target, gens, ops, **solve)
+    assert not dec.success
+    assert dec.message == "no decomposition within degree bound 2 / parameter bound 1"
+    assert dec.rank == ok.rank
+    assert dec.residual is target
+    assert dec.coefficients == {}
