@@ -3,7 +3,7 @@ decomposition export, and the expression parser.
 
 Exit codes: 0 all requested checks pass, 1 any failure or error (a closed
 output pipe included), 2 usage problems (unknown names, syntax errors, no
-matching checks, a --param that no selected check reads).
+matching checks, a --param that no selected check reads, beta=0).
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .weyl import WeylError, format_op
 
 
 def _parse_point(pairs) -> dict:
-    """The evaluation point: DEFAULT_POINT overlaid with the --param pairs."""
+    """The evaluation point: DEFAULT_POINT overlaid with the --param pairs.
+    beta = 0 is refused: the level eigenvalues beta*(k + 1 + p + mu) differ
+    from each other exactly when beta != 0."""
     point = dict(DEFAULT_POINT)
     given = set()
     for pair in pairs or ():
@@ -40,6 +42,10 @@ def _parse_point(pairs) -> dict:
         raise ValueError(
             "no check reads %s; accepted names: %s"
             % (", ".join(unknown), ", ".join(sorted(DEFAULT_POINT)))
+        )
+    if point["beta"] == 0:
+        raise ValueError(
+            "beta=0: every level eigenvalue beta*(k + 1 + p + mu) is 0, so the levels collide"
         )
     return point
 

@@ -16,8 +16,9 @@ characteristic polynomials are products of monic linear factors in lam, which
 factor uniquely, so comparing the factor multisets is exact and no product is
 expanded; every other matrix goes through char_poly.  Eigenspaces at a rational
 parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
-from the unique reduced row echelon form of M - lam*I, each row scaled into
-Z[i] by its own lcm; flagrep does no elimination of its own.
+from the unique reduced row echelon form of M - lam*I, each row scaled to
+integers by its own lcm (a non-real entry raises CoeffRingError); flagrep
+does no elimination of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import Expr, GaussRat, GR_ONE, MultiPoly
+from .coeffring import Expr, GR_ONE, MultiPoly
 from .linsolve import SparseSolver, integral_form
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
@@ -293,7 +294,9 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
     Column c goes into the solver under the key -c, so its largest-key pivot
     is the leftmost column and its fully reduced basis is the unique RREF:
     each free column f, in increasing order, gives x_f = 1 and
-    x_p = -row_p[f]/d_p on the pivot columns p.
+    x_p = -row_p[f]/d_p on the pivot columns p, a ratio of the integers that
+    integral_form makes of each row.  A non-real entry of dense or a
+    non-real lam raises CoeffRingError there.
     """
     solver = SparseSolver()
     for i, row in enumerate(dense):
@@ -308,7 +311,7 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
         poly = basis.monomial(f)
         for key, (prow, _, d) in solver.pivots.items():
             if -f in prow:
-                poly = poly - basis.monomial(-key) * (GaussRat.of(prow[-f]) / d)
+                poly = poly - basis.monomial(-key) * Fraction(prow[-f], d)
         _, lc = poly.leading()
         if lc != 1:
             poly = poly * (GR_ONE / lc)

@@ -1,9 +1,11 @@
 """Sparse exact linear solving and decomposition into generator monomials.
 
 The solver keeps a reduced row echelon basis of pivot rows keyed by column,
-so adding an equation costs one pass over its support.  Its rows are over
-the Gaussian integers Z[i], and it eliminates fraction-free: each pivot row
-carries its own integer pivot entry instead of being divided by it.  Each
+so adding an equation costs one pass over its support.  Its rows and
+right-hand sides are ints, and it eliminates fraction-free, in the manner of
+Bareiss (Math. Comp. 1968): each pivot row carries its own integer pivot
+entry instead of being divided by it, and is divided by its integer content
+instead of by the previous pivot.  Each
 row has a vector of right-hand sides, so one elimination of a coefficient
 matrix solves several systems that share it.  There is no pivoting
 heuristic to tune and no tolerance anywhere.
@@ -17,9 +19,11 @@ parameter polynomials pi_M found by exact elimination and the result checked
 by reconstructing the operator and subtracting.  The products op(M) come
 from monomial_ops(), which the caller runs once per generator set and
 degree and hands to every decompose() over that set.  Each column carries
-its product's Z[i] numerators over the product's own denominator (see
+its product's integer numerators over the product's own denominator (see
 integral_form), the right-hand side the target's, and each solved value is
-scaled back once.
+scaled back once.  Every system solved here is real: integral_form refuses a
+non-real coefficient with CoeffRingError, so a Gaussian product or target
+never reaches the solver.
 
 The system is a Macaulay matrix (as in Faugere's F4, JPAA 1999) on packed
 integer keys, after the packed monomials of Monagan & Pearce (CASC 2007).
@@ -59,7 +63,9 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import add, mul, sub
 
-from .coeffring import Expr, GaussRat, MultiPoly, NotPolynomial, _numerators, _packer
+from .coeffring import (
+    CoeffRingError, Expr, GaussRat, MultiPoly, NotPolynomial, _numerators, _packer,
+)
 from .weyl import DiffOp, identity
 
 
@@ -70,8 +76,7 @@ class SparseSolver:
     time, each with a tuple of right-hand sides, one per component: the
     solver eliminates one coefficient matrix for several systems at once
     (none for a homogeneous one).  Every entry and right-hand side is an
-    element of Z[i]: a plain int when real, a GaussRat with integral parts
-    otherwise.  Entries are nonzero; the caller scales its rows (see
+    int, and entries are nonzero; the caller scales its rows (see
     integral_form) and the solver takes them as given.  A row keeps its
     right-hand sides as a sparse map, component -> nonzero value, and each
     pivot row keeps its own integer pivot entry d > 0, so it stands for
@@ -87,9 +92,9 @@ class SparseSolver:
     rows that reduce to 0 = nonzero there.  The pivots never read a
     right-hand side, so each component's pivots, contradictions and solution
     are those of a solve with that right-hand side alone.  Every row stays a
-    nonzero multiple of the row that elimination over the Gaussian rationals
-    would form, so the pivots, the contradictions and the solution are the
-    same as there.
+    nonzero multiple of the row that elimination over the rationals would
+    form, so the pivots, the contradictions and the solution are the same as
+    there.
     """
 
     def __init__(self):
@@ -98,7 +103,7 @@ class SparseSolver:
         self.contradictions = Counter()  # component -> rows contradicting it
 
     def add(self, coeffs: dict, rhs: tuple) -> bool:
-        """Add the equations sum coeffs[c]*x_c = rhs[k] over Z[i], one per
+        """Add the integer equations sum coeffs[c]*x_c = rhs[k], one per
         component k; False when some component contradicts.  coeffs is
         copied, never changed."""
         pivots = self.pivots
@@ -129,16 +134,7 @@ class SparseSolver:
                 self.contradictions[k] += 1
             return not rhs
         pivot_col = max(row)
-        d = row.pop(pivot_col)
-        if type(d) is not int:
-            if d.im:
-                # a non-real pivot: multiply through by its conjugate
-                conj = d.conj()
-                row = {c: v * conj for c, v in row.items()}
-                rhs = {k: v * conj for k, v in rhs.items()}
-                d *= conj
-            d = d.re.numerator
-        prow, prhs, d = _primitive(row, rhs, d)
+        prow, prhs, d = _primitive(row, rhs, row.pop(pivot_col))
         # keep existing pivot rows reduced against the new pivot
         for owner in list(occ.get(pivot_col, ())):
             orow, orhs, od = pivots[owner]
@@ -173,10 +169,10 @@ class SparseSolver:
     def solution(self) -> dict:
         """Particular solution of every component with all free columns set
         to zero: for each pivot column, in pivot creation order, its nonzero
-        values as {component: value}; a pivot whose values all vanish is
+        values as {component: Fraction}; a pivot whose values all vanish is
         left out."""
         return {
-            col: {k: GaussRat.of(r) / d for k, r in rhs.items()}
+            col: {k: Fraction(r, d) for k, r in rhs.items()}
             for col, (_, rhs, d) in self.pivots.items()
             if rhs
         }
@@ -193,47 +189,24 @@ def _subtract(vec: dict, f, other: dict) -> None:
 
 
 def integral_form(values: dict) -> tuple:
-    """(den, {k: den*v}) for the lcm den of the denominators of the
-    Gaussian rationals values, dropping zeros: each den*v is in Z[i], an int
-    when real."""
+    """(den, {k: den*v}) for the lcm den of the denominators of the real
+    rationals values, dropping zeros: each den*v is an int.  A non-real
+    value raises CoeffRingError, since the solver's rows are integer rows."""
     den, nums = _numerators(values.values())
-    return den, {
-        k: GaussRat(re, im) if im else re for k, (re, im) in zip(values, nums) if re or im
-    }
-
-
-def _parts(v) -> tuple:
-    """The integer parts of a Gaussian integer."""
-    return (v,) if type(v) is int else (v.re.numerator, v.im.numerator)
-
-
-def _divided(v, c: int):
-    """v/c for a Gaussian integer v divisible by the integer c."""
-    if type(v) is int:
-        return v // c
-    re, im = v.re.numerator // c, v.im.numerator // c
-    return GaussRat(re, im) if im else re
+    if any(im for _, im in nums):
+        raise CoeffRingError("the solver takes real coefficients only")
+    return den, {k: re for k, (re, _) in zip(values, nums) if re}
 
 
 def _primitive(row: dict, rhs: dict, d: int):
     """A pivot row over the integer content of its entries and right-hand
     sides, with d > 0."""
-    try:
-        c = gcd(d, *rhs.values(), *row.values())
-    except TypeError:
-        # non-real entries: the content is the gcd of all their parts, and
-        # dividing by it also turns entries that became real back into ints
-        c = gcd(d, *(p for v in (*rhs.values(), *row.values()) for p in _parts(v)))
-    else:
-        if c == 1 and d > 0:
-            return row, rhs, d
+    c = gcd(d, *rhs.values(), *row.values())
+    if c == 1 and d > 0:
+        return row, rhs, d
     if d < 0:
         c = -c
-    return (
-        {k: _divided(v, c) for k, v in row.items()},
-        {k: _divided(v, c) for k, v in rhs.items()},
-        d // c,
-    )
+    return {k: v // c for k, v in row.items()}, {k: v // c for k, v in rhs.items()}, d // c
 
 
 # -- weight grading ------------------------------------------------------------
@@ -337,13 +310,7 @@ def _packed_terms(flat: dict, slots, pattern, pack) -> list:
     out = {}
     for (a, e), v in flat.items():
         key = _row_key(pack, a, _clamp(e, slots, pattern))
-        old = out.get(key)
-        if old is not None:
-            # a sum may vanish or turn real
-            v += old
-            if type(v) is not int and not v.im:
-                v = v.re.numerator
-        out[key] = v
+        out[key] = out.get(key, 0) + v
     return [(key, v) for key, v in out.items() if v]
 
 
@@ -400,7 +367,9 @@ def decompose(
     idempotents names symbols s to be treated modulo s^2 = s (two-valued
     parameters), so the solve happens in the quotient ring.  When no product
     carries a parameter, the product matrix is eliminated once, with one
-    right-hand side per parameter monomial (see the module docstring).
+    right-hand side per parameter monomial (see the module docstring).  The
+    target and the products must have real coefficients, or decompose raises
+    CoeffRingError (see integral_form).
     """
     ring = target.spec.ring
     if not target.is_polynomial():
@@ -493,7 +462,7 @@ def decompose(
                 shift[i] = 0
             groups.setdefault(pattern, []).append((pexp_rank[pexp], _row_key(pack, zero_a, shift)))
 
-    rows = defaultdict(dict)  # packed row key -> {column id: numerator in Z[i]}
+    rows = defaultdict(dict)  # packed row key -> {column id: integer numerator}
     dens = {}  # mono -> the denominator of its column numerators
     for rank, (mono, gpow) in enumerate(kept):
         dens[mono], flat = _flatten(ops[mono])
@@ -538,7 +507,8 @@ def decompose(
         mono, cexp = decode[col]
         scale = Fraction(dens[mono], den_target)
         for k, value in values.items():
-            terms.setdefault(mono, {})[tuple(map(add, cexp, rhs_pmonos[k][1]))] = value * scale
+            key = tuple(map(add, cexp, rhs_pmonos[k][1]))
+            terms.setdefault(mono, {})[key] = GaussRat(value * scale)
     coefficients = {mono: MultiPoly(ring, t) for mono, t in terms.items()}
 
     # exact reconstruction is the authoritative acceptance of the solve

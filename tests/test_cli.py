@@ -235,12 +235,18 @@ def test_run_group_leaves_cached_results_alone(monkeypatch):
     assert cached[0].witnesses == ["w"]
 
 
-def test_verify_param_collision_reports_error(capsys):
-    code = main(["verify", "2d.eigenbasis", "--param", "beta=0"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert out.startswith("ERROR")
-    assert "collide" in out
+def test_verify_param_beta_zero_exits_two(capsys):
+    # beta*(k + 1 + p + mu) collides across levels exactly when beta = 0, so
+    # that point is a usage error before any check runs
+    for value in ("0", "0/3"):
+        code = main(["verify", "2d.eigenbasis", "--param", "beta=" + value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "bad --param: beta=0: every level eigenvalue beta*(k + 1 + p + mu) is 0,"
+            " so the levels collide\n"
+        )
 
 
 def test_show_operator(capsys):

@@ -8,7 +8,7 @@ import pytest
 from randops import random_op
 
 from weylcalc import flagrep, registry
-from weylcalc.coeffring import Expr
+from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
 from weylcalc.coulomb2d import b_a, c_op, h_a, l_a
 from weylcalc.flagrep import (
     DEFAULT_POINT,
@@ -359,6 +359,14 @@ def test_eigenvalue_collision_guard():
     degenerate = {"beta": Fraction(0), "mu": Fraction(0), "p": Fraction(0)}
     with pytest.raises(EigenvalueCollision):
         eigenpolynomials(matrix_of(h_a(), 2), degenerate)[1]
+
+
+def test_eigenbasis_refuses_a_non_real_point():
+    # the eigenspace rows go to the integer solver, which refuses a non-real
+    # entry instead of solving over Z[i]
+    point = dict(DEFAULT_POINT, beta=GaussRat(0, 2))
+    with pytest.raises(CoeffRingError):
+        eigenpolynomials(matrix_of(h_a(), 2), point)
 
 
 def test_matrix_requires_invariance():
