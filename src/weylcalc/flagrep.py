@@ -19,6 +19,17 @@ parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
 from the unique reduced row echelon form of M - lam*I, each row scaled to
 integers by its own lcm (a non-real entry raises CoeffRingError); flagrep
 does no elimination of its own.
+
+equality_oracle decides a == b for polynomial-coefficient operators by
+their images of every monomial x^f with exponents f <= bound, which is a
+proof once bound reaches each operator's order in every space variable
+(checked; a lower bound raises FlagError).  It computes those images
+itself: each operator is scaled once to Gaussian integer numerators over
+its common denominator d, and d * op(x^f) = sum_a d*c_a perm(f, a)
+x^(f - a) is built on packed integer term maps, one monomial at a time,
+so it shares no code with DiffOp.apply or either compose route.  The
+flag matrices above stay on DiffOp.apply, which also reports images that
+are not polynomial.
 """
 
 from __future__ import annotations
@@ -26,8 +37,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import perm, prod
 
-from .coeffring import Expr, GR_ONE, MultiPoly
+from .coeffring import Expr, GR_ONE, MultiPoly, _exp_bound, _numerators, _packer
 from .linsolve import SparseSolver, integral_form
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
@@ -337,29 +350,96 @@ def eigenpolynomials(matrix: OperatorMatrix, point: dict) -> list:
     return [_eigenspace(matrix.basis, dense, lam) for lam in eigs]
 
 
-def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:
-    """Probe a == b by comparing a.apply(m) with b.apply(m) on all
-    monomials m with exponents <= bound.
+def _integer_images(op: DiffOp, grid, pack):
+    """(d, images): d is the common denominator of op's coefficients, and
+    images yields, for each exponent f of grid in turn,
 
-    For operators of order at most bound in each variable this is a proof,
-    not a heuristic: a normal-ordered operator vanishing on that grid has
-    every coefficient annihilated by an invertible Vandermonde system.  The
-    operators are never subtracted, so equal pairs go through the probe too.
+        d * op(x^f) = sum_a d*c_a * perm(f, a) * x^(f - a)
+
+    as {packed monomial: (re, im)} with integer parts and no zero entry.
+    op is scaled once to Gaussian integer numerators over d, so an image
+    costs integer multiply-adds on packed keys: x^(f - a) is one packed
+    shift, and perm(f, a) vanishes unless a <= f.  A coefficient that is
+    not a polynomial raises FlagError.
+    """
+    spec = op.spec
+    ring = spec.ring
+    for c in op.terms.values():
+        if not c.is_poly():
+            raise FlagError("coefficient %s is not a polynomial" % c)
+    flat = [(a, e, v) for a, c in op.terms.items() for e, v in c.num.terms.items()]
+    d, nums = _numerators([v for _, _, v in flat])
+    rows = {}
+    for (a, e, _), (re, im) in zip(flat, nums):
+        rows.setdefault(a, []).append((int.from_bytes(pack(*e), "big"), re, im))
+    units = [
+        int.from_bytes(pack(*(int(i == s) for i in range(ring.nsyms))), "big")
+        for s in map(ring.index_of, spec.space)
+    ]
+
+    def images():
+        for f in grid:
+            out = {}
+            get = out.get
+            for a, terms in rows.items():
+                m = prod(map(perm, f, a))
+                if not m:
+                    continue
+                shift = sum((fj - aj) * u for fj, aj, u in zip(f, a, units))
+                for key, re, im in terms:
+                    k = key + shift
+                    v = get(k)
+                    if v is None:
+                        out[k] = (m * re, m * im)
+                    else:
+                        out[k] = (v[0] + m * re, v[1] + m * im)
+            yield {k: v for k, v in out.items() if v[0] or v[1]}
+
+    return d, images()
+
+
+def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:
+    """Probe a == b by comparing their images of every monomial x^f with
+    exponents f <= bound.
+
+    This is a proof, not a heuristic, and its premise is checked: bound
+    below either operator's order in some space variable raises FlagError.
+    A normal-ordered operator of order at most bound in each variable that
+    vanishes on the grid has every coefficient zero: taking f in
+    increasing order, once every c_a with a < f is zero, op(x^f) is
+    f! * c_f.  The images d * op(x^f) come from _integer_images, one
+    monomial at a time for both operators, stopping at the first mismatch;
+    the images of a and b agree when d_b * num_a == d_a * num_b term by
+    term.  No Fraction, MultiPoly or Expr is built per image, and neither
+    DiffOp.apply nor composition is used.  The operators are never
+    subtracted, so equal pairs go through the probe too.  Coefficients must
+    be polynomials: any other coefficient raises FlagError.
     """
     if a.spec != b.spec:
         raise FlagError("operators over different variable specs")
     spec = a.spec
-    ring = spec.ring
-    nv = spec.nspace
-    exps = [()]
-    for _ in range(nv):
-        exps = [e + (j,) for e in exps for j in range(bound + 1)]
-    for e in exps:
-        powers = {}
-        for var, k in zip(spec.space, e):
-            if k:
-                powers[var] = k
-        f = Expr.of_poly(ring.monomial(1, **powers))
-        if a.apply(f) != b.apply(f):
+    for op in (a, b):
+        for j, var in enumerate(spec.space):
+            order = max((idx[j] for idx in op.terms), default=0)
+            if bound < order:
+                raise FlagError(
+                    "bound %d is below the operator's order %d in %s: the "
+                    "monomial grid cannot settle equality" % (bound, order, var)
+                )
+    nsyms = spec.ring.nsyms
+    top = max(
+        (_exp_bound(c.num.terms, nsyms) for op in (a, b) for c in op.terms.values()),
+        default=0,
+    )
+    pack = _packer(nsyms, top + bound).pack
+    grid = list(product(range(bound + 1), repeat=spec.nspace))
+    da, images_a = _integer_images(a, grid, pack)
+    db, images_b = _integer_images(b, grid, pack)
+    for image_a, image_b in zip(images_a, images_b):
+        if image_a.keys() != image_b.keys():
             return False
+        for k, (re, im) in image_a.items():
+            rb, ib = image_b[k]
+            if db * re != da * rb or db * im != da * ib:
+                return False
     return True

@@ -29,11 +29,12 @@ _leibniz, and keep nothing after the product returns: this module holds no
 cache.
 
 DiffOp.apply stays on the Expr route on purpose, and off _leibniz.  The
-cross-checks that compare a product with its factors applied in turn
-(flagrep.equality_oracle, the benchmark's product check) then share none of
-the term-level composition's Leibniz factors, derivatives or accumulation;
-the two meet only in coeffring's exponent packer and its scaling to integer
-numerators.
+benchmark's product check, which compares a product with its factors
+applied in turn, then shares none of the term-level composition's Leibniz
+factors, derivatives or accumulation; the two meet only in coeffring's
+exponent packer and its scaling to integer numerators.
+(flagrep.equality_oracle computes its own images and uses nothing here but
+the DiffOp class.)
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@ and the finite-dimensional equality oracle."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from randops import random_op
 
 from weylcalc import flagrep, registry
-from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
+from weylcalc.coeffring import CoeffRingError, Expr, GaussRat, _packer
 from weylcalc.coulomb2d import b_a, c_op, h_a, l_a
 from weylcalc.flagrep import (
     DEFAULT_POINT,
@@ -27,7 +28,7 @@ from weylcalc.flagrep import (
     spectrum_witnesses,
 )
 from weylcalc.spaces import RU, RU_SPEC
-from weylcalc.weyl import DiffOp, format_op, mul_op, partial
+from weylcalc.weyl import DiffOp, format_op, mul_op, partial, zero_op
 
 REPS = 1000
 
@@ -497,6 +498,87 @@ def test_equality_oracle_never_subtracts_operators(monkeypatch):
     monkeypatch.setattr(DiffOp, "__sub__", refuse)
     assert equality_oracle(a, b, 4)
     assert not equality_oracle(a, h_a(), 4)
+
+
+def test_equality_oracle_neither_applies_nor_composes(monkeypatch):
+    # the oracle builds its own images, so it shares no code path with
+    # either compose route or with DiffOp.apply
+    hl, lh = h_a().compose(l_a()), l_a().compose(h_a())
+
+    def refuse(self, other):
+        raise AssertionError("the oracle called into weyl")
+
+    monkeypatch.setattr(DiffOp, "apply", refuse)
+    monkeypatch.setattr(DiffOp, "compose", refuse)
+    assert equality_oracle(hl, lh, 12)
+    assert not equality_oracle(hl, h_a(), 12)
+
+
+def test_integer_images_are_apply_scaled_by_the_denominator():
+    """On the grid up to bound 6 each of the oracle's images is
+    d * op.apply(x^f), d the operator's common denominator; apply is the
+    reference."""
+    rng = random.Random(3003)
+    randoms = [random_op(rng) for _ in range(50)]
+    assert sum(
+        any(not v.is_real() for c in op.terms.values() for v in c.num.terms.values())
+        for op in randoms
+    ) > 10, "the sample must exercise Gaussian coefficients"
+    ops = [h_a(), l_a(), b_a(), c_op(), h_a().compose(l_a())] + randoms
+    grid = list(product(range(7), repeat=2))
+    for op in ops:
+        top = max(max(map(max, c.num.terms)) for c in op.terms.values())
+        packer = _packer(RU.nsyms, top + 6)
+        d, images = flagrep._integer_images(op, grid, packer.pack)
+        seen = 0
+        for (i, j), image in zip(grid, images):
+            want = op.apply(Expr.of_poly(RU.monomial(1, r=i, u=j))).as_poly() * d
+            got = {
+                packer.unpack(k.to_bytes(packer.size, "big")): GaussRat(re, im)
+                for k, (re, im) in image.items()
+            }
+            assert got == want.terms, (format_op(op), i, j)
+            seen += 1
+        assert seen == len(grid)
+
+
+def test_equality_oracle_probes_the_edge_of_the_grid():
+    # d_r^12 and d_u^12 kill every monomial below r^12 and u^12 respectively,
+    # so only the grid's last row or column tells these pairs apart
+    a = h_a()
+    for var in ("r", "u"):
+        b = a + partial(RU_SPEC, var, 12)
+        assert not equality_oracle(a, b, 12)
+        assert not equality_oracle(b, a, 12)
+
+
+def test_equality_oracle_weighs_each_denominator():
+    # h_a/3 has h_a's integer numerators, over 6 instead of 2
+    a = h_a()
+    b = a.scale(Fraction(1, 3))
+    assert not equality_oracle(a, b, 4)
+    assert not equality_oracle(b, a, 4)
+    assert equality_oracle(b, a.scale(Fraction(2, 6)), 4)
+
+def test_equality_oracle_refuses_a_grid_below_the_order():
+    # an empty grid proves nothing
+    for a, b in ((h_a(), l_a()), (zero_op(RU_SPEC), zero_op(RU_SPEC))):
+        with pytest.raises(FlagError, match="bound -1 is below"):
+            equality_oracle(a, b, -1)
+    # d_r^5 vanishes on every monomial up to r^2, yet it is not zero
+    d5 = partial(RU_SPEC, "r", 5)
+    with pytest.raises(FlagError, match="order 5 in r"):
+        equality_oracle(d5, zero_op(RU_SPEC), 2)
+    with pytest.raises(FlagError, match="order 5 in r"):
+        equality_oracle(zero_op(RU_SPEC), d5, 4)
+    assert not equality_oracle(d5, zero_op(RU_SPEC), 5)
+
+
+def test_equality_oracle_refuses_a_non_polynomial_coefficient():
+    pole = mul_op(RU_SPEC, Expr.make(RU.one(), RU.var("r"))).compose(partial(RU_SPEC, "r"))
+    for a, b in ((pole, pole), (h_a(), pole), (pole, h_a())):
+        with pytest.raises(FlagError, match="not a polynomial"):
+            equality_oracle(a, b, 4)
 
 
 def test_matrix_readers_leave_the_entries_as_they_were():
