@@ -7,6 +7,11 @@ of earlier polynomials (e.g. r with r^2 = x^2 + y^2 + z^2); products are
 reduced so every adjunct appears with exponent 0 or 1.  Rational functions
 keep an adjunct-free, monic, gcd-reduced denominator, which makes the zero
 test a plain dict emptiness check.
+
+An adjunct square that is a diagonal quadratic form of rank >= 3, such as
+x^2 + y^2 + z^2, is certified irreducible (a product of two linear forms
+has rank <= 2).  Gcds and reductions against a power of a certified square
+are trial exact divisions by it; every other gcd runs the subresultant PRS.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, sub
 from struct import Struct
 
@@ -214,7 +219,10 @@ def _exp_bound(terms: dict, nsyms: int) -> int:
 
 
 def _numerators(coeffs):
-    """(common denominator d, [(re, im) integer numerators over d])."""
+    """(common denominator d, [(re, im) integer numerators over d]).  coeffs
+    is walked twice, so a one-pass iterator is read into a list first."""
+    if iter(coeffs) is coeffs:
+        coeffs = list(coeffs)
     den = 1
     for c in coeffs:
         den = lcm(den, c.re.denominator, c.im.denominator)
@@ -479,6 +487,7 @@ class PolyRing:
         self.adjuncts = []          # sorted by index, ascending
         self._adjunct_at = {}       # index -> Adjunct
         self._zero_exps = (0,) * self.nsyms
+        self.prime_squares = []     # certified irreducible adjunct squares
 
     def define_adjunct(self, symbol, square: "MultiPoly"):
         """Adjoin symbol as a square root: symbol^2 = square.
@@ -486,6 +495,13 @@ class PolyRing:
         Raises CoeffRingError when symbol is already an adjunct or is used
         by another adjunct's square, and when square uses symbol, a later
         symbol or an adjunct.
+
+        A square that is a diagonal quadratic form with at least three
+        terms, sum c_i*x_i^2, is certified irreducible and joins
+        prime_squares, the base that gcds and reductions trial-divide by.
+        The form has rank >= 3, while a product of two linear forms has rank
+        <= 2, so it has no factor over C and none over Q(i).  No other
+        square is certified: x^2 + y^2 = (x + iy)(x - iy) is not.
         """
         idx = self.index_of(symbol)
         if square.ring is not self:
@@ -503,6 +519,8 @@ class PolyRing:
         self.adjuncts.append(adj)
         self.adjuncts.sort(key=lambda a: a.index)
         self._adjunct_at[idx] = adj
+        if _diagonal_rank(square) >= 3:
+            self.prime_squares.append(PrimeSquare(square))
 
     def index_of(self, symbol) -> int:
         try:
@@ -944,15 +962,93 @@ def _join_by(parts: dict, idx: int, ring: PolyRing) -> MultiPoly:
     return MultiPoly(ring, terms)
 
 
+def _diagonal_rank(square: MultiPoly) -> int:
+    """Rank of square as a quadratic form when it is diagonal, sum c_i*x_i^2
+    with every c_i nonzero (its number of terms); 0 for any other
+    polynomial."""
+    for e in square.terms:
+        if sum(e) != 2 or 2 not in e:
+            return 0
+    return len(square.terms)
+
+
+class PrimeSquare:
+    """A certified irreducible adjunct square s, made monic, with its powers
+    s^k (built as they are first asked for, in descending grlex order).
+
+    s is prime in the polynomial ring, so the divisors of s^k are the
+    powers s^j, j <= k, up to units: gcd(s^k, q) is s^j for j the number of
+    exact divisions of q by s that succeed, at most k.  That needs no PRS.
+    """
+
+    __slots__ = ("powers", "nterms")
+
+    def __init__(self, square: MultiPoly):
+        s = _monic(square)
+        self.powers = [s.ring.one(), MultiPoly(s.ring, dict(s.sorted_terms()))]
+        self.nterms = len(s.terms)
+
+    def power(self, k: int) -> MultiPoly:
+        powers = self.powers
+        while len(powers) <= k:
+            p = powers[-1] * powers[1]
+            powers.append(MultiPoly(p.ring, dict(p.sorted_terms())))
+        return powers[k]
+
+    def exponent(self, p: MultiPoly) -> int:
+        """k when p is s^k with k >= 1, else 0.  Every term of s^k has degree
+        2k, and a diagonal form of n terms to the k-th has comb(k+n-1, n-1)
+        terms, so one term's degree names the only candidate power and the
+        term count screens it before the comparison."""
+        k, odd = divmod(sum(next(iter(p.terms))), 2)
+        n = self.nterms
+        if not k or odd or len(p.terms) != comb(k + n - 1, n - 1):
+            return 0
+        return k if p.terms == self.power(k).terms else 0
+
+    def divide_out(self, q: MultiPoly, limit: int) -> list:
+        """[q, q/s, ..., q/s^j] for the largest j <= limit that divides.
+
+        A multiple of s has at least as many terms as s, so a shorter
+        quotient ends the chain with no division: the Newton polytope of
+        s*t is the Minkowski sum of s's, a simplex with one vertex per term
+        of s, and t's, so it has at least that many vertices, and the
+        coefficient at a vertex is a product of two nonzero ones.
+        """
+        s = self.powers[1]
+        chain = [q]
+        while len(chain) <= limit and len(chain[-1].terms) >= self.nterms:
+            try:
+                chain.append(chain[-1].exact_div(s))
+            except NotPolynomial:
+                break
+        return chain
+
+    def gcd(self, a: MultiPoly, b: MultiPoly):
+        """gcd(a, b) when a or b is a power of s; None otherwise."""
+        ka, kb = self.exponent(a), self.exponent(b)
+        if ka and kb:
+            return self.power(min(ka, kb))
+        if not ka and not kb:
+            return None
+        k, other = (ka, b) if ka else (kb, a)
+        return self.power(len(self.divide_out(other, k)) - 1)
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd of adjunct-free polynomials over the Gaussian rationals.
 
-    Recursive in the main (highest-index) symbol: gcd = gcd of the contents
-    times the primitive gcd from the subresultant PRS (Brown, J. ACM 1971;
-    Geddes, Czapor & Labahn, ch. 7).  The content of the argument with fewer
-    terms is taken first; when it is 1 the gcd is primitive, so the other
-    argument's content cannot change it and is never computed: the PRS
-    takes that argument as it is.
+    When one argument is a power s^k of a certified adjunct square s of
+    the ring (PolyRing.define_adjunct), the gcd is s^j, j the number of
+    exact divisions of the other argument by s that succeed, up to k, and
+    gcd(s^a, s^b) is s^min(a, b): no PRS runs.
+
+    Otherwise it recurses in the main (highest-index) symbol: gcd = gcd of
+    the contents times the primitive gcd from the subresultant PRS (Brown,
+    J. ACM 1971; Geddes, Czapor & Labahn, ch. 7).  The content of the
+    argument with fewer terms is taken first; when it is 1 the gcd is
+    primitive, so the other argument's content cannot change it and is
+    never computed: the PRS takes that argument as it is.
     """
     if a.is_zero():
         return _monic(b)
@@ -966,6 +1062,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _monic(a)
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _min_exps_gcd(a, b)
+    for prime in a.ring.prime_squares:
+        g = prime.gcd(a, b)
+        if g is not None:
+            return g
     idx = _main_symbol(a, b)
     if idx is None:
         return a.ring.one()
@@ -1344,15 +1444,42 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
 
 def _cancel(num: MultiPoly, den: MultiPoly):
     """(num/h, den/h) for h the gcd of adjunct-free den and num's adjunct
-    content; den/h keeps den's leading coefficient."""
+    content; den/h keeps den's leading coefficient.
+
+    When den is a power s^k of a certified adjunct square, h is s^j for the
+    least j over num's adjunct groups of the exact divisions by s that
+    succeed, up to k: each group is trial-divided, and no content gcd is
+    taken.
+    """
     if den.is_const():
         return num, den
+    for prime in num.ring.prime_squares:
+        k = prime.exponent(den)
+        if k:
+            return _cancel_power(num, den, prime, k)
     h = _adjunct_content(num)
     if not h.is_const():
         h = poly_gcd(h, den)
         if not h.is_const():
             return _div_grouped(num, h), den.exact_div(h)
     return num, den
+
+
+def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int):
+    """_cancel of num against den = s^k, s = prime's square."""
+    chains = []
+    j = k
+    for mono, q in _adjunct_groups(num).items():
+        chain = prime.divide_out(q, j)
+        j = len(chain) - 1
+        if not j:
+            return num, den
+        chains.append((mono, chain))
+    out = {}
+    for mono, chain in chains:
+        for e, c in chain[j].terms.items():
+            out[tuple(map(add, e, mono))] = c
+    return MultiPoly(num.ring, out), prime.power(k - j)
 
 
 def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import fnmatch
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import import_module
 
 from .flagrep import DEFAULT_POINT
@@ -157,6 +156,9 @@ def run_checks(requested, point=DEFAULT_POINT, jobs: int = 1) -> list:
     ]
     workers = min(jobs, len(calls))  # a fork pool starts every worker at once
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which --jobs 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_group, *call) for call in calls]
             batches = [future.result() for future in futures]

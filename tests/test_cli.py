@@ -137,13 +137,56 @@ def test_jobs_start_at_most_one_worker_per_group(capsys, monkeypatch):
         def submit(self, fn, *args):
             return InlineFuture(fn(*args))
 
-    monkeypatch.setattr(registry, "ProcessPoolExecutor", InlinePool)
+    # registry imports the pool class when it needs one, from this module
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     # 2d.pipeline.* is one group and geom.* two; a lone group runs here
     assert main(["verify", "2d.pipeline.*", "geom.*", "--jobs", "5000"]) == 0
     assert main(["verify", "geom.*", "--jobs", "5000"]) == 0
     assert main(["verify", "2d.pipeline.*", "--jobs", "5000"]) == 0
     assert sizes == [3, 2]
     capsys.readouterr()
+
+
+SEQUENTIAL_THEN_PARALLEL = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from weylcalc.cli import main
+
+def run(*argv):
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", *argv, "--format", "json"])
+    payload = json.loads(out.getvalue())
+    for entry in payload:
+        entry.pop("elapsed_ms")
+    return code, payload
+
+run("2d.algebraic", "--jobs", "1")
+print("concurrent.futures" in sys.modules)
+seq = run("2d.algebraic", "geom.det", "--jobs", "1")
+par = run("2d.algebraic", "geom.det", "--jobs", "2")
+print("concurrent.futures" in sys.modules, seq == par, seq[0])
+"""
+
+
+def test_sequential_run_never_imports_the_process_pool():
+    # a fresh interpreter: the test process may have imported the pool already
+    src = str(Path(weylcalc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SEQUENTIAL_THEN_PARALLEL],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # not imported by --jobs 1; imported by --jobs 2, whose output matches
+    assert proc.stdout.split() == ["False", "True", "True", "0"]
 
 
 def test_verify_point_reaches_worker_processes(capsys):

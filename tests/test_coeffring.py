@@ -316,6 +316,165 @@ def test_define_adjunct_keeps_squares_flat():
         late.define_adjunct("s", late.var("x"))
 
 
+# -- certified adjunct squares: trial division in place of the PRS --------------------
+
+
+def _certified(square_of) -> list:
+    """prime_squares of a fresh (x, y, z, w, s) ring whose adjunct s has the
+    square that square_of(x, y, z, w) builds."""
+    ring = PolyRing(("x", "y", "z", "w", "s"))
+    ring.define_adjunct("s", square_of(*(ring.var(v) for v in "xyzw")))
+    return [p.powers[1] for p in ring.prime_squares]
+
+
+def test_only_diagonal_forms_of_rank_three_are_certified():
+    x, y, z = (R3.var(v) for v in "xyz")
+    assert [p.powers[1] for p in R3.prime_squares] == [x * x + y * y + z * z]
+    # AMB adjoins rho^2 = x^2 + y^2 = (x + iy)(x - iy) and r^2 = x^2 + y^2 + z^2
+    ax, ay, az = (AMB.var(v) for v in "xyz")
+    assert [p.powers[1] for p in AMB.prime_squares] == [ax * ax + ay * ay + az * az]
+    assert len(_certified(lambda x, y, z, w: x * x + y * y + z * z)) == 1
+    # certified monic: 2x^2 - 3y^2 + (1+i)w^2 has rank 3 over C
+    (p,) = _certified(lambda x, y, z, w: x * x * 2 - y * y * 3 + w * w * (1 + I))
+    assert p.leading()[1] == 1
+    assert _certified(lambda x, y, z, w: x * x + y * y) == []  # rank 2
+    assert _certified(lambda x, y, z, w: x * x + y * y + z * z + 1) == []  # not homogeneous
+    assert _certified(lambda x, y, z, w: x * y + z * z) == []  # not diagonal
+    assert _certified(lambda x, y, z, w: x * x + y * y + z * w) == []  # not diagonal
+    assert RU.prime_squares == [] and XYZ.prime_squares == []
+
+
+def test_prime_square_recognises_exactly_its_powers():
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    x, y = R3.var("x"), R3.var("y")
+    for k in range(1, 6):
+        assert prime.exponent(s ** k) == k
+        assert prime.exponent(s ** k * 2) == 0
+        # homogeneous, of the same degree and, for k = 1, the same term count
+        assert prime.exponent(s ** k - x ** (2 * k) + y ** (2 * k) * 3) == 0
+    for p in (R3.one(), x * x + y * y, s * x, s + 1):
+        assert prime.exponent(p) == 0
+
+
+R3_ALGEBRAIC = ("x", "y", "z", "beta")
+
+
+def test_a_multiple_of_a_certified_square_has_at_least_its_terms(monkeypatch):
+    """The term-count screen of the trial division: s*t keeps at least the
+    three terms of s, so a quotient with fewer ends the chain undivided."""
+    rng = random.Random(3030)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    x, y = R3.var("x"), R3.var("y")
+    for _ in range(200):
+        t = random_poly(R3, rng, R3_ALGEBRAIC, terms=3, degree=2, nonzero=True)
+        t = t * rng.choice((R3.one(), x + y * I, x * x + y * y - R3.var("z") ** 2))
+        assert len((s * t).terms) >= 3, t
+    monkeypatch.setattr(MultiPoly, "exact_div", lambda *args: 1 / 0)
+    short = (x * x + y * y, x ** 4 * 3 - y * I, x * y)
+    assert [len(prime.divide_out(q, 3)) for q in short] == [1, 1, 1]
+
+
+def _without_prime_squares(monkeypatch, compute):
+    """compute() with R3's certified squares withdrawn: today's PRS path."""
+    with monkeypatch.context() as m:
+        m.setattr(R3, "prime_squares", [])
+        return compute()
+
+
+def test_gcd_with_a_square_power_matches_the_prs(monkeypatch):
+    """gcd(s^k, q) by trial division equals the PRS gcd, for q = s^j f with
+    j below, at and above k, Gaussian coefficients and x +- iy factors."""
+    rng = random.Random(3131)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    x, y = R3.var("x"), R3.var("y")
+    lines = (x + y * I, x - y * I, x + y + 1)
+    seen = set()
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        j = rng.randint(0, 5)
+        q = s ** j * random_poly(R3, rng, R3_ALGEBRAIC, terms=3, degree=1, nonzero=True)
+        for line in rng.sample(lines, rng.randint(0, 2)):
+            q = q * line
+        q = q * random_gauss(rng, nonzero=True)
+        seen.add((j > k) - (j < k))
+        for a, b in ((s ** k, q), (q, s ** k)):
+            got = poly_gcd(a, b)
+            want = _without_prime_squares(monkeypatch, lambda: poly_gcd(a, b))
+            assert got == want, (k, j, q)
+            # q / s^j has degree <= 1 in z, so s divides it no further
+            assert list(got.terms) == list(prime.power(min(j, k)).terms)
+    assert seen == {-1, 0, 1}
+    # gcd(s^a, s^b) = s^min(a, b), and x^2 + y^2 shares nothing with s
+    assert poly_gcd(s ** 4, s ** 2) == s ** 2 == poly_gcd(s ** 2, s ** 3)
+    assert poly_gcd(s ** 3, (x * x + y * y) ** 2).is_const()
+
+
+def test_cancel_against_a_square_power_matches_the_content_gcd(monkeypatch):
+    """Expr.make(num, s^k) trial-divides every adjunct group of num: the
+    same terms, in the same order, as reducing against num's content gcd.
+    The groups carry different powers of s, so the least one decides."""
+    rng = random.Random(3232)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    x, y, r = R3.var("x"), R3.var("y"), R3.var("r")
+    seen = set()
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        groups = [rng.randint(0, 5) for _ in range(rng.randint(1, 2))]
+        num = R3.zero()
+        for mono, j in zip((R3.one(), r), groups):
+            part = random_poly(R3, rng, R3_ALGEBRAIC, terms=2, degree=1, nonzero=True)
+            if rng.randint(0, 1):
+                part = part * (x + y * I)
+            num = num + s ** j * part * mono
+        seen.add((len(groups), min(groups) >= k))
+        den = s ** k * random_gauss(rng, nonzero=True) if rng.randint(0, 3) else s ** k
+        got = Expr.make(num, den)
+        want = _without_prime_squares(monkeypatch, lambda: Expr.make(num, den))
+        assert list(got.num.terms.items()) == list(want.num.terms.items()), (num, k)
+        assert list(got.den.terms.items()) == list(want.den.terms.items()), (num, k)
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
+
+def test_rank_two_adjunct_squares_are_not_trial_divided():
+    """AMB's rho^2 = x^2 + y^2 = (x + iy)(x - iy) is reducible, so a gcd or
+    a reduction against it must find the linear factors."""
+    x, y, z = (AMB.var(v) for v in "xyz")
+    rho2 = x * x + y * y
+    q = (x + y * I) * (z + 2)
+    assert poly_gcd(q, rho2 ** 2) == x + y * I
+    assert poly_gcd(rho2 ** 2, q) == x + y * I
+    e = Expr.make(x + y * I, rho2)
+    assert e.num == 1 and e.den == x - y * I
+
+
+def test_rings_without_a_certified_square_never_try_one(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fast path entered")
+
+    monkeypatch.setattr(coeffring.PrimeSquare, "exponent", refuse)
+    monkeypatch.setattr(coeffring.PrimeSquare, "gcd", refuse)
+    s = X * X + Y * Y + Z * Z
+    assert poly_gcd(s ** 2 * (X + 1), s ** 3) == s ** 2
+    assert Expr.make(s * (Y + 2), s ** 2) == Expr.make(Y + 2, s)
+    ring = PolyRing(("x", "y", "rho"))
+    ring.define_adjunct("rho", ring.var("x") ** 2 + ring.var("y") ** 2)
+    e = Expr.make(ring.var("x") + ring.var("y") * I, ring.var("rho") ** 2)
+    assert e.den == ring.var("x") - ring.var("y") * I
+
+
+def test_numerators_reads_a_one_pass_iterator_once():
+    values = [Fraction(1, 2), Fraction(-2, 3), GaussRat(Fraction(1, 4), 5)]
+    values = [GaussRat.of(v) for v in values]
+    want = coeffring._numerators(values)
+    assert want == (12, [(6, 0), (-8, 0), (3, 60)])
+    assert coeffring._numerators(v for v in values) == want
+    assert coeffring._numerators(iter(values)) == want
+
+
 # -- images: substitution is the image in the polynomial's own ring ------------------
 
 
