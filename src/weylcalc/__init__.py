@@ -3,7 +3,6 @@
 from .coeffring import (
     CoeffRingError,
     Expr,
-    GaussRat,
     MultiPoly,
     NotPolynomial,
     PolyRing,
@@ -15,7 +14,6 @@ from .coeffring import (
 __all__ = [
     "CoeffRingError",
     "Expr",
-    "GaussRat",
     "MultiPoly",
     "NotPolynomial",
     "PolyRing",

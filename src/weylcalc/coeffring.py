@@ -1,12 +1,12 @@
 """Exact coefficient arithmetic.
 
-Coefficients live in the field of Gaussian rationals (Fraction real and
-imaginary parts).  Polynomials are sparse dicts mapping exponent tuples to
-coefficients, over a ring of named symbols.  A ring may adjoin square roots
-of earlier polynomials (e.g. r with r^2 = x^2 + y^2 + z^2); products are
-reduced so every adjunct appears with exponent 0 or 1.  Rational functions
-keep an adjunct-free, monic, gcd-reduced denominator, which makes the zero
-test a plain dict emptiness check.
+Coefficients are rationals (Fraction).  Polynomials are sparse dicts
+mapping exponent tuples to coefficients, over a ring of named symbols.  A
+ring may adjoin square roots of earlier polynomials (e.g. r with
+r^2 = x^2 + y^2 + z^2, or the imaginary unit i with i^2 = -1); products
+are reduced so every adjunct appears with exponent 0 or 1.  Rational
+functions keep an adjunct-free, monic, gcd-reduced denominator, which
+makes the zero test a plain dict emptiness check.
 
 An adjunct square that is a diagonal quadratic form of rank >= 3, such as
 x^2 + y^2 + z^2, is certified irreducible (a product of two linear forms
@@ -50,139 +50,8 @@ def _frac(x) -> Fraction:
     raise CoeffRingError("not an exact rational: %r" % (x,))
 
 
-class GaussRat:
-    """Gaussian rational re + im*i."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
-
-    @staticmethod
-    def of(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        return GaussRat(_frac(x))
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        other = GaussRat.of(other)
-        if not self.im and not other.im:
-            return _gr(self.re + other.re)
-        return _gr(self.re + other.re, self.im + other.im or _F0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussRat.of(other)
-        if not self.im and not other.im:
-            return _gr(self.re - other.re)
-        return _gr(self.re - other.re, self.im - other.im or _F0)
-
-    def __rsub__(self, other):
-        return GaussRat.of(other) - self
-
-    def __neg__(self):
-        return _gr(-self.re, -self.im if self.im else _F0)
-
-    def __mul__(self, other):
-        other = GaussRat.of(other)
-        if not self.im and not other.im:
-            return _gr(self.re * other.re)
-        return _gr(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re or _F0,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussRat.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not other.im:
-            return _gr(self.re / other.re, self.im / other.re if self.im else _F0)
-        n = other.re * other.re + other.im * other.im
-        return _gr(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n or _F0,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussRat.of(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return GR_ONE / self ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def conj(self) -> "GaussRat":
-        return _gr(self.re, -self.im if self.im else _F0)
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return "%s*i" % self.im
-        if self.im == 1:
-            return "(%s+i)" % self.re
-        if self.im == -1:
-            return "(%s-i)" % self.re
-        if self.im > 0:
-            return "(%s+%s*i)" % (self.re, self.im)
-        return "(%s-%s*i)" % (self.re, -self.im)
-
-    def __repr__(self):
-        return "GaussRat(%r, %r)" % (self.re, self.im)
-
-
-_F0 = Fraction(0)     # the imaginary part every real arithmetic result shares
-_new = object.__new__
-
-
-def _gr(re: Fraction, im: Fraction = _F0) -> GaussRat:
-    """GaussRat from Fraction parts, skipping the public constructor's checks."""
-    g = _new(GaussRat)
-    g.re = re
-    g.im = im
-    return g
-
-
-GR_ZERO = GaussRat(0)
-GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # -- product kernel -------------------------------------------------------------
@@ -219,27 +88,18 @@ def _exp_bound(terms: dict, nsyms: int) -> int:
 
 
 def _numerators(coeffs):
-    """(common denominator d, [(re, im) integer numerators over d]).  coeffs
-    is walked twice, so a one-pass iterator is read into a list first."""
+    """(common denominator d, [integer numerators over d]).  coeffs is
+    walked twice, so a one-pass iterator is read into a list first."""
     if iter(coeffs) is coeffs:
         coeffs = list(coeffs)
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    return den, [
-        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for c in coeffs
-    ]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _scaled(terms: dict, pack):
-    """(common denominator, [(packed monomial, re numerator, im numerator)],
-    whether every coefficient is real)."""
+    """(common denominator, [(packed monomial, integer numerator)])."""
     den, nums = _numerators(terms.values())
-    packed = [
-        (int.from_bytes(pack(*e), "big"), re, im) for e, (re, im) in zip(terms, nums)
-    ]
-    return den, packed, not any(im for _, im in nums)
+    return den, [(int.from_bytes(pack(*e), "big"), n) for e, n in zip(terms, nums)]
 
 
 def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
@@ -257,22 +117,15 @@ def _shifted(m: int, a: dict, b: dict, nsyms: int) -> dict:
     return dict(zip(keys, _times(terms.values(), c, m)))
 
 
-def _times(values, c: GaussRat, m: int = 1) -> list:
+def _times(values, c: Fraction, m: int = 1) -> list:
     """[m*c*v for v in values] for a nonzero c, on integer numerators over
     one common denominator: no Fraction product per value.  A scale by 1
     keeps the values."""
-    if m == 1 and c.re == 1 and not c.im:
+    if m == 1 and c == 1:
         return list(values)
-    dc, ((cr, ci),) = _numerators((c,))
     den, nums = _numerators(values)
-    d = dc * den
-    cr *= m
-    ci *= m
-    out = []
-    for re, im in nums:
-        im, re = re * ci + im * cr, re * cr - im * ci
-        out.append(_gr(Fraction(re, d), Fraction(im, d) if im else _F0))
-    return out
+    cn, d = c.numerator * m, c.denominator * den
+    return [Fraction(n * cn, d) for n in nums]
 
 
 def _dot_terms(triples, nsyms: int) -> dict:
@@ -308,52 +161,26 @@ def _dot_terms(triples, nsyms: int) -> dict:
     unpack, size = packer.unpack, packer.size
     scaled = {i: _scaled(t, packer.pack) for i, t in ops.items()}
     d = lcm(*(scaled[id(a)][0] * scaled[id(b)][0] for _, a, b in triples))
-    real = all(scaled[id(a)][2] and scaled[id(b)][2] for _, a, b in triples)
     out = {}
     get = out.get
     for m, a, b in triples:
-        da, pa, _ = scaled[id(a)]
-        db, pb, _ = scaled[id(b)]
+        da, pa = scaled[id(a)]
+        db, pb = scaled[id(b)]
         f = m * (d // (da * db))
         if f != 1:  # fold m and the lift to d into the shorter operand
             if len(pa) <= len(pb):
-                pa = [(k, re * f, im * f) for k, re, im in pa]
+                pa = [(k, n * f) for k, n in pa]
             else:
-                pb = [(k, re * f, im * f) for k, re, im in pb]
-        if real:
-            for ka, na, _ in pa:
-                for kb, nb, _ in pb:
-                    k = ka + kb
-                    n = get(k, 0) + na * nb
-                    if n:
-                        out[k] = n
-                    else:
-                        out.pop(k, None)
-            continue
-        for ka, ra, ia in pa:
-            for kb, rb, ib in pb:
+                pb = [(k, n * f) for k, n in pb]
+        for ka, na in pa:
+            for kb, nb in pb:
                 k = ka + kb
-                v = get(k)
-                re = ra * rb - ia * ib
-                im = ra * ib + ia * rb
-                if v is not None:
-                    re += v[0]
-                    im += v[1]
-                if re or im:
-                    out[k] = (re, im)
+                n = get(k, 0) + na * nb
+                if n:
+                    out[k] = n
                 else:
                     out.pop(k, None)
-    if real:
-        return {
-            unpack(k.to_bytes(size, "big")): _gr(Fraction(n, d))
-            for k, n in out.items()
-        }
-    return {
-        unpack(k.to_bytes(size, "big")): _gr(
-            Fraction(re, d), Fraction(im, d) if im else _F0
-        )
-        for k, (re, im) in out.items()
-    }
+    return {unpack(k.to_bytes(size, "big")): Fraction(n, d) for k, n in out.items()}
 
 
 def _div_term(terms: dict, divisor: dict) -> dict:
@@ -385,14 +212,13 @@ def _div_packed(terms: dict, divisor: dict, nsyms: int) -> dict:
     product q*g passes the larger total degree of dividend and divisor, so
     no field overflows.
 
-    The coefficients are Gaussian integers: the dividend's numerators over
-    its common denominator, and the divisor's divided by their integer
-    content, with leading coefficient L.  A quotient coefficient is the
-    remainder's leading one times conj(L) over the norm |L|^2; when that is
-    not a Gaussian integer the remainder is first multiplied by the least
-    factor that makes it one, and the factor joins the remainder's
-    denominator.  A divisor whose L is a unit (monic ones included) never
-    needs one, and one that is primitive over Z[i] never does on an exact
+    The coefficients are integers: the dividend's numerators over its
+    common denominator, and the divisor's divided by their content, with
+    leading coefficient L.  A quotient coefficient is the remainder's
+    leading one over L; when L does not divide it, the remainder is first
+    multiplied by the least factor that makes it divisible, and the factor
+    joins the remainder's denominator.  A divisor with L = +-1 (monic ones
+    included) never needs one, and a primitive one never does on an exact
     quotient (Gauss's lemma).  Raises NotPolynomial at the first remainder
     term that the leading term does not divide, as the plain loop does.
     """
@@ -406,15 +232,11 @@ def _div_packed(terms: dict, divisor: dict, nsyms: int) -> dict:
     da, a_nums = _numerators(terms.values())
     rem = {int.from_bytes(pack(sum(e), *e), "big"): n for e, n in zip(terms, a_nums)}
     db, b_nums = _numerators(divisor.values())
-    content = gcd(*(x for n in b_nums for x in n))
-    rest = {
-        int.from_bytes(pack(sum(e), *e), "big"): (re // content, im // content)
-        for e, (re, im) in zip(divisor, b_nums)
-    }
+    content = gcd(*b_nums)
+    rest = {int.from_bytes(pack(sum(e), *e), "big"): n // content for e, n in zip(divisor, b_nums)}
     lead = max(rest)
-    lr, li = rest.pop(lead)
+    lc = rest.pop(lead)
     rest = list(rest.items())
-    norm = lr * lr + li * li
     heap = [-k for k in rem]
     heapify(heap)
     scale = 1  # the remainder's denominator, relative to the dividend's
@@ -428,34 +250,30 @@ def _div_packed(terms: dict, divisor: dict, nsyms: int) -> dict:
         if q & guard != guard:
             raise NotPolynomial("not divisible")
         q ^= guard
-        qr, qi = v[0] * lr + v[1] * li, v[1] * lr - v[0] * li
-        if norm != 1:
-            f = norm // gcd(norm, qr, qi)
+        if lc != 1:
+            f = abs(lc) // gcd(lc, v)
             if f != 1:
                 scale *= f
-                rem = {key: (re * f, im * f) for key, (re, im) in rem.items()}
-            qr, qi = qr * f // norm, qi * f // norm
-        quot.append((q, qr, qi, scale))
-        for k2, (br, bi) in rest:
+                v *= f
+                rem = {key: n * f for key, n in rem.items()}
+            v //= lc
+        quot.append((q, v, scale))
+        for k2, b in rest:
             k2 += q
-            pr, pi = qr * br - qi * bi, qr * bi + qi * br
-            v = rem.get(k2)
-            if v is None:
-                rem[k2] = (-pr, -pi)
+            n = rem.get(k2)
+            if n is None:
+                rem[k2] = -v * b
                 heappush(heap, -k2)
                 continue
-            pr, pi = v[0] - pr, v[1] - pi
-            if pr or pi:
-                rem[k2] = (pr, pi)
+            n -= v * b
+            if n:
+                rem[k2] = n
             else:
                 del rem[k2]
-    # quotient = db / (da * content) * (Gaussian-integer quotient / scale)
+    # quotient = db / (da * content) * (integer quotient / scale)
     unpack, den = packer.unpack, da * content
     return {
-        unpack(q.to_bytes(size, "big"))[1:]: _gr(
-            Fraction(qr * db, den * s), Fraction(qi * db, den * s) if qi else _F0
-        )
-        for q, qr, qi, s in quot
+        unpack(q.to_bytes(size, "big"))[1:]: Fraction(n * db, den * s) for q, n, s in quot
     }
 
 
@@ -500,8 +318,8 @@ class PolyRing:
         terms, sum c_i*x_i^2, is certified irreducible and joins
         prime_squares, the base that gcds and reductions trial-divide by.
         The form has rank >= 3, while a product of two linear forms has rank
-        <= 2, so it has no factor over C and none over Q(i).  No other
-        square is certified: x^2 + y^2 = (x + iy)(x - iy) is not.
+        <= 2, so it has no factor over C, and so none over Q.  No other
+        square is certified: x^2 - y^2 = (x + y)(x - y) is not.
         """
         idx = self.index_of(symbol)
         if square.ring is not self:
@@ -537,11 +355,11 @@ class PolyRing:
         return MultiPoly(self, {})
 
     def one(self) -> "MultiPoly":
-        return MultiPoly(self, {self._zero_exps: GR_ONE})
+        return MultiPoly(self, {self._zero_exps: _ONE})
 
     def const(self, c) -> "MultiPoly":
-        c = GaussRat.of(c)
-        if c.is_zero():
+        c = _frac(c)
+        if not c:
             return self.zero()
         return MultiPoly(self, {self._zero_exps: c})
 
@@ -549,11 +367,11 @@ class PolyRing:
         idx = self.index_of(symbol)
         exps = [0] * self.nsyms
         exps[idx] = power
-        return MultiPoly(self, {tuple(exps): GR_ONE}, reduce=power > 1)
+        return MultiPoly(self, {tuple(exps): _ONE}, reduce=power > 1)
 
     def monomial(self, coeff, **powers) -> "MultiPoly":
-        coeff = GaussRat.of(coeff)
-        if coeff.is_zero():
+        coeff = _frac(coeff)
+        if not coeff:
             return self.zero()
         exps = [0] * self.nsyms
         for s, p in powers.items():
@@ -564,8 +382,8 @@ class PolyRing:
         """Build from {exps: coeff} with reduction."""
         d = {}
         for exps, c in terms.items():
-            c = GaussRat.of(c)
-            if not c.is_zero():
+            c = _frac(c)
+            if c:
                 d[tuple(exps)] = c
         return MultiPoly(self, d, reduce=True)
 
@@ -587,7 +405,7 @@ class PolyRing:
             for exps, c in terms.items():
                 e = exps[idx]
                 if e < 2:
-                    out[exps] = out.get(exps, GR_ZERO) + c
+                    out[exps] = out.get(exps, 0) + c
                     continue
                 k, rem = divmod(e, 2)
                 base = list(exps)
@@ -597,8 +415,8 @@ class PolyRing:
                 for _ in range(k):
                     acc = _dot_terms(((1, acc, square.terms),), self.nsyms)
                 for key, v in acc.items():
-                    out[key] = out.get(key, GR_ZERO) + v
-            terms = {e: c for e, c in out.items() if not c.is_zero()}
+                    out[key] = out.get(key, 0) + v
+            terms = {e: c for e, c in out.items() if c}
         return terms
 
 
@@ -607,7 +425,7 @@ def grlex_key(exps):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial: {exponent tuple: GaussRat}."""
+    """Sparse multivariate polynomial: {exponent tuple: Fraction}."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -628,9 +446,9 @@ class MultiPoly:
             len(self.terms) == 1 and self.ring._zero_exps in self.terms
         )
 
-    def const_value(self) -> GaussRat:
+    def const_value(self) -> Fraction:
         if not self.terms:
-            return GR_ZERO
+            return _ZERO
         if self.is_const():
             return self.terms[self.ring._zero_exps]
         raise NotPolynomial("not a constant: %s" % self)
@@ -665,7 +483,7 @@ class MultiPoly:
             raise CoeffRingError("mixed rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -677,16 +495,16 @@ class MultiPoly:
         for e, c in b.items():
             v = out.get(e)
             s = c if v is None else v + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         return MultiPoly(self.ring, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -699,9 +517,9 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.of(other)
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            c = _frac(other)
+            if not c:
                 return self.ring.zero()
             # a constant factor raises no adjunct exponent: no reduction
             terms = self.terms
@@ -732,7 +550,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -818,10 +636,10 @@ class MultiPoly:
             total = total + term
         return total
 
-    def evaluate(self, point: dict) -> GaussRat:
+    def evaluate(self, point: dict) -> Fraction:
         """Value at a full rational point (adjunct symbols included explicitly)."""
-        out = GR_ZERO
-        vals = {self.ring.index_of(s): GaussRat.of(v) for s, v in point.items()}
+        out = _ZERO
+        vals = {self.ring.index_of(s): _frac(v) for s, v in point.items()}
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
@@ -852,7 +670,7 @@ class MultiPoly:
         if other.has_adjuncts():
             raise NotPolynomial("divisor must be adjunct-free")
         if other.is_const():
-            return self * (GR_ONE / other.const_value())
+            return self * (1 / other.const_value())
         if not self.terms:
             return MultiPoly(self.ring, {})
         if len(other.terms) == 1:
@@ -917,7 +735,7 @@ def _monic(p: MultiPoly) -> MultiPoly:
     _, lc = p.leading()
     if lc == 1:
         return p
-    return p * (GR_ONE / lc)
+    return p * (1 / lc)
 
 
 def _min_exps_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -929,7 +747,7 @@ def _min_exps_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                 mins = list(e)
             else:
                 mins = [min(x, y) for x, y in zip(mins, e)]
-    return MultiPoly(a.ring, {tuple(mins): GR_ONE})
+    return MultiPoly(a.ring, {tuple(mins): _ONE})
 
 
 def _main_symbol(a: MultiPoly, b: MultiPoly):
@@ -995,16 +813,25 @@ class PrimeSquare:
             powers.append(MultiPoly(p.ring, dict(p.sorted_terms())))
         return powers[k]
 
-    def exponent(self, p: MultiPoly) -> int:
-        """k when p is s^k with k >= 1, else 0.  Every term of s^k has degree
-        2k, and a diagonal form of n terms to the k-th has comb(k+n-1, n-1)
-        terms, so one term's degree names the only candidate power and the
-        term count screens it before the comparison."""
+    def exponent(self, p: MultiPoly):
+        """(k, c) when p is c*s^k for a constant c and k >= 1, else (0, 1).
+        Every term of s^k has degree 2k, and a diagonal form of n terms to
+        the k-th has comb(k+n-1, n-1) terms, so one term's degree names the
+        only candidate power and the term count screens it before the
+        comparison.  c is p's coefficient at the leading term of s^k; a
+        monic p is one dict comparison."""
         k, odd = divmod(sum(next(iter(p.terms))), 2)
         n = self.nterms
         if not k or odd or len(p.terms) != comb(k + n - 1, n - 1):
-            return 0
-        return k if p.terms == self.power(k).terms else 0
+            return 0, 1
+        power = self.power(k).terms
+        c = p.terms.get(next(iter(power)))
+        if c == 1:
+            same = p.terms == power
+        else:
+            get = p.terms.get
+            same = c is not None and all(get(e) == c * v for e, v in power.items())
+        return (k, c) if same else (0, 1)
 
     def divide_out(self, q: MultiPoly, limit: int) -> list:
         """[q, q/s, ..., q/s^j] for the largest j <= limit that divides.
@@ -1026,7 +853,7 @@ class PrimeSquare:
 
     def gcd(self, a: MultiPoly, b: MultiPoly):
         """gcd(a, b) when a or b is a power of s; None otherwise."""
-        ka, kb = self.exponent(a), self.exponent(b)
+        ka, kb = self.exponent(a)[0], self.exponent(b)[0]
         if ka and kb:
             return self.power(min(ka, kb))
         if not ka and not kb:
@@ -1036,12 +863,12 @@ class PrimeSquare:
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic gcd of adjunct-free polynomials over the Gaussian rationals.
+    """Monic gcd of adjunct-free polynomials over the rationals.
 
-    When one argument is a power s^k of a certified adjunct square s of
-    the ring (PolyRing.define_adjunct), the gcd is s^j, j the number of
-    exact divisions of the other argument by s that succeed, up to k, and
-    gcd(s^a, s^b) is s^min(a, b): no PRS runs.
+    When one argument is a constant times a power s^k of a certified
+    adjunct square s of the ring (PolyRing.define_adjunct), the gcd is s^j,
+    j the number of exact divisions of the other argument by s that
+    succeed, up to k, and gcd(s^a, s^b) is s^min(a, b): no PRS runs.
 
     Otherwise it recurses in the main (highest-index) symbol: gcd = gcd of
     the contents times the primitive gcd from the subresultant PRS (Brown,
@@ -1157,7 +984,7 @@ def _pseudo_rem(f: MultiPoly, g: MultiPoly, idx: int) -> MultiPoly:
     const = lc_g.is_const()
     if const:
         c = lc_g.const_value()
-        inv = GR_ONE / c
+        inv = 1 / c
     for d in range(df, dg - 1, -1):
         lc_r = rem.pop(d, None)
         if not const:
@@ -1215,8 +1042,7 @@ class Expr:
     @staticmethod
     def of(ring: PolyRing, v) -> "Expr":
         """v as an Expr of ring: an Expr or MultiPoly of ring, or a rational
-        or Gaussian constant.  A value from another ring raises
-        CoeffRingError."""
+        constant.  A value from another ring raises CoeffRingError."""
         if isinstance(v, Expr):
             if v.num.ring is not ring:
                 raise CoeffRingError("expression from a different ring")
@@ -1253,9 +1079,9 @@ class Expr:
         c = self.den.const_value()
         if c == 1:
             return self.num
-        return self.num * (GR_ONE / c)
+        return self.num * (1 / c)
 
-    def const_value(self) -> GaussRat:
+    def const_value(self) -> Fraction:
         return self.as_poly().const_value()
 
     def __add__(self, other):
@@ -1287,9 +1113,9 @@ class Expr:
         return Expr(-self.num, self.den, _trusted=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.of(other)
-            if c.is_zero():
+        if isinstance(other, (int, Fraction)):
+            c = _frac(other)
+            if not c:
                 return Expr.of_poly(self.ring.zero())
             return Expr(self.num * c, self.den, _trusted=True)
         other = Expr.of(self.ring, other)
@@ -1328,7 +1154,7 @@ class Expr:
         return Expr.make(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat, MultiPoly)):
+        if isinstance(other, (int, Fraction, MultiPoly)):
             other = Expr.of(self.ring, other)
         if not isinstance(other, Expr):
             return NotImplemented
@@ -1343,7 +1169,7 @@ class Expr:
         dn = self.num.differentiate(symbol)
         if self.den.is_const():
             c = self.den.const_value()
-            return dn if c == 1 else dn * (GR_ONE / c)
+            return dn if c == 1 else dn * (1 / c)
         dd = self.den.differentiate(symbol)
         den_e = Expr.of_poly(self.den)
         return (dn * den_e - Expr.of_poly(self.num) * dd) / den_e / den_e
@@ -1409,18 +1235,6 @@ def _adjunct_groups(p: MultiPoly) -> dict:
     return {mono: MultiPoly(p.ring, d) for mono, d in groups.items()}
 
 
-def _adjunct_content(p: MultiPoly) -> MultiPoly:
-    """gcd of p's adjunct-free coefficient polys, grouped by adjunct monomial."""
-    if not p.ring.adjuncts:
-        return p
-    g = None
-    for q in _adjunct_groups(p).values():
-        g = q if g is None else poly_gcd(g, q)
-        if g.is_const():
-            return p.ring.one()
-    return g
-
-
 def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
     ring = num.ring
     if den.is_zero():
@@ -1434,8 +1248,7 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
         parts = _split_by(den, adj.index)
         d0, d1 = parts.get(0, ring.zero()), parts[1]
         s = ring.var(adj.symbol)
-        conj = d0 - d1 * s
-        num = num * conj
+        num = num * (d0 - d1 * s)
         den = d0 * d0 - d1 * d1 * adj.square
         if den.is_zero():
             raise ZeroDenominator("denominator vanishes identically")
@@ -1444,29 +1257,33 @@ def _reduce_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
 
 def _cancel(num: MultiPoly, den: MultiPoly):
     """(num/h, den/h) for h the gcd of adjunct-free den and num's adjunct
-    content; den/h keeps den's leading coefficient.
+    content, the gcd of its adjunct groups; den/h keeps den's leading
+    coefficient.
 
-    When den is a power s^k of a certified adjunct square, h is s^j for the
-    least j over num's adjunct groups of the exact divisions by s that
-    succeed, up to k: each group is trial-divided, and no content gcd is
-    taken.
+    When den is c*s^k, a constant c times a power of a certified adjunct
+    square s (such as the -(x^2+y^2+z^2) that rationalizing 1/r leaves), h
+    is s^j for the least j over num's adjunct groups of the exact divisions
+    by s that succeed, up to k: each group is trial-divided, and no content
+    gcd is taken.  Otherwise h is taken against den first, one group at a
+    time, stopping at 1: a gcd with den is no larger than den, while two
+    groups (the parts of a value with and without i) can both be large.
     """
     if den.is_const():
         return num, den
     for prime in num.ring.prime_squares:
-        k = prime.exponent(den)
+        k, lc = prime.exponent(den)
         if k:
-            return _cancel_power(num, den, prime, k)
-    h = _adjunct_content(num)
-    if not h.is_const():
-        h = poly_gcd(h, den)
-        if not h.is_const():
-            return _div_grouped(num, h), den.exact_div(h)
-    return num, den
+            return _cancel_power(num, den, prime, k, lc)
+    h = den
+    for q in _adjunct_groups(num).values() if num.ring.adjuncts else (num,):
+        h = poly_gcd(h, q)
+        if h.is_const():
+            return num, den
+    return _div_grouped(num, h), den.exact_div(h)
 
 
-def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int):
-    """_cancel of num against den = s^k, s = prime's square."""
+def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int, lc):
+    """_cancel of num against den = lc*s^k, s = prime's square."""
     chains = []
     j = k
     for mono, q in _adjunct_groups(num).items():
@@ -1479,7 +1296,8 @@ def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int):
     for mono, chain in chains:
         for e, c in chain[j].terms.items():
             out[tuple(map(add, e, mono))] = c
-    return MultiPoly(num.ring, out), prime.power(k - j)
+    den = prime.power(k - j)
+    return MultiPoly(num.ring, out), den if lc == 1 else den * lc
 
 
 def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
@@ -1488,11 +1306,11 @@ def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:
     if den.is_const():
         c = den.const_value()
         if c != 1:
-            num = num * (GR_ONE / c)
+            num = num * (1 / c)
         return Expr(num, num.ring.one(), _trusted=True)
     _, lc = den.leading()
     if lc != 1:
-        inv = GR_ONE / lc
+        inv = 1 / lc
         num = num * inv
         den = den * inv
     return Expr(num, den, _trusted=True)

@@ -457,8 +457,8 @@ def pipeline_operator(parity: int) -> DiffOp:
     K = mul_op(RRP_SPEC, _rc * Fraction(-1, 2)).compose(lap) - mul_op(
         RRP_SPEC, RRP.var("E") * _rc
     )
-    conj = K.conjugate(pipeline_gauge(parity))
-    proj = conj.project_angular("phi", Expr.of_poly(_mc))
+    conjugated = K.conjugate(pipeline_gauge(parity))
+    proj = conjugated.project_angular("phi", Expr.of_poly(_mc))
     return proj.substitute({"E": Expr.of_poly(_bc * _bc) * Fraction(-1, 2)})
 
 

@@ -9,8 +9,8 @@ actually commutes with K, and the so(4) closure reached by rescaling B at
 fixed energy.
 
 All identities hold with alpha and E as free symbols; the square root
-r = sqrt(x^2 + y^2 + z^2) is adjoined to the coefficient ring, so every
-residual test is exact.
+r = sqrt(x^2 + y^2 + z^2) and the imaginary unit i of p = -i*grad are
+adjoined to the rational coefficient ring, so every residual test is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import Expr, GaussRat
+from .coeffring import Expr
 from .reports import CheckResult, merge_checks, residual_check, verdict
 from .spaces import R3, R3_SPEC
 from .weyl import DiffOp, identity, mul_op, partial
@@ -33,7 +33,7 @@ _E = R3.var("E")
 _beta = R3.var("beta")
 _r = R3.var("r")
 _one = R3.one()
-_I = GaussRat(0, 1)
+_I = R3.var("i")
 
 # eps[(i, j)] = (k, sign) with eps_{ijk} = sign, for the six nonzero entries.
 _EPS = {

@@ -352,10 +352,10 @@ def verify_schrodinger_form() -> list:
     """
     from .coulomb2d import gamma_a_gauge, h_a
 
-    conj = h_a().conjugate(gamma_a_gauge())
+    conjugated = h_a().conjugate(gamma_a_gauge())
     lb = laplace_beltrami(radial_parabolic_cometric())
     want = (-lb) + mul_op(RU_SPEC, effective_potential())
-    residual = conj - want
+    residual = conjugated - want
     wit = []
     parts = []
     for par in (0, 1):

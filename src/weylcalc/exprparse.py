@@ -10,18 +10,20 @@ Grammar (whitespace insignificant):
 Multiplication is composition, left to right; juxtaposition is not
 multiplication, so multi-letter symbols stay unambiguous.  Division demands
 an order-zero divisor, which also covers rational literals ('1/2' is 1
-divided by 2).  The symbol i is the imaginary unit; D[v] differentiates
-with respect to one of the six chart variables.  The printers in weyl and
-coeffring emit exactly this grammar, so printing and parsing round-trip.
+divided by 2).  The symbol i is the imaginary unit: a symbol of the
+workspace ring, adjoined with i^2 = -1, so coefficients stay rational and i
+leads each monomial it is in (3*i*x^2).  D[v] differentiates with respect
+to one of the six chart variables.  The printers in weyl and coeffring emit
+exactly this grammar, so printing and parsing round-trip.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 never an exhausted interpreter stack.  An exponent is at most MAX_EXPONENT,
 since a power costs one composition per unit of the exponent.  A power is
 also sized before it is expanded: the degree of an operator is the largest
-total degree of a term, counting coefficient symbols (numerator or
-denominator, whichever is larger) and derivatives, and degree(base) * k
-may not exceed MAX_DEGREE.  Composition adds degrees at most, so that
-bounds the result and stops nested powers such as ((r+u)^k)^k from growing
-as k^2.  The degree alone does not bound the term count, which grows with
+total degree of a term, counting coefficient symbols other than the unit
+i (numerator or denominator, whichever is larger) and derivatives, and
+degree(base) * k may not exceed MAX_DEGREE.  Composition adds degrees at
+most, so that bounds the result and stops nested powers such as
+((r+u)^k)^k from growing as k^2.  The degree alone does not bound the term count, which grows with
 the number of symbols.  A power is refused only when two bounds on its
 term count both exceed MAX_TERMS: C(D + s, s), for the power's degree D,
 the monomials of degree up to D in the s distinct coefficient symbols and
@@ -38,12 +40,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffring import Expr, GaussRat, PolyRing, ZeroDenominator
+from .coeffring import Expr, PolyRing, ZeroDenominator
 from .weyl import DiffOp, VariableSpec, mul_op, partial
 
-WS = PolyRing(("x", "y", "z", "alpha", "E", "r", "u", "rho", "beta", "mu", "p", "n"))
+WS = PolyRing(("i", "x", "y", "z", "alpha", "E", "r", "u", "rho", "beta", "mu", "p", "n"))
+WS.define_adjunct("i", WS.const(-1))
 _WS_SPEC = VariableSpec(WS, ("x", "y", "z", "r", "u", "rho"))
-_IMAGINARY = "i"
+_I_SLOT = WS.index_of("i")
 MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_DEGREE = 100
@@ -214,15 +217,13 @@ class _Parser:
             if kind != "name":
                 raise ParseError("expected a variable name", vcol)
             self.expect_punct("]")
-            if var not in WS.index and var != _IMAGINARY:
+            if var not in WS.index:
                 raise ParseError("unknown symbol %r" % var, vcol)
             if var not in _WS_SPEC._slot:
                 raise ParseError("D[%s]: not a chart variable" % var, vcol)
             self.used_derivative = True
             return partial(_WS_SPEC, var)
         if kind == "name":
-            if value == _IMAGINARY:
-                return mul_op(_WS_SPEC, GaussRat(0, 1))
             if value in WS.index:
                 return mul_op(_WS_SPEC, Expr.of_poly(WS.var(value)))
             raise ParseError("unknown symbol %r" % value, col)
@@ -231,10 +232,11 @@ class _Parser:
 
 def _degree(op: DiffOp) -> int:
     """Largest total degree of a term of op: derivative order plus the
-    larger total degree of its coefficient's numerator and denominator."""
+    larger total degree of its coefficient's numerator and denominator.
+    The unit i counts for nothing: i^2 = -1, so no power of it grows."""
     return max(
         (
-            sum(a) + max(sum(e) for p in (c.num, c.den) for e in p.terms)
+            sum(a) + max(sum(e) - e[_I_SLOT] for p in (c.num, c.den) for e in p.terms)
             for a, c in op.terms.items()
         ),
         default=0,
@@ -244,7 +246,8 @@ def _degree(op: DiffOp) -> int:
 def _term_bound(op: DiffOp, k: int, degree: int) -> int:
     """An upper bound on the term count of op^k, of the given degree: the
     smaller of C(degree + s, s), for s the distinct coefficient symbols
-    (numerator or denominator) and derivative variables op uses, and
+    other than i (numerator or denominator) and derivative variables op
+    uses, and
     C(k*ord + d, d) * C(k*cdeg + c, c), for ord its derivative order over d
     derivative variables and cdeg its coefficient degree over c symbols."""
     derivatives = {j for a in op.terms for j, v in enumerate(a) if v}
@@ -254,10 +257,11 @@ def _term_bound(op: DiffOp, k: int, degree: int) -> int:
         for p in (c.num, c.den)
         for e in p.terms
         for i, v in enumerate(e)
-        if v
+        if v and i != _I_SLOT
     }
     cdeg = max(
-        (sum(e) for c in op.terms.values() for p in (c.num, c.den) for e in p.terms), default=0
+        (sum(e) - e[_I_SLOT] for c in op.terms.values() for p in (c.num, c.den) for e in p.terms),
+        default=0,
     )
     d, c = len(derivatives), len(symbols)
     return min(

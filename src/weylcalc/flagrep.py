@@ -17,15 +17,14 @@ factor uniquely, so comparing the factor multisets is exact and no product is
 expanded; every other matrix goes through char_poly.  Eigenspaces at a rational
 parameter point come from linsolve.SparseSolver with leftmost pivots, i.e.
 from the unique reduced row echelon form of M - lam*I, each row scaled to
-integers by its own lcm (a non-real entry raises CoeffRingError); flagrep
-does no elimination of its own.
+integers by its own lcm; flagrep does no elimination of its own.
 
 equality_oracle decides a == b for polynomial-coefficient operators by
 their images of every monomial x^f with exponents f <= bound, which is a
 proof once bound reaches each operator's order in every space variable
 (checked; a lower bound raises FlagError).  It computes those images
-itself: each operator is scaled once to Gaussian integer numerators over
-its common denominator d, and d * op(x^f) = sum_a d*c_a perm(f, a)
+itself: each operator is scaled once to integer numerators over its
+common denominator d, and d * op(x^f) = sum_a d*c_a perm(f, a)
 x^(f - a) is built on packed integer term maps, one monomial at a time,
 so it shares no code with DiffOp.apply or either compose route.  The
 flag matrices above stay on DiffOp.apply, which also reports images that
@@ -40,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 from math import perm, prod
 
-from .coeffring import Expr, GR_ONE, MultiPoly, _exp_bound, _numerators, _packer
+from .coeffring import Expr, MultiPoly, _exp_bound, _numerators, _packer
 from .linsolve import SparseSolver, integral_form
 from .spaces import RU, RU_SPEC
 from .weyl import DiffOp
@@ -259,7 +258,7 @@ def spectrum_witnesses(matrix: OperatorMatrix) -> list:
 
     On a triangular matrix (upper or lower) with no lam in its diagonal the
     characteristic polynomial is prod_i (lam - M_ii), a product of monic
-    linear factors in lam over the UFD Q(i)[lam, beta, mu, p, ...], as is the
+    linear factors in lam over the UFD Q[lam, beta, mu, p, ...], as is the
     expected prod_k (lam - level_eigenvalue(k))^(k//2+1).  Two such products
     are equal exactly when their factor multisets are, so the check compares
     the diagonal with the level eigenvalues as multisets and expands neither
@@ -308,8 +307,7 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
     is the leftmost column and its fully reduced basis is the unique RREF:
     each free column f, in increasing order, gives x_f = 1 and
     x_p = -row_p[f]/d_p on the pivot columns p, a ratio of the integers that
-    integral_form makes of each row.  A non-real entry of dense or a
-    non-real lam raises CoeffRingError there.
+    integral_form makes of each row.
     """
     solver = SparseSolver()
     for i, row in enumerate(dense):
@@ -327,7 +325,7 @@ def _eigenspace(basis: MonomialBasis, dense: list, lam) -> list:
                 poly = poly - basis.monomial(-key) * Fraction(prow[-f], d)
         _, lc = poly.leading()
         if lc != 1:
-            poly = poly * (GR_ONE / lc)
+            poly = poly * (1 / lc)
         out.append(poly)
     return out
 
@@ -356,11 +354,12 @@ def _integer_images(op: DiffOp, grid, pack):
 
         d * op(x^f) = sum_a d*c_a * perm(f, a) * x^(f - a)
 
-    as {packed monomial: (re, im)} with integer parts and no zero entry.
-    op is scaled once to Gaussian integer numerators over d, so an image
-    costs integer multiply-adds on packed keys: x^(f - a) is one packed
-    shift, and perm(f, a) vanishes unless a <= f.  A coefficient that is
-    not a polynomial raises FlagError.
+    as {packed monomial: integer} with no zero entry.  op is scaled once to
+    integer numerators over d, so an image costs integer multiply-adds on
+    packed keys: x^(f - a) is one packed shift, and perm(f, a) vanishes
+    unless a <= f.  A coefficient that is not a polynomial raises FlagError.
+    Coefficients are reduced, so an adjunct exponent is 0 or 1 and stays
+    so: x^f shifts space variables only, which are never adjuncts.
     """
     spec = op.spec
     ring = spec.ring
@@ -370,8 +369,8 @@ def _integer_images(op: DiffOp, grid, pack):
     flat = [(a, e, v) for a, c in op.terms.items() for e, v in c.num.terms.items()]
     d, nums = _numerators([v for _, _, v in flat])
     rows = {}
-    for (a, e, _), (re, im) in zip(flat, nums):
-        rows.setdefault(a, []).append((int.from_bytes(pack(*e), "big"), re, im))
+    for (a, e, _), n in zip(flat, nums):
+        rows.setdefault(a, []).append((int.from_bytes(pack(*e), "big"), n))
     units = [
         int.from_bytes(pack(*(int(i == s) for i in range(ring.nsyms))), "big")
         for s in map(ring.index_of, spec.space)
@@ -386,14 +385,10 @@ def _integer_images(op: DiffOp, grid, pack):
                 if not m:
                     continue
                 shift = sum((fj - aj) * u for fj, aj, u in zip(f, a, units))
-                for key, re, im in terms:
+                for key, n in terms:
                     k = key + shift
-                    v = get(k)
-                    if v is None:
-                        out[k] = (m * re, m * im)
-                    else:
-                        out[k] = (v[0] + m * re, v[1] + m * im)
-            yield {k: v for k, v in out.items() if v[0] or v[1]}
+                    out[k] = get(k, 0) + m * n
+            yield {k: v for k, v in out.items() if v}
 
     return d, images()
 
@@ -438,8 +433,7 @@ def equality_oracle(a: DiffOp, b: DiffOp, bound: int) -> bool:
     for image_a, image_b in zip(images_a, images_b):
         if image_a.keys() != image_b.keys():
             return False
-        for k, (re, im) in image_a.items():
-            rb, ib = image_b[k]
-            if db * re != da * rb or db * im != da * ib:
+        for k, n in image_a.items():
+            if db * n != da * image_b[k]:
                 return False
     return True

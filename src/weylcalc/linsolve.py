@@ -21,9 +21,8 @@ from monomial_ops(), which the caller runs once per generator set and
 degree and hands to every decompose() over that set.  Each column carries
 its product's integer numerators over the product's own denominator (see
 integral_form), the right-hand side the target's, and each solved value is
-scaled back once.  Every system solved here is real: integral_form refuses a
-non-real coefficient with CoeffRingError, so a Gaussian product or target
-never reaches the solver.
+scaled back once.  The unknowns are rationals, so a coefficient that uses an
+adjunct (such as i) is refused with CoeffRingError before any row is built.
 
 The system is a Macaulay matrix (as in Faugere's F4, JPAA 1999) on packed
 integer keys, after the packed monomials of Monagan & Pearce (CASC 2007).
@@ -63,9 +62,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import add, mul, sub
 
-from .coeffring import (
-    CoeffRingError, Expr, GaussRat, MultiPoly, NotPolynomial, _numerators, _packer,
-)
+from .coeffring import CoeffRingError, Expr, MultiPoly, NotPolynomial, _numerators, _packer
 from .weyl import DiffOp, identity
 
 
@@ -189,13 +186,10 @@ def _subtract(vec: dict, f, other: dict) -> None:
 
 
 def integral_form(values: dict) -> tuple:
-    """(den, {k: den*v}) for the lcm den of the denominators of the real
-    rationals values, dropping zeros: each den*v is an int.  A non-real
-    value raises CoeffRingError, since the solver's rows are integer rows."""
+    """(den, {k: den*v}) for the lcm den of the denominators of the
+    rationals values, dropping zeros: each den*v is an int."""
     den, nums = _numerators(values.values())
-    if any(im for _, im in nums):
-        raise CoeffRingError("the solver takes real coefficients only")
-    return den, {k: re for k, (re, _) in zip(values, nums) if re}
+    return den, {k: n for k, n in zip(values, nums) if n}
 
 
 def _primitive(row: dict, rhs: dict, d: int):
@@ -332,7 +326,7 @@ def idempotent_reduce(poly: MultiPoly, symbols) -> MultiPoly:
     for e, v in poly.terms.items():
         key = _clamp(e, slots, absent)
         terms[key] = terms[key] + v if key in terms else v
-    return MultiPoly(ring, {e: v for e, v in terms.items() if not v.is_zero()})
+    return MultiPoly(ring, {e: v for e, v in terms.items() if v})
 
 
 def idempotent_reduce_op(op: DiffOp, symbols) -> DiffOp:
@@ -367,13 +361,17 @@ def decompose(
     idempotents names symbols s to be treated modulo s^2 = s (two-valued
     parameters), so the solve happens in the quotient ring.  When no product
     carries a parameter, the product matrix is eliminated once, with one
-    right-hand side per parameter monomial (see the module docstring).  The
-    target and the products must have real coefficients, or decompose raises
-    CoeffRingError (see integral_form).
+    right-hand side per parameter monomial (see the module docstring).  A
+    coefficient of the target or a product that uses an adjunct raises
+    CoeffRingError: the unknowns are rational.
     """
     ring = target.spec.ring
     if not target.is_polynomial():
         raise NotPolynomial("decomposition target must have polynomial coefficients")
+    if ring.adjuncts and any(
+        c.num.has_adjuncts() for op in (target, *ops.values()) for c in op.terms.values()
+    ):
+        raise CoeffRingError("decompose takes coefficients that use no adjunct")
     names = [n for n, _ in generators]
     degree_bound = max(map(len, ops))
     result = Decomposition(target_name, names, degree_bound, success=False, residual=target)
@@ -508,7 +506,7 @@ def decompose(
         scale = Fraction(dens[mono], den_target)
         for k, value in values.items():
             key = tuple(map(add, cexp, rhs_pmonos[k][1]))
-            terms.setdefault(mono, {})[key] = GaussRat(value * scale)
+            terms.setdefault(mono, {})[key] = value * scale
     coefficients = {mono: MultiPoly(ring, t) for mono, t in terms.items()}
 
     # exact reconstruction is the authoritative acceptance of the solve

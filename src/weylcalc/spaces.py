@@ -19,8 +19,11 @@ RRP = PolyRing(("r", "rho", "phi", "beta", "mu", "p", "E"))
 RRP_SPEC = VariableSpec(RRP, ("r", "rho", "phi"))
 RR2_SPEC = VariableSpec(RRP, ("r", "rho"))
 
-# Cartesian chart with the radial distance adjoined as a square root.
-R3 = PolyRing(("x", "y", "z", "alpha", "E", "beta", "r"))
+# Cartesian chart with the radial distance adjoined as a square root, and
+# the imaginary unit i (i^2 = -1) of p = -i*grad adjoined first, so it leads
+# each monomial it is in.
+R3 = PolyRing(("i", "x", "y", "z", "alpha", "E", "beta", "r"))
+R3.define_adjunct("i", R3.const(-1))
 R3.define_adjunct(
     "r",
     R3.var("x") * R3.var("x") + R3.var("y") * R3.var("y") + R3.var("z") * R3.var("z"),

@@ -11,9 +11,9 @@ coefficient maps.
 Composition takes one of two routes, with the same result, term order
 included: the output indices in the order the Leibniz terms first reach
 them, and each coefficient's terms in descending exponent order.  When both
-operands are real operators with polynomial coefficients in a ring with no
-adjunct (the operators of 2D, g2 and the cubic algebra on the (r, u)
-chart), the rule is applied monomial by monomial:
+operands have polynomial coefficients that use no adjunct (the operators of
+2D, g2 and the cubic algebra on the (r, u) chart, and real parser input),
+the rule is applied monomial by monomial:
 
     c x^e D^a . d x^f D^b
         = sum_{k <= a, k <= f} binom(a, k) f!/(f-k)! c d x^(e+f-k) D^(a-k+b)
@@ -21,10 +21,10 @@ chart), the rule is applied monomial by monomial:
 on packed integer term maps, with no Expr arithmetic per term, grouped by
 left term: the Leibniz terms of one left coefficient c_a that reach one
 output index are summed first, so c_a is multiplied once per index
-(_compose_terms).  Every other operand (rational or Gaussian coefficients,
-or a ring with an adjoined root, such as R3's r) takes the Expr route:
-derivative tables from Expr.differentiate, summed per output index by
-coeffring._sum_products.  Both routes expand each left term's D^a once, by
+(_compose_terms).  Every other operand (rational-function coefficients, or
+coefficients that use an adjoined root, such as R3's r or i) takes the Expr
+route: derivative tables from Expr.differentiate, summed per output index
+by coeffring._sum_products.  Both routes expand each left term's D^a once, by
 _leibniz, and keep nothing after the product returns: this module holds no
 cache.
 
@@ -46,12 +46,9 @@ from operator import add, mul, sub
 
 from .coeffring import (
     Expr,
-    GR_I,
-    GaussRat,
     MultiPoly,
     PolyRing,
     _exp_bound,
-    _gr,
     _packer,
     _scaled,
     _sum_products,
@@ -138,10 +135,12 @@ def _derivative_table(f: Expr, need, spec: VariableSpec) -> dict:
 
 
 def _term_route(left: "DiffOp", right: "DiffOp") -> bool:
-    """Whether left . right takes _compose_terms: both operands have real
-    polynomial coefficients, in a ring with no adjunct."""
-    return not left.spec.ring.adjuncts and all(
-        c.is_poly() and all(v.is_real() for v in c.num.terms.values())
+    """Whether left . right takes _compose_terms: both operands have
+    polynomial coefficients that use no adjunct.  Such coefficients stay
+    adjunct-free under differentiation and products, so no adjunct
+    reduction is needed, whatever the ring adjoins."""
+    return all(
+        c.is_poly() and not c.num.has_adjuncts()
         for op in (left, right)
         for c in op.terms.values()
     )
@@ -149,13 +148,13 @@ def _term_route(left: "DiffOp", right: "DiffOp") -> bool:
 
 def _packed_operator(op: "DiffOp", pack):
     """(d, [(index, [(packed monomial, integer numerator, exponents)])]) for
-    an operator with real polynomial coefficients: every term's value is its
+    an operator with polynomial coefficients: every term's value is its
     numerator over d, the operator's one common denominator."""
     scaled = [(a, c.num.terms, _scaled(c.num.terms, pack)) for a, c in op.terms.items()]
-    den = lcm(*(d for _, _, (d, _, _) in scaled))
+    den = lcm(*(d for _, _, (d, _) in scaled))
     return den, [
-        (a, [(key, n * (den // d), e) for (key, n, _), e in zip(packed, terms)])
-        for a, terms, (d, packed, _) in scaled
+        (a, [(key, n * (den // d), e) for (key, n), e in zip(packed, terms)])
+        for a, terms, (d, packed) in scaled
     ]
 
 
@@ -175,7 +174,7 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
     The shorter of c_a and S_a runs in the outer loop.  Each output index
     is converted to an Expr as soon as its own accumulator is done, its
     terms in descending exponent order (the packed keys' order), and terms
-    with the same numerator or monomial share one GaussRat or exponent
+    with the same numerator or monomial share one Fraction or exponent
     tuple.  No Expr is differentiated, multiplied or added.  The
     accumulation is this function's own rather than coeffring._dot_terms,
     so DiffOp.apply, which the cross-checks use, shares none of it.
@@ -228,7 +227,7 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
                     sa[key] = get(key, 0) + binom * n
     den = dl * dr
     one = next(iter(left.terms.values())).den
-    # {numerator: GaussRat} and {packed monomial: exponent tuple}, each
+    # {numerator: Fraction} and {packed monomial: exponent tuple}, each
     # shared by every coefficient of the product
     values, monomials = {}, {}
     op = DiffOp(spec)
@@ -254,7 +253,7 @@ def _compose_terms(left: "DiffOp", right: "DiffOp") -> "DiffOp":
             if n:
                 g = values.get(n)
                 if g is None:
-                    g = values[n] = _gr(Fraction(n, den))
+                    g = values[n] = Fraction(n, den)
                 e = monomials.get(key)
                 if e is None:
                     e = monomials[key] = unpack(key.to_bytes(size, "big"))
@@ -375,8 +374,8 @@ class DiffOp:
         """Operator product self . other, renormal-ordered.
 
         Two routes give the same operator, term order included (see the
-        module docstring).  When _term_route holds (real polynomial
-        coefficients, a ring with no adjunct), _compose_terms applies the
+        module docstring).  When _term_route holds (polynomial coefficients
+        that use no adjunct), _compose_terms applies the
         Leibniz rule monomial by monomial on packed term maps, one
         convolution per output index and left term.  Otherwise every output
         coefficient gathers its Leibniz terms binom(a, k) c_a D^k d_b, with
@@ -463,35 +462,41 @@ class DiffOp:
     def project_angular(self, var, charge) -> "DiffOp":
         """Restrict to the angular momentum sector: d_var^k -> (i*charge)^k.
 
-        The result must be free of var and have purely real coefficients;
-        anything else is reported as an error.
+        An even power k gives (-1)^(k/2) charge^k, and an odd one i times a
+        real value, so the terms of odd k must cancel: anything else is an
+        imaginary residue, reported as an error, as is a result that still
+        depends on var.  That split holds for real coefficients only, so a
+        coefficient that uses an adjunct (such as i) is refused.
         """
         spec = self.spec
         charge = Expr.of(spec.ring, charge)
         slot = spec.slot(var)
-        factor = charge * GR_I
         new_spec = spec.without(var)
         out = DiffOp(new_spec)
-        acc = {}
+        even, odd = {}, {}
         for a, c in self.terms.items():
+            if c.num.has_adjuncts():
+                raise WeylError("projection needs real coefficients, not %s" % c)
             k = a[slot]
             idx = tuple(v for i, v in enumerate(a) if i != slot)
-            w = c if k == 0 else c * factor ** k
+            w = c if k == 0 else c * charge ** k
+            acc = odd if k % 2 else even
+            if k % 4 > 1:  # i^k = -1 for k = 2, -i for k = 3 (mod 4)
+                w = -w
             v = acc.get(idx)
             s = w if v is None else v + w
             if s.is_zero():
                 acc.pop(idx, None)
             else:
                 acc[idx] = s
-        for idx, c in acc.items():
+        if odd:
+            residue = next(iter(odd.values()))
+            raise WeylError("projection leaves imaginary residue: i*(%s)" % residue)
+        for idx, c in even.items():
             if c.num.uses(var) or c.den.uses(var):
                 raise WeylError(
                     "projection leaves %s dependence in coefficient %s" % (var, c)
                 )
-            if any(not v.is_real() for v in c.num.terms.values()) or any(
-                not v.is_real() for v in c.den.terms.values()
-            ):
-                raise WeylError("projection leaves imaginary residue: %s" % c)
             out.terms[idx] = c
         return out
 
@@ -671,7 +676,7 @@ def format_op(op: DiffOp) -> str:
             txt = ctxt if _is_atomic_coeff(c) else "(%s)" % ctxt
         elif c == 1:
             txt = mono
-        elif c == GaussRat(-1):
+        elif c == -1:
             txt = "-" + mono
         elif _is_atomic_coeff(c):
             txt = ctxt + "*" + mono
@@ -688,6 +693,4 @@ def _is_atomic_coeff(c: Expr) -> bool:
     if len(p.terms) != 1:
         return False
     (exps, v), = p.terms.items()
-    if not v.is_real() and v.re:
-        return False
-    return v.re >= 0 or not any(exps)
+    return v >= 0 or not any(exps)

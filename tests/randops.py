@@ -6,11 +6,24 @@ seed and failures reproduce exactly.
 
 from fractions import Fraction
 
-from weylcalc.coeffring import Expr, GaussRat, MultiPoly, PolyRing
+from weylcalc.coeffring import Expr, PolyRing
 from weylcalc.spaces import RU, RU_SPEC
-from weylcalc.weyl import DiffOp, identity, mul_op, partial, zero_op
+from weylcalc.weyl import VariableSpec, mul_op, partial, zero_op
+
+
+def adjoin_i(ring):
+    """A copy of ring, which must adjoin nothing, with the imaginary unit i
+    as a new first symbol, adjoined with i^2 = -1."""
+    out = PolyRing(("i",) + ring.symbols)
+    out.define_adjunct("i", out.const(-1))
+    return out
+
 
 XYZ = PolyRing(("x", "y", "z"))
+# the Gaussian test rings: XYZ and the (r, u) chart with i adjoined
+XYZI = adjoin_i(XYZ)
+RUI = adjoin_i(RU)
+RUI_SPEC = VariableSpec(RUI, RU_SPEC.space)
 
 
 def random_fraction(rng, span=6, nonzero=False):
@@ -21,32 +34,42 @@ def random_fraction(rng, span=6, nonzero=False):
     return Fraction(num, rng.randint(1, span))
 
 
-def random_gauss(rng, span=6, nonzero=False):
-    g = GaussRat(random_fraction(rng, span), random_fraction(rng, span))
-    if nonzero:
-        while g.is_zero():
-            g = GaussRat(random_fraction(rng, span), random_fraction(rng, span))
-    return g
+def _has_i(ring) -> bool:
+    return "i" in ring.index and ring.is_adjunct("i")
 
 
-def random_poly(ring, rng, symbols=None, terms=3, degree=2, span=6, nonzero=False):
-    """Sparse polynomial with small GaussRat coefficients."""
+def random_gauss(rng, ring, span=6, nonzero=False, real=False):
+    """re + im*i with small rational parts, as a constant of ring: just re
+    when ring does not adjoin i, or when real.  Both parts are drawn either
+    way, so a seed draws the same numbers in every ring."""
+    while True:
+        re, im = random_fraction(rng, span), random_fraction(rng, span)
+        g = ring.const(re)
+        if im and not real and _has_i(ring):
+            g = g + ring.var("i") * im
+        if not (nonzero and g.is_zero()):
+            return g
+
+
+def random_poly(ring, rng, symbols=None, terms=3, degree=2, span=6, nonzero=False, real=False):
+    """Sparse polynomial in symbols (by default every symbol of ring but i)
+    with small random_gauss coefficients."""
     if symbols is None:
-        symbols = ring.symbols
+        symbols = [s for s in ring.symbols if s != "i"]
     out = ring.zero()
     for _ in range(rng.randint(0 if not nonzero else 1, terms)):
-        term = ring.const(random_gauss(rng, span))
+        term = random_gauss(rng, ring, span, real=real)
         for s in symbols:
             term = term * ring.var(s) ** rng.randint(0, degree)
         out = out + term
     if nonzero and out.is_zero():
-        out = ring.const(random_gauss(rng, span, nonzero=True))
+        out = random_gauss(rng, ring, span, nonzero=True, real=real)
     return out
 
 
-def random_expr(ring, rng, symbols=None, terms=2, degree=2, span=4, den_degree=1):
-    num = random_poly(ring, rng, symbols, terms, degree, span)
-    den = random_poly(ring, rng, symbols, terms, den_degree, span, nonzero=True)
+def random_expr(ring, rng, symbols=None, terms=2, degree=2, span=4, den_degree=1, real=False):
+    num = random_poly(ring, rng, symbols, terms, degree, span, real=real)
+    den = random_poly(ring, rng, symbols, terms, den_degree, span, nonzero=True, real=real)
     return Expr.make(num, den)
 
 
@@ -61,34 +84,35 @@ def factor_pool(ring):
 
 
 def random_reduced_expr(ring, rng, symbols=None):
-    """Expr.make of a small numerator over a Gaussian constant times up to
-    two factors from factor_pool(ring).  Half the numerators carry a pool
+    """Expr.make of a small numerator over a random_gauss constant times up
+    to two factors from factor_pool(ring).  Half the numerators carry a pool
     factor too, so shared factors and partial cancellation are frequent;
     one numerator in five is a constant."""
     pool = factor_pool(ring)
-    den = ring.const(random_gauss(rng, 4, nonzero=True))
+    den = random_gauss(rng, ring, 4, nonzero=True)
     for _ in range(rng.randint(0, 2)):
         den = den * rng.choice(pool)
     if rng.randint(0, 4):
         num = random_poly(ring, rng, symbols, terms=2, degree=1, span=4, nonzero=True)
     else:
-        num = ring.const(random_gauss(rng, 4, nonzero=True))
+        num = random_gauss(rng, ring, 4, nonzero=True)
     if rng.randint(0, 1):
         num = num * rng.choice(pool)
     return Expr.make(num, den)
 
 
-def random_op(rng, terms=2, order=1, cdeg=1, span=4, symbols=("r", "u", "beta")):
+def random_op(rng, terms=2, order=1, cdeg=1, span=4, symbols=("r", "u", "beta"), spec=RUI_SPEC):
     """Small normal-ordered operator on the (r, u) chart with polynomial
-    coefficients; sized so thousand-case property loops stay fast."""
-    op = zero_op(RU_SPEC)
+    coefficients, Gaussian ones over the default RUI_SPEC; sized so
+    thousand-case property loops stay fast."""
+    op = zero_op(spec)
     for _ in range(rng.randint(1, terms)):
-        coeff = random_poly(RU, rng, symbols, terms=1, degree=cdeg, span=span, nonzero=True)
-        piece = mul_op(RU_SPEC, coeff)
-        for var in RU_SPEC.space:
+        coeff = random_poly(spec.ring, rng, symbols, terms=1, degree=cdeg, span=span, nonzero=True)
+        piece = mul_op(spec, coeff)
+        for var in spec.space:
             k = rng.randint(0, order)
             if k:
-                piece = piece.compose(partial(RU_SPEC, var, k))
+                piece = piece.compose(partial(spec, var, k))
         op = op + piece
     return op
 

@@ -3,7 +3,6 @@ vectors, their orderings, and the closed orthogonal algebra."""
 
 from fractions import Fraction
 
-from weylcalc.coeffring import GaussRat
 from weylcalc.coulomb3d import (
     angular_momentum,
     b_candidates,
@@ -22,7 +21,7 @@ from weylcalc.coulomb3d import (
 from weylcalc.spaces import R3, R3_SPEC
 from weylcalc.weyl import format_op, identity, mul_op, partial
 
-I = GaussRat(Fraction(0), Fraction(1))
+I = R3.var("i")  # the imaginary unit, adjoined to R3 with i^2 = -1
 
 
 def test_full_suite_passes():

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from weylcalc.coeffring import GaussRat
 from weylcalc.exprparse import (
     MAX_DEGREE,
     MAX_EXPONENT,
@@ -165,6 +164,9 @@ def test_nested_power_degree_limit_is_a_parse_error():
     assert format_op(two).startswith("(r^100 + 100*r^99*u + 4950*r^98*u^2 + ")
     # a constant base has degree 0, and a denominator counts like a numerator
     assert str(parse_scalar("(2*i)^100")) == str(2 ** 100)
+    # the adjoined unit i counts for nothing (i^2 = -1): i*D[x] has degree 1
+    assert format_op(parse("(i*D[x])^100")) == "D[x]^100"
+    assert format_op(parse("(i*x*D[x])^2")) == "(-x^2)*D[x]^2 + (-x)*D[x]"
     with pytest.raises(ParseError, match="power of degree 102 exceeds"):
         parse("(1/(r*u))^51")
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from randops import random_expr, random_fraction, random_op, random_poly
+from randops import RUI, RUI_SPEC, random_expr, random_fraction, random_op, random_poly
 
-from weylcalc.coeffring import CoeffRingError, Expr, GaussRat
+from weylcalc.coeffring import CoeffRingError, Expr
 from weylcalc.spaces import R3, R3_SPEC, RRP, RRP_SPEC, RU, RU_SPEC
 from weylcalc.weyl import (
     DiffOp,
@@ -52,7 +52,7 @@ def test_compose_matches_nested_application():
     for _ in range(300):
         a = random_op(rng)
         b = random_op(rng)
-        f = Expr.of_poly(random_poly(RU, rng, symbols=("r", "u"), terms=2, degree=3))
+        f = Expr.of_poly(random_poly(RUI, rng, symbols=("r", "u"), terms=2, degree=3))
         lhs = a.compose(b).apply(f)
         rhs = a.apply(b.apply(f))
         assert (lhs - rhs).is_zero(), "compose/apply mismatch:\nA=%s\nB=%s\nf=%s" % (
@@ -108,16 +108,17 @@ def _rational_cases():
 
 
 def _r3_polynomial_op():
-    """An R3 operator with polynomial coefficients in x, y and z: the r
-    adjunct involves the space variables, so compose takes the Expr route."""
-    x, y, z = (R3.var(s) for s in ("x", "y", "z"))
+    """An R3 operator with polynomial coefficients in x, y, z and the r
+    adjunct, which involves the space variables: compose takes the Expr
+    route."""
+    x, y, z, r = (R3.var(s) for s in ("x", "y", "z", "r"))
     return DiffOp(
         R3_SPEC,
         {
             (2, 0, 0): x * y + z,
             (1, 0, 1): y * y,
             (0, 1, 0): x * x * z * 3 - y,
-            (0, 0, 0): x * y * z + 1,
+            (0, 0, 0): x * y * z * r + 1,
         },
     )
 
@@ -169,16 +170,16 @@ def test_compose_prepares_each_operand_once(monkeypatch):
 
 
 def test_compose_gaussian_rational_coefficients():
-    """Compose against nested application with Gaussian coefficients over
-    the coprime denominators x+y and x^2+y^2+z^2, applied to a rational
-    test function with the r adjunct."""
-    x, y, z, r = (R3.var(s) for s in ("x", "y", "z", "r"))
+    """Compose against nested application with Gaussian coefficients (R3
+    adjoins i) over the coprime denominators x+y and x^2+y^2+z^2, applied
+    to a rational test function with the r adjunct."""
+    x, y, z, r, i = (R3.var(s) for s in ("x", "y", "z", "r", "i"))
     s2 = x * x + y * y + z * z
-    c1 = Expr.make(x * y * GaussRat(-1, -3), x + y)
-    c2 = Expr.make(x * y * GaussRat(2, Fraction(4, 3)), s2)
+    c1 = Expr.make(x * y * (-1 - i * 3), x + y)
+    c2 = Expr.make(x * y * (2 + i * Fraction(4, 3)), s2)
     a = DiffOp(R3_SPEC, {(1, 0, 0): c1, (0, 0, 1): c2})
     b = DiffOp(R3_SPEC, {(0, 1, 0): c2, (0, 0, 1): c1})
-    f = Expr.make(s2 * GaussRat(6, -1) + r * GaussRat(0, Fraction(3, 5)), s2)
+    f = Expr.make(s2 * (6 - i) + r * i * Fraction(3, 5), s2)
     assert (a.compose(b).apply(f) - a.apply(b.apply(f))).is_zero()
 
 
@@ -248,14 +249,16 @@ def test_canonical_commutator():
     assert _dr().commutator(_du()).is_zero()
 
 
-def _gradient_gauge(rng):
-    """Log-gradient of r^a u^b e^(c r + d u): curl-free by construction."""
-    r, u = RU.var("r"), RU.var("u")
+def _gradient_gauge(rng, spec=RUI_SPEC):
+    """Log-gradient of r^a u^b e^(c r + d u): curl-free by construction.
+    On the chart of the Gaussian random_op by default."""
+    ring = spec.ring
+    r, u = ring.var("r"), ring.var("u")
     a, b = random_fraction(rng, 4), random_fraction(rng, 4)
     c, d = random_fraction(rng, 4), random_fraction(rng, 4)
-    w_r = Expr.make(RU.const(a), r) + Expr.of_poly(RU.const(c))
-    w_u = Expr.make(RU.const(b), u) + Expr.of_poly(RU.const(d))
-    return GaugeData(RU_SPEC, {"r": w_r, "u": w_u})
+    w_r = Expr.make(ring.const(a), r) + Expr.of_poly(ring.const(c))
+    w_u = Expr.make(ring.const(b), u) + Expr.of_poly(ring.const(d))
+    return GaugeData(spec, {"r": w_r, "u": w_u})
 
 
 def test_conjugation_homomorphism():
@@ -273,7 +276,7 @@ def test_conjugation_linear_and_invertible():
     rng = random.Random(1606)
     for _ in range(200):
         gauge = _gradient_gauge(rng)
-        inverse = GaugeData(RU_SPEC, {v: -w for v, w in gauge.loggrad.items()})
+        inverse = GaugeData(RUI_SPEC, {v: -w for v, w in gauge.loggrad.items()})
         a = random_op(rng)
         b = random_op(rng)
         assert ((a + b).conjugate(gauge) - (a.conjugate(gauge) + b.conjugate(gauge))).is_zero()
@@ -284,36 +287,38 @@ def test_conjugation_fixes_multiplications():
     rng = random.Random(1707)
     for _ in range(100):
         gauge = _gradient_gauge(rng)
-        f = random_poly(RU, rng, symbols=("r", "u"), terms=2)
-        m = _mul(f)
+        f = random_poly(RUI, rng, symbols=("r", "u"), terms=2)
+        m = mul_op(RUI_SPEC, f)
         assert (m.conjugate(gauge) - m).is_zero()
 
 
-def _affine_change(rng):
-    """Invertible affine substitution r -> s*r + t, u -> w*u on the same chart."""
-    r, u = RU.var("r"), RU.var("u")
+def _affine_change(rng, spec=RUI_SPEC):
+    """Invertible affine substitution r -> s*r + t, u -> w*u on the same
+    chart, that of the Gaussian random_op by default."""
+    ring = spec.ring
+    r, u = ring.var("r"), ring.var("u")
     s = random_fraction(rng, 4, nonzero=True)
     t = random_fraction(rng, 4)
     w = random_fraction(rng, 4, nonzero=True)
     fwd = VariableChange(
-        RU_SPEC,
-        RU_SPEC,
-        coord_map={"r": Expr.of_poly(r * s + RU.const(t)), "u": Expr.of_poly(u * w)},
+        spec,
+        spec,
+        coord_map={"r": Expr.of_poly(r * s + ring.const(t)), "u": Expr.of_poly(u * w)},
         deriv_map={
-            "r": partial(RU_SPEC, "r").scale(Fraction(1, 1) / s),
-            "u": partial(RU_SPEC, "u").scale(Fraction(1, 1) / w),
+            "r": partial(spec, "r").scale(Fraction(1, 1) / s),
+            "u": partial(spec, "u").scale(Fraction(1, 1) / w),
         },
     )
     back = VariableChange(
-        RU_SPEC,
-        RU_SPEC,
+        spec,
+        spec,
         coord_map={
-            "r": Expr.of_poly((r - RU.const(t)) * (Fraction(1, 1) / s)),
+            "r": Expr.of_poly((r - ring.const(t)) * (Fraction(1, 1) / s)),
             "u": Expr.of_poly(u * (Fraction(1, 1) / w)),
         },
         deriv_map={
-            "r": partial(RU_SPEC, "r").scale(s),
-            "u": partial(RU_SPEC, "u").scale(w),
+            "r": partial(spec, "r").scale(s),
+            "u": partial(spec, "u").scale(w),
         },
     )
     return fwd, back
@@ -353,6 +358,48 @@ def test_angular_projection():
     assert format_op(pq) == "rho*D[r]"
 
 
+def test_angular_projection_of_even_powers_is_real():
+    """d_phi^k -> (i*mu)^k: -mu^2 for k = 2 and mu^4 for k = 4."""
+    mu = Expr.of_poly(RRP.var("mu"))
+    for k, want in ((2, "-mu^2"), (4, "mu^4")):
+        got = partial(RRP_SPEC, "phi", k).project_angular("phi", mu)
+        assert list(got.terms) == [(0, 0)]
+        assert str(got.coefficient((0, 0))) == want
+
+
+def test_angular_projection_refuses_an_uncancelled_odd_power():
+    mu, rho = Expr.of_poly(RRP.var("mu")), RRP.var("rho")
+    d_phi, d_r = partial(RRP_SPEC, "phi"), partial(RRP_SPEC, "r")
+    rho_d_r = mul_op(RRP_SPEC, rho).compose(d_r)
+    for op in (d_phi, partial(RRP_SPEC, "phi", 3) + d_r, rho_d_r.compose(d_phi)):
+        with pytest.raises(WeylError, match="imaginary residue"):
+            op.project_angular("phi", mu)
+
+
+def test_angular_projection_lets_odd_powers_cancel():
+    """mu^2 D[phi] + D[phi]^3 projects to i*mu^3 + (i*mu)^3 = 0, and the
+    odd terms at D[r] cancel the same way, leaving the even ones."""
+    m, rho = RRP.var("mu"), RRP.var("rho")
+    mu = Expr.of_poly(m)
+    d_phi, d_r = partial(RRP_SPEC, "phi"), partial(RRP_SPEC, "r")
+    odd = mul_op(RRP_SPEC, m * m).compose(d_phi) + partial(RRP_SPEC, "phi", 3)
+    op = odd + odd.compose(d_r).scale(rho) + mul_op(RRP_SPEC, rho).compose(d_r)
+    assert format_op(op.project_angular("phi", mu)) == "rho*D[r]"
+    assert odd.project_angular("phi", mu).is_zero()
+
+
+def test_angular_projection_refuses_coefficients_with_an_adjunct():
+    from weylcalc.coeffring import PolyRing
+    from weylcalc.weyl import VariableSpec
+
+    ring = PolyRing(("i", "r", "phi", "mu"))
+    ring.define_adjunct("i", ring.const(-1))
+    spec = VariableSpec(ring, ("r", "phi"))
+    op = mul_op(spec, ring.var("i") * ring.var("mu")).compose(partial(spec, "phi"))
+    with pytest.raises(WeylError, match="real coefficients"):
+        op.project_angular("phi", Expr.of_poly(ring.var("mu")))
+
+
 def test_order_and_predicates():
     r, u = RU.var("r"), RU.var("u")
     op = _mul(u).compose(_dr(2)).compose(_du()) + _dr()
@@ -386,17 +433,18 @@ def test_coefficients_from_another_ring_are_rejected():
 
 def test_derivative_tables_skip_vanished_entries(monkeypatch):
     """A high-order operator composed with a low-degree coefficient (on the
-    Expr route, in R3) or applied to a low-degree function never
+    Expr route, as the coefficient uses R3's i) or applied to a low-degree
+    function never
     differentiates a zero Expr: an entry one step above a vanished
     derivative is left out of the table, and the product still acts as the
     factors applied in turn."""
     from weylcalc import coeffring
 
-    x, y = R3.var("x"), R3.var("y")
+    x, y, i = R3.var("x"), R3.var("y"), R3.var("i")
     high = partial(R3_SPEC, "x", 4).compose(partial(R3_SPEC, "y", 3)) + mul_op(
         R3_SPEC, x
     ).compose(partial(R3_SPEC, "x", 2)).compose(partial(R3_SPEC, "y"))
-    low = mul_op(R3_SPEC, x * y + y * y + 3).compose(partial(R3_SPEC, "y"))
+    low = mul_op(R3_SPEC, (x * y + y * y + 3) * i).compose(partial(R3_SPEC, "y"))
     r, u = RU.var("r"), RU.var("u")
     high_ru = _dr(4).compose(_du(3)) + mul_op(RU_SPEC, r).compose(_dr(2)).compose(_du())
     calls = []
@@ -415,7 +463,8 @@ def test_derivative_tables_skip_vanished_entries(monkeypatch):
     # an unpruned table differentiates once for each of the 19 nonzero
     # multi-indices below D[x]^4 D[y]^3; for x*y + y^2 + 3 the pruned one
     # stops after D[x], D[y], D[x]^2, D[x]D[y], D[y]^2, D[x]D[y]^2 and
-    # D[y]^3, three of which vanish, and for r^2*u after 7 as well
+    # D[y]^3, three of which vanish (i is a constant), and for r^2*u after
+    # 7 as well
     assert (compose_calls, len(calls) - compose_calls) == (7, 7)
     assert applied == Expr.of_poly(2 * r)
     for a, b in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 4)):
@@ -434,32 +483,38 @@ def _acts_as_sequence(a, b, bound):
     product = a.compose(b)
     for i in range(bound + 1):
         for j in range(bound + 1):
-            f = Expr.of_poly(RU.monomial(1, r=i, u=j))
+            f = Expr.of_poly(a.spec.ring.monomial(1, r=i, u=j))
             if not (product.apply(f) - a.apply(b.apply(f))).is_zero():
                 return False
     return True
 
 
 def _real_part(op):
+    """The terms of a RUI_SPEC operator that do not use i, over RU_SPEC."""
     return DiffOp(
-        op.spec, {a: RU.poly({e: v.re for e, v in c.num.terms.items()}) for a, c in op.terms.items()}
+        RU_SPEC,
+        {
+            a: RU.poly({e[1:]: v for e, v in c.num.terms.items() if not e[0]})
+            for a, c in op.terms.items()
+        },
     )
 
 
 def _polynomial_op(rng, symbols=("r", "u", "beta", "mu", "p")):
     """Up to three terms of order up to 3 in each variable, each with a
-    coefficient of up to three Gaussian-rational terms."""
+    coefficient of up to three Gaussian-rational terms, over RUI_SPEC."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
         idx = (rng.randint(0, 3), rng.randint(0, 3))
-        terms[idx] = random_poly(RU, rng, symbols, terms=3, degree=2, span=4, nonzero=True)
-    return DiffOp(RU_SPEC, terms)
+        terms[idx] = random_poly(RUI, rng, symbols, terms=3, degree=2, span=4, nonzero=True)
+    return DiffOp(RUI_SPEC, terms)
 
 
 def test_polynomial_compose_matches_sequential_apply():
-    """Seeded operators of order up to 3 in each variable, with Gaussian or
-    real rational coefficients in r, u, beta, mu and p: the product acts as
-    the factors applied in turn, on enough monomials to prove it."""
+    """Seeded operators of order up to 3 in each variable, with Gaussian
+    coefficients (over RUI_SPEC) or real rational ones (over RU_SPEC) in
+    r, u, beta, mu and p: the product acts as the factors applied in turn,
+    on enough monomials to prove it."""
     rng = random.Random(2121)
     for case in range(16):
         a, b = _polynomial_op(rng), _polynomial_op(rng)
@@ -473,15 +528,20 @@ def test_polynomial_compose_matches_sequential_apply():
 
 def test_polynomial_compose_packs_wide_exponents():
     """Exponent sums past 255 and past 65535 take 16- and 32-bit fields and
-    still give the product; a sum past 64 bits raises rather than wraps."""
-    r, u = RU.var("r"), RU.var("u")
-    for top in (200, 40000):
-        a = _mul(r ** top * u).compose(_dr(2)) + _mul(u ** 3).compose(_du())
-        b = _mul(RU.monomial(GaussRat(1, 2), r=top // 2 + 60, u=2)).compose(_du()) + _dr()
-        assert _acts_as_sequence(a, b, 3)
-        assert a.compose(b).coefficient((2, 1)) == Expr.of_poly(
-            RU.monomial(GaussRat(1, 2), r=top + top // 2 + 60, u=3)
-        )
+    still give the product, with a real and with a Gaussian coefficient
+    (over RUI_SPEC); a sum past 64 bits raises rather than wraps."""
+    for spec, c in ((RU_SPEC, Fraction(1, 2)), (RUI_SPEC, 1 + RUI.var("i") * 2)):
+        ring = spec.ring
+        r, u = ring.var("r"), ring.var("u")
+        d_r, d_u = partial(spec, "r"), partial(spec, "u")
+        for top in (200, 40000):
+            a = mul_op(spec, r ** top * u).compose(partial(spec, "r", 2))
+            a = a + mul_op(spec, u ** 3).compose(d_u)
+            b = mul_op(spec, ring.monomial(1, r=top // 2 + 60, u=2) * c).compose(d_u) + d_r
+            assert _acts_as_sequence(a, b, 3)
+            assert a.compose(b).coefficient((2, 1)) == Expr.of_poly(
+                ring.monomial(1, r=top + top // 2 + 60, u=3) * c
+            )
     huge = _mul(RU.monomial(1, r=2 ** 63)).compose(_dr())
     with pytest.raises(CoeffRingError):
         huge.compose(huge)
@@ -492,17 +552,19 @@ def test_polynomial_compose_drops_cancelled_terms():
     gives (u - r)(D[r] + D[u]) on the term-level route, and D[r] + i*D[u]
     after i*r - u gives (i*r - u)(D[r] + i*D[u]) on the Expr route."""
     r, u = RU.var("r"), RU.var("u")
-    i = GaussRat(0, 1)
-    for left, f in ((_dr() + _du(), u - r), (_dr() + _du().scale(i), r * i - u)):
-        product = left.compose(_mul(f))
+    ri, ui, i = RUI.var("r"), RUI.var("u"), RUI.var("i")
+    gaussian = partial(RUI_SPEC, "r") + partial(RUI_SPEC, "u").scale(i)
+    for left, f in ((_dr() + _du(), u - r), (gaussian, ri * i - ui)):
+        right = mul_op(left.spec, f)
+        product = left.compose(right)
         assert (0, 0) not in product.terms
-        assert product == _mul(f).compose(left)
-        assert _acts_as_sequence(left, _mul(f), 1)
+        assert product == right.compose(left)
+        assert _acts_as_sequence(left, right, 1)
 
 
 def test_polynomial_compose_identity_and_zero():
     rng = random.Random(2323)
-    one, zero = identity(RU_SPEC), zero_op(RU_SPEC)
+    one, zero = identity(RUI_SPEC), zero_op(RUI_SPEC)
     for _ in range(20):
         a = _polynomial_op(rng)
         for product in (one.compose(a), a.compose(one)):
@@ -528,8 +590,8 @@ def _parameter_root_ops():
 
 
 def test_polynomial_compose_under_a_parameter_root():
-    """A ring with an adjoined root takes the Expr route, even when the root
-    is a parameter's: compose reduces s^2 = a in its products."""
+    """Operands that use an adjoined root take the Expr route, even when the
+    root is a parameter's: compose reduces s^2 = a in its products."""
     left, right = _parameter_root_ops()
     ring = left.spec.ring
     x, y = ring.var("x"), ring.var("y")
@@ -554,14 +616,20 @@ def _unreachable(name):
 def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
     """With the derivative tables, the grouped sums and Expr.differentiate
     all raising, a compose of real polynomial operators still gives the
-    product; an R3 compose (the r adjunct), a Gaussian compose on the
-    (r, u) chart and a compose under a parameter's root all take the Expr
+    product, in R3 too when no coefficient uses r or i; an R3 compose that
+    uses the r adjunct, a Gaussian compose on the (r, u) chart (over
+    RUI_SPEC) and a compose under a parameter's root all take the Expr
     route and still reach each of them."""
     from weylcalc import coeffring, weyl
     from weylcalc.coulomb2d import c_op, h_a
     from weylcalc.g2algebra import generator
 
-    cases = [(c_op(), h_a()), (generator("T2", 0), generator("J4", 0))]
+    x, y, r3 = R3.var("x"), R3.var("y"), R3.var("r")
+    real_r3 = (
+        mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x")),
+        mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x),
+    )
+    cases = [(c_op(), h_a()), (generator("T2", 0), generator("J4", 0)), real_r3]
     want = [a.compose(b) for a, b in cases]
     targets = [
         (weyl, "_derivative_table"),
@@ -569,15 +637,11 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
         (coeffring, "_sum_products"),
         (coeffring.Expr, "differentiate"),
     ]
-    x, y = R3.var("x"), R3.var("y")
-    r, u = RU.var("r"), RU.var("u")
-    i = GaussRat(0, 1)
+    r, u, i = RUI.var("r"), RUI.var("u"), RUI.var("i")
+    d_r, d_u = partial(RUI_SPEC, "r"), partial(RUI_SPEC, "u")
     general = [
-        (
-            mul_op(R3_SPEC, x).compose(partial(R3_SPEC, "x")),
-            mul_op(R3_SPEC, y).compose(partial(R3_SPEC, "y")) + mul_op(R3_SPEC, x * x),
-        ),
-        (_dr() + _du().scale(i), _mul(r * u) + _mul(u * u).compose(_dr())),
+        (real_r3[0], real_r3[1] + mul_op(R3_SPEC, r3)),
+        (d_r + d_u.scale(i), mul_op(RUI_SPEC, r * u) + mul_op(RUI_SPEC, u * u).compose(d_r)),
         _parameter_root_ops(),
     ]
     # weyl calls its own reference to _sum_products, not coeffring's name
@@ -592,10 +656,33 @@ def test_polynomial_compose_needs_no_expr_machinery(monkeypatch):
     got = [a.compose(b) for a, b in cases]
     monkeypatch.undo()
     assert got == want
-    for (a, b), product in zip(cases, got):
+    for (a, b), product in zip(cases[:2], got):
         for i, j in ((0, 0), (1, 0), (2, 1), (3, 2)):
             f = Expr.of_poly(RU.monomial(1, r=i, u=j))
             assert (product.apply(f) - a.apply(b.apply(f))).is_zero()
+    for f in (R3.one(), x, x * x * y, y ** 3):
+        f = Expr.of_poly(f)
+        assert (got[2].apply(f) - real_r3[0].apply(real_r3[1].apply(f))).is_zero()
+
+
+def test_parser_input_takes_the_term_route_unless_it_uses_i(monkeypatch):
+    """The parser's workspace adjoins i, yet real input composes on the
+    term-level route: with the Expr route patched to raise, a real power
+    still parses to its exact text, while an operand that uses i reaches
+    the Expr route."""
+    from weylcalc import weyl
+    from weylcalc.exprparse import parse
+
+    real = "(x*D[y]+D[x])^3"
+    want = format_op(parse(real))
+    for name in ("_derivative_table", "_sum_products"):
+        monkeypatch.setattr(weyl, name, _unreachable(name))
+    assert format_op(parse(real)) == want == (
+        "D[x]^3 + 3*x*D[x]^2*D[y] + 3*x^2*D[x]*D[y]^2 + x^3*D[y]^3 + 3*D[x]*D[y] + 3*x*D[y]^2"
+    )
+    for text in ("(i*D[x]+x*D[y])^3", "D[x]*(i*x)", "(i*x)*D[x]*D[x]"):
+        with pytest.raises(_Reached):
+            parse(text)
 
 
 def test_compose_leaves_module_state_alone():
@@ -615,16 +702,16 @@ def test_compose_leaves_module_state_alone():
 
     before = containers()
     r, u = RU.var("r"), RU.var("u")
-    x, y = R3.var("x"), R3.var("y")
+    x, y, i = R3.var("x"), R3.var("y"), R3.var("i")
     term_level = _dr(37).compose(_du(5)).compose(_mul(r ** 3 * u))
     expr_route = partial(R3_SPEC, "x", 23).compose(partial(R3_SPEC, "z", 7)).compose(
-        mul_op(R3_SPEC, x * x * y)
+        mul_op(R3_SPEC, x * x * y * i)
     )
     applied = partial(R3_SPEC, "y", 19).apply(Expr.of_poly(y ** 19))
     assert containers() == before
     # D[r]^37 D[u]^5 . r^3 u has the coefficient 37*36*35*u at D[r]^34 D[u]^5
     assert term_level.coefficient((34, 5)) == Expr.of_poly(u * (37 * 36 * 35))
-    assert expr_route.coefficient((21, 0, 7)) == Expr.of_poly(y * (23 * 22))
+    assert expr_route.coefficient((21, 0, 7)) == Expr.of_poly(y * i * (23 * 22))
     assert applied == Expr.of_poly(R3.const(121645100408832000))
 
 
@@ -632,7 +719,8 @@ def test_both_routes_give_the_same_terms_in_the_same_order(monkeypatch):
     """The term-level route and the Expr route (forced here by patching the
     route predicate) give the same coefficients, with the output indices
     and each coefficient's terms in the same order.  The Gaussian cases
-    take the Expr route either way; the real ones take both."""
+    (over RUI_SPEC) take the Expr route either way; the real ones take
+    both."""
     from weylcalc import weyl
     from weylcalc.coulomb2d import c_op, h_a, l_a
     from weylcalc.g2algebra import generator
@@ -689,8 +777,8 @@ def _descending(op):
 def test_every_route_lists_coefficient_terms_in_descending_order(monkeypatch):
     """Both routes give each coefficient's terms in descending exponent
     order: real operators on the term-level route and, forced, on the Expr
-    route; Gaussian ones and rational R3 ones, which take the Expr route
-    anyway."""
+    route; Gaussian ones (over RUI_SPEC) and R3 ones with the r adjunct,
+    which take the Expr route anyway."""
     from weylcalc import weyl
     from weylcalc.coulomb2d import c_op, h_a, l_a
 
