@@ -987,6 +987,9 @@ def test_exact_div_rejects_what_does_not_divide():
     assert _assert_div(g * a + 1, g) is None
     assert _assert_div(x ** 2 * y + y, x * y) is None
     assert _assert_div(x ** 3 + y ** 2, x ** 2) is None
+    # every monomial divides, but the leading coefficient 2 does not divide
+    # 3: the remainder is scaled, and the division still fails
+    assert _assert_div(x ** 2 * 3 + x * y, x * 2 + y) is None
     # a lower-degree dividend and a one-term dividend
     assert _assert_div(x, g) is None
     assert _assert_div(z * x, x + z) is None
