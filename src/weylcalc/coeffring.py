@@ -902,7 +902,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         # one argument is free of the main symbol: gcd divides its coeff gcd
         free, other = (a, b) if da == 0 else (b, a)
         g = free
-        for p in _split_by(other, idx).values():
+        for _, p in sorted(_split_by(other, idx).items()):
             g = poly_gcd(g, p)
             if g.is_const():
                 return a.ring.one()
@@ -919,13 +919,15 @@ def _content_and_primitive(p: MultiPoly, idx: int):
     """(content, primitive part) of p in symbol idx; the content is monic.
 
     A nonzero constant coefficient part makes the content 1 at once, with
-    no gcd; otherwise the parts are gcd'd smallest first, stopping at 1.
+    no gcd; otherwise the parts are gcd'd smallest first, ties by degree in
+    symbol idx, stopping at 1, so the work depends on p's value and not on
+    the order of its terms.
     """
     parts = _split_by(p, idx)
     if any(q.is_const() for q in parts.values()):
         return p.ring.one(), p
     cont = None
-    for q in sorted(parts.values(), key=lambda q: len(q.terms)):
+    for _, _, q in sorted((len(q.terms), k, q) for k, q in parts.items()):
         cont = q if cont is None else poly_gcd(cont, q)
         if cont.is_const():
             return p.ring.one(), p
@@ -1093,10 +1095,17 @@ class Expr:
             return Expr(a * d + c, d, _trusted=True)
         if d.is_const():
             return Expr(c * b + a, b, _trusted=True)
-        g = poly_gcd(b, d)
-        if g.is_const():
-            return Expr(a * d + c * b, b * d, _trusted=True)
-        b, d = b.exact_div(g), d.exact_div(g)
+        for prime in self.ring.prime_squares:
+            kb, kd = prime.exponent(b)[0], prime.exponent(d)[0]
+            if kb and kd:  # monic s^kb and s^kd: the quotients by g are powers
+                m = min(kb, kd)
+                g, b, d = prime.power(m), prime.power(kb - m), prime.power(kd - m)
+                break
+        else:
+            g = poly_gcd(b, d)
+            if g.is_const():
+                return Expr(a * d + c * b, b * d, _trusted=True)
+            b, d = b.exact_div(g), d.exact_div(g)
         t, g = _cancel(a * d + c * b, g)
         return Expr(t, g * b * d, _trusted=True)
 
@@ -1166,10 +1175,33 @@ class Expr:
         return hash((self.num, self.den))
 
     def differentiate(self, symbol) -> "Expr":
-        dn = self.num.differentiate(symbol)
+        """d/d symbol of num/den, with the chain rule through adjuncts.
+
+        When den is c*s^k, k >= 1, for a certified adjunct square s, and
+        every adjunct square that uses symbol is a constant multiple of s,
+        the quotient rule has a closed form (_square_power_derivative):
+        with n_pp num's plain partial derivative and p the terms of num
+        that carry such an adjunct,
+
+            D(num/(c*s^k)) = (2*s*n_pp + (p - 2*k*num)*s') / (2*c*s^(k+1)),
+
+        and n_pp/(c*s^k) when s' = 0.  That numerator is in lowest terms
+        when num/den is: modulo s its adjunct group g is
+        (e_g - 2*k)*num_g*s', with e_g the number of such adjuncts in g
+        (0 or 1 in R3 and AMB, which adjoin one root of s), which is
+        nonzero because k >= 1 and the prime s divides neither s' nor some
+        num_g.  The trial division by s stays as the exactness guard.
+        Every other value runs (n'*b - n*b')/b/b, two divisions by b.
+        """
         if self.den.is_const():
+            dn = self.num.differentiate(symbol)
             c = self.den.const_value()
             return dn if c == 1 else dn * (1 / c)
+        if self.num.ring.prime_squares:
+            closed = _square_power_derivative(self.num, self.den, symbol)
+            if closed is not None:
+                return closed
+        dn = self.num.differentiate(symbol)
         dd = self.den.differentiate(symbol)
         den_e = Expr.of_poly(self.den)
         return (dn * den_e - Expr.of_poly(self.num) * dd) / den_e / den_e
@@ -1298,6 +1330,43 @@ def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int, lc
             out[tuple(map(add, e, mono))] = c
     den = prime.power(k - j)
     return MultiPoly(num.ring, out), den if lc == 1 else den * lc
+
+
+def _square_power_derivative(num: MultiPoly, den: MultiPoly, symbol):
+    """d/d symbol of num/den by the closed form of Expr.differentiate, or
+    None when den is not c*s^k, k >= 1, for a certified square s, when
+    symbol is an adjunct, or when an adjunct square that uses symbol is not
+    a constant multiple of s."""
+    ring = num.ring
+    for prime in ring.prime_squares:
+        k, c = prime.exponent(den)
+        if k:
+            break
+    else:
+        return None
+    roots = []  # indices of the adjuncts whose square uses symbol
+    for adj in ring.adjuncts:
+        if adj.symbol == symbol:
+            return None
+        if adj.square.uses(symbol):
+            if prime.exponent(adj.square)[0] != 1:
+                return None
+            roots.append(adj.index)
+    s = prime.powers[1]
+    ds = s.diff_poly_part(symbol)
+    n_pp = num.diff_poly_part(symbol)
+    if ds.is_zero():
+        return _monic_fraction(*_cancel_power(n_pp, den, prime, k, c))
+    # q = p - 2*k*num, adjunct exponents being 0 or 1
+    q = {}
+    for e, v in num.terms.items():
+        m = sum(e[i] for i in roots) - 2 * k
+        if m:
+            q[e] = v * m
+    out = _dot_terms(((2, n_pp.terms, s.terms), (1, q, ds.terms)), ring.nsyms)
+    return _monic_fraction(
+        *_cancel_power(MultiPoly(ring, out), prime.power(k + 1) * (2 * c), prime, k + 1, 2 * c)
+    )
 
 
 def _monic_fraction(num: MultiPoly, den: MultiPoly) -> Expr:

@@ -174,6 +174,44 @@ def test_poly_gcd_of_random_linear_factors():
         _assert_gcd(g, a, b)
 
 
+def _permuted(rng, p: MultiPoly) -> MultiPoly:
+    """p with its terms in a random order: the same value."""
+    return MultiPoly(p.ring, dict(rng.sample(list(p.terms.items()), len(p.terms))))
+
+
+def test_poly_gcd_work_depends_on_values_only(monkeypatch):
+    """Permuting both arguments' terms changes neither the gcd nor the
+    number of poly_gcd calls: the content's parts are taken by term count,
+    then degree, and the free-of-main-symbol branch by degree."""
+    rng = random.Random(1616)
+    real = coeffring.poly_gcd
+    count = [0]
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(coeffring, "poly_gcd", counting)
+    for n in range(120):
+        g = random_poly(XYZ, rng, terms=2, degree=1, nonzero=True)
+        a, b = (
+            g * random_poly(XYZ, rng, ("x", "y"), terms=3, degree=2, nonzero=True)
+            * random_poly(XYZ, rng, terms=3, degree=2, nonzero=True)
+            for _ in range(2)
+        )
+        if n % 2:  # a free of z: the gcd walks b's parts in z
+            a = _product(rng.sample((X + 1, Y - 2, X + Y, X * Y + 3), 2))
+            b = b * rng.choice((X + 1, Y - 2, X * Y + 3))
+        elif rng.randint(0, 2):
+            b = b * (X + Y)
+        runs = []
+        for _ in range(4):
+            count[0] = 0
+            got = coeffring.poly_gcd(_permuted(rng, a), _permuted(rng, b))
+            runs.append((got.terms, count[0]))
+        assert all(run == runs[0] for run in runs), (a, b, runs)
+
+
 def _check_pseudo_rem(f, g, idx):
     sym = XYZ.symbols[idx]
     r = _pseudo_rem(f, g, idx)
@@ -416,10 +454,10 @@ def test_a_multiple_of_a_certified_square_has_at_least_its_terms(monkeypatch):
     assert [len(prime.divide_out(q, 3)) for q in short] == [1, 1, 1]
 
 
-def _without_prime_squares(monkeypatch, compute):
-    """compute() with R3's certified squares withdrawn: today's PRS path."""
+def _without_prime_squares(monkeypatch, compute, ring=R3):
+    """compute() with ring's certified squares withdrawn: the PRS path."""
     with monkeypatch.context() as m:
-        m.setattr(R3, "prime_squares", [])
+        m.setattr(ring, "prime_squares", [])
         return compute()
 
 
@@ -483,6 +521,171 @@ def test_cancel_against_a_square_power_matches_the_content_gcd(monkeypatch):
     assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
+R3_PLAIN = ("x", "y", "z", "alpha", "E", "beta")
+
+
+def _assert_same_value(got: Expr, want: Expr, context=None):
+    """The reduced form is unique: equal values have equal num and den
+    dicts, whatever the order of their terms."""
+    assert got.num.terms == want.num.terms, context
+    assert got.den.terms == want.den.terms, context
+
+
+def _over_square_power(rng, s, k):
+    """Expr.make(num, s^k) for a num with one to four of the adjunct groups
+    1, r, i and i*r; one group in three is a multiple of s."""
+    r, i = R3.var("r"), R3.var("i")
+    num = R3.zero()
+    monos = (R3.one(), r, i, i * r)
+    for mono in rng.sample(monos, rng.randint(1, 4)):
+        part = random_poly(R3, rng, R3_PLAIN, terms=2, degree=rng.randint(1, 2), nonzero=True)
+        if not rng.randint(0, 2):
+            part = part * s
+        num = num + part * mono
+    return Expr.make(num, s ** k)
+
+
+def _spy(monkeypatch, name):
+    """Wrap coeffring.<name>, recording (args, result) of every call."""
+    calls = []
+    real = getattr(coeffring, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(coeffring, name, spy)
+    return calls
+
+
+def test_square_power_derivative_matches_the_general_path(monkeypatch):
+    """D(n/s^k) by the closed form (2*s*n_pp + (p - 2*k*n)*s')/(2*s^(k+1))
+    equals the quotient rule with R3's certified square withdrawn, for
+    numerators over the groups 1, r, i and i*r, k = 1..4, and the symbols
+    of s (x, y, z) and those outside it (alpha, E, beta)."""
+    rng = random.Random(3333)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    taken = _spy(monkeypatch, "_square_power_derivative")
+    seen = set()
+    for _ in range(240):
+        v = _over_square_power(rng, s, rng.randint(1, 4))
+        k = prime.exponent(v.den)[0]
+        if not k:
+            continue
+        sym = rng.choice(R3_PLAIN)
+        got = v.differentiate(sym)
+        want = _without_prime_squares(monkeypatch, lambda: v.differentiate(sym))
+        _assert_same_value(got, want, (v, sym))
+        groups = frozenset(m for m in coeffring._adjunct_groups(v.num))
+        seen.add((k, sym))
+        seen.add(groups)
+    assert all(out is not None for _, out in taken) and len(taken) >= 200
+    assert {(k, sym) for k in range(1, 5) for sym in R3_PLAIN} <= seen
+    assert len([g for g in seen if isinstance(g, frozenset) and len(g) == 4]) >= 1
+
+
+def test_square_power_derivative_edge_cases():
+    import pytest
+
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    x, alpha, beta, r = (R3.var(v) for v in ("x", "alpha", "beta", "r"))
+    # d/dalpha of (1 + alpha*s)/s = 1/s + alpha is 1: n_pp = s cancels
+    v = Expr.make(alpha * s + 1, s)
+    assert v.den == s
+    d = v.differentiate("alpha")
+    assert d.num == R3.one() and d.den == R3.one()
+    # a zero derivative
+    v = Expr.make(x + alpha * r, s ** 2)
+    d = v.differentiate("beta")
+    assert d.is_zero() and d.den == R3.one()
+    # d/dx (1/s) = -2x/s^2, and d/dx (r/s) = d/dx (1/r) = -x*r/s^2
+    assert v.den == s ** 2
+    d = Expr.make(R3.one(), s).differentiate("x")
+    assert d.num == x * -2 and d.den == s ** 2
+    d = Expr.make(r, s).differentiate("x")
+    assert d.num == x * r * -1 and d.den == s ** 2
+    # an adjunct is no differentiation variable, on either path
+    for sym in ("r", "i"):
+        with pytest.raises(CoeffRingError):
+            Expr.make(x + r, s).differentiate(sym)
+        with pytest.raises(CoeffRingError):
+            Expr.make(x + r, x + beta).differentiate(sym)
+
+
+def test_square_power_derivative_leaves_lowest_terms_uncancelled(monkeypatch):
+    """For a symbol of s the closed form's numerator is in lowest terms
+    over 2*s^(k+1): modulo s its adjunct group g is (e_g - 2k)*n_g*s',
+    e_g = 1 on the r groups, so _cancel_power returns it as it is."""
+    rng = random.Random(3434)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    values = [_over_square_power(rng, s, rng.randint(1, 4)) for _ in range(120)]
+    values = [v for v in values if not v.is_poly()]
+    calls = _spy(monkeypatch, "_cancel_power")
+    for v in values:
+        for sym in "xyz":
+            del calls[:]
+            d = v.differentiate(sym)
+            ((num, den, _, k, _), (num_out, den_out)) = calls[0]
+            assert len(calls) == 1 and num_out is num and den_out is den
+            assert k == prime.exponent(v.den)[0] + 1
+            assert d.den == s ** k
+
+
+def test_uncertified_squares_keep_the_general_quotient_rule(monkeypatch):
+    """AMB adjoins rho^2 = x^2 + y^2, not certified, and r^2 = s: d/dx
+    goes through rho and takes the general path, d/dz only through r and
+    takes the closed form, and both agree with the path without s."""
+    (prime,) = AMB.prime_squares
+    s = prime.powers[1]
+    x, z, rho, r = (AMB.var(v) for v in ("x", "z", "rho", "r"))
+    calls = _spy(monkeypatch, "_square_power_derivative")
+    for num in (x + rho, rho * z + r, x * rho * r + 3, rho * s + x):
+        for k in (1, 2, 3):
+            v = Expr.make(num, s ** k)
+            for sym in ("x", "y", "z"):
+                del calls[:]
+                got = v.differentiate(sym)
+                want = _without_prime_squares(monkeypatch, lambda: v.differentiate(sym), AMB)
+                _assert_same_value(got, want, (v, sym))
+                if not v.is_poly():
+                    ((_, out),) = calls
+                    assert (out is None) == (sym != "z"), (v, sym)
+
+
+def test_sums_over_powers_of_a_square_take_no_gcd(monkeypatch):
+    """a/s^kb + c/s^kd takes g = s^min and the quotients by g as powers of
+    s, with no poly_gcd: the sums equal those with the square withdrawn,
+    for kb below, equal to and above kd, numerators with r and i groups."""
+    rng = random.Random(3535)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    cases = []
+    for _ in range(150):
+        u = _over_square_power(rng, s, rng.randint(1, 4))
+        w = _over_square_power(rng, s, rng.randint(1, 4))
+        kb, kd = prime.exponent(u.den)[0], prime.exponent(w.den)[0]
+        if kb and kd:
+            want = _without_prime_squares(monkeypatch, lambda: (u + w, u - w))
+            cases.append((u, w, (kb > kd) - (kb < kd), want))
+    monkeypatch.setattr(coeffring, "poly_gcd", _refuse_gcd)
+    for u, w, _, (total, diff) in cases:
+        _assert_same_value(u + w, total, (u, w))
+        _assert_same_value(u - w, diff, (u, w))
+    assert {order for _, _, order, _ in cases} == {-1, 0, 1}
+    # 1/s - 1/s^2 + (1 - s)/s^2 = 0
+    one = Expr.of_poly(R3.one())
+    total = one / Expr.of_poly(s) - one / Expr.of_poly(s ** 2)
+    assert (total + Expr.make(R3.one() - s, s ** 2)).is_zero()
+
+
+def _refuse_gcd(*args):
+    raise AssertionError("poly_gcd ran")
+
+
 def test_rank_two_adjunct_squares_are_not_trial_divided():
     """A rank-two square such as x^2 - y^2 = (x + y)(x - y) is reducible, so
     a gcd or a reduction against it must find the linear factors; AMB's
@@ -509,6 +712,7 @@ def test_rings_without_a_certified_square_never_try_one(monkeypatch):
 
     monkeypatch.setattr(coeffring.PrimeSquare, "exponent", refuse)
     monkeypatch.setattr(coeffring.PrimeSquare, "gcd", refuse)
+    monkeypatch.setattr(coeffring, "_square_power_derivative", refuse)
     s = X * X + Y * Y + Z * Z
     assert poly_gcd(s ** 2 * (X + 1), s ** 3) == s ** 2
     assert Expr.make(s * (Y + 2), s ** 2) == Expr.make(Y + 2, s)
@@ -522,6 +726,15 @@ def test_rings_without_a_certified_square_never_try_one(monkeypatch):
     e = Expr.make(xi + yi * i, xi * xi + yi * yi)
     assert e.den == xi * xi + yi * yi
     assert e == Expr.make(XYZI.one(), xi - yi * i)
+    # the quotient rule over a square's power, with and without i adjoined
+    assert Expr.make(X, s ** 2).differentiate("x") == Expr.make(s - X * X * 4, s ** 3)
+    si = xi * xi + yi * yi + XYZI.var("z") ** 2
+    d = Expr.make(xi + yi * i, si).differentiate("y")
+    assert d == Expr.make(i * si - (xi + yi * i) * yi * 2, si * si)
+    assert e.differentiate("x") == Expr.make(XYZI.one(), xi - yi * i).differentiate("x")
+    rx, ry, rho = (ring.var(v) for v in ("x", "y", "rho"))
+    d = Expr.make(rho, rx + 1).differentiate("y")
+    assert d == Expr.make(-ry * rho, (rx + 1) * (rx * rx - ry * ry))
 
 
 def test_numerators_reads_a_one_pass_iterator_once():
