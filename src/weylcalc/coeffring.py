@@ -10,8 +10,11 @@ makes the zero test a plain dict emptiness check.
 
 An adjunct square that is a diagonal quadratic form of rank >= 3, such as
 x^2 + y^2 + z^2, is certified irreducible (a product of two linear forms
-has rank <= 2).  Gcds and reductions against a power of a certified square
-are trial exact divisions by it; every other gcd runs the subresultant PRS.
+has rank <= 2).  PolyRing.square_power finds a constant multiple c*s^k of
+a power of a certified square s; reductions against it are trial exact
+divisions by s, sums over two powers of s take no gcd, and derivatives
+over it have a closed quotient rule.  poly_gcd knows nothing of them: past
+its shortcuts, every gcd runs the subresultant PRS.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise CoeffRingError("not an exact rational: %r" % (x,))
 
@@ -316,7 +317,7 @@ class PolyRing:
 
         A square that is a diagonal quadratic form with at least three
         terms, sum c_i*x_i^2, is certified irreducible and joins
-        prime_squares, the base that gcds and reductions trial-divide by.
+        prime_squares, the base that square_power looks up.
         The form has rank >= 3, while a product of two linear forms has rank
         <= 2, so it has no factor over C, and so none over Q.  No other
         square is certified: x^2 - y^2 = (x + y)(x - y) is not.
@@ -348,6 +349,15 @@ class PolyRing:
 
     def is_adjunct(self, symbol) -> bool:
         return self.index_of(symbol) in self._adjunct_at
+
+    def square_power(self, p: "MultiPoly"):
+        """(prime, k, c) when p is c*s^k, k >= 1, for the square s of a
+        certified PrimeSquare prime of the ring; None otherwise."""
+        for prime in self.prime_squares:
+            k, c = prime.exponent(p)
+            if k:
+                return prime, k, c
+        return None
 
     # -- constructors ------------------------------------------------------
 
@@ -795,8 +805,9 @@ class PrimeSquare:
     s^k (built as they are first asked for, in descending grlex order).
 
     s is prime in the polynomial ring, so the divisors of s^k are the
-    powers s^j, j <= k, up to units: gcd(s^k, q) is s^j for j the number of
-    exact divisions of q by s that succeed, at most k.  That needs no PRS.
+    powers s^j, j <= k, up to units: the common factor of s^k and q is s^j
+    for j the number of exact divisions of q by s that succeed, at most k,
+    and that of s^a and s^b is s^min(a, b).  That needs no PRS.
     """
 
     __slots__ = ("powers", "nterms")
@@ -851,25 +862,11 @@ class PrimeSquare:
                 break
         return chain
 
-    def gcd(self, a: MultiPoly, b: MultiPoly):
-        """gcd(a, b) when a or b is a power of s; None otherwise."""
-        ka, kb = self.exponent(a)[0], self.exponent(b)[0]
-        if ka and kb:
-            return self.power(min(ka, kb))
-        if not ka and not kb:
-            return None
-        k, other = (ka, b) if ka else (kb, a)
-        return self.power(len(self.divide_out(other, k)) - 1)
-
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd of adjunct-free polynomials over the rationals.
 
-    When one argument is a constant times a power s^k of a certified
-    adjunct square s of the ring (PolyRing.define_adjunct), the gcd is s^j,
-    j the number of exact divisions of the other argument by s that
-    succeed, up to k, and gcd(s^a, s^b) is s^min(a, b): no PRS runs.
-
+    A constant, a one-term or two equal arguments take a shortcut.
     Otherwise it recurses in the main (highest-index) symbol: gcd = gcd of
     the contents times the primitive gcd from the subresultant PRS (Brown,
     J. ACM 1971; Geddes, Czapor & Labahn, ch. 7).  The content of the
@@ -889,10 +886,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _monic(a)
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _min_exps_gcd(a, b)
-    for prime in a.ring.prime_squares:
-        g = prime.gcd(a, b)
-        if g is not None:
-            return g
     idx = _main_symbol(a, b)
     if idx is None:
         return a.ring.one()
@@ -1095,12 +1088,11 @@ class Expr:
             return Expr(a * d + c, d, _trusted=True)
         if d.is_const():
             return Expr(c * b + a, b, _trusted=True)
-        for prime in self.ring.prime_squares:
-            kb, kd = prime.exponent(b)[0], prime.exponent(d)[0]
-            if kb and kd:  # monic s^kb and s^kd: the quotients by g are powers
-                m = min(kb, kd)
-                g, b, d = prime.power(m), prime.power(kb - m), prime.power(kd - m)
-                break
+        sb, sd = self.ring.square_power(b), self.ring.square_power(d)
+        if sb and sd and sb[0] is sd[0]:  # monic s^kb and s^kd: g = s^min
+            (prime, kb, _), (_, kd, _) = sb, sd
+            m = min(kb, kd)
+            g, b, d = prime.power(m), prime.power(kb - m), prime.power(kd - m)
         else:
             g = poly_gcd(b, d)
             if g.is_const():
@@ -1177,34 +1169,25 @@ class Expr:
     def differentiate(self, symbol) -> "Expr":
         """d/d symbol of num/den, with the chain rule through adjuncts.
 
-        When den is c*s^k, k >= 1, for a certified adjunct square s, and
-        every adjunct square that uses symbol is a constant multiple of s,
-        the quotient rule has a closed form (_square_power_derivative):
-        with n_pp num's plain partial derivative and p the terms of num
-        that carry such an adjunct,
-
-            D(num/(c*s^k)) = (2*s*n_pp + (p - 2*k*num)*s') / (2*c*s^(k+1)),
-
-        and n_pp/(c*s^k) when s' = 0.  That numerator is in lowest terms
-        when num/den is: modulo s its adjunct group g is
-        (e_g - 2*k)*num_g*s', with e_g the number of such adjuncts in g
-        (0 or 1 in R3 and AMB, which adjoin one root of s), which is
-        nonzero because k >= 1 and the prime s divides neither s' nor some
-        num_g.  The trial division by s stays as the exactness guard.
-        Every other value runs (n'*b - n*b')/b/b, two divisions by b.
+        A den free of symbol (1, a power of beta, c*s^k under d/dalpha)
+        gives num'/den, one division; den never uses an adjunct, so an
+        adjunct symbol comes here too, and num' refuses it.  A den c*s^k
+        that uses symbol has a closed quotient rule
+        (_square_power_derivative).  Every other value runs
+        (n'*b - n*b')/b/b, two divisions by b.
         """
-        if self.den.is_const():
-            dn = self.num.differentiate(symbol)
-            c = self.den.const_value()
-            return dn if c == 1 else dn * (1 / c)
-        if self.num.ring.prime_squares:
-            closed = _square_power_derivative(self.num, self.den, symbol)
+        num, den = self.num, self.den
+        if not den.uses(symbol):
+            dn = num.differentiate(symbol)
+            return dn if den.is_const() else dn / den
+        if num.ring.prime_squares:
+            closed = _square_power_derivative(num, den, symbol)
             if closed is not None:
                 return closed
-        dn = self.num.differentiate(symbol)
-        dd = self.den.differentiate(symbol)
-        den_e = Expr.of_poly(self.den)
-        return (dn * den_e - Expr.of_poly(self.num) * dd) / den_e / den_e
+        dn = num.differentiate(symbol)
+        dd = den.differentiate(symbol)
+        den_e = Expr.of_poly(den)
+        return (dn * den_e - Expr.of_poly(num) * dd) / den_e / den_e
 
     def map_ring(self, dst: PolyRing, bindings: dict | None = None) -> "Expr":
         """Image in ring dst, as MultiPoly.map_ring."""
@@ -1292,20 +1275,18 @@ def _cancel(num: MultiPoly, den: MultiPoly):
     content, the gcd of its adjunct groups; den/h keeps den's leading
     coefficient.
 
-    When den is c*s^k, a constant c times a power of a certified adjunct
-    square s (such as the -(x^2+y^2+z^2) that rationalizing 1/r leaves), h
-    is s^j for the least j over num's adjunct groups of the exact divisions
-    by s that succeed, up to k: each group is trial-divided, and no content
-    gcd is taken.  Otherwise h is taken against den first, one group at a
-    time, stopping at 1: a gcd with den is no larger than den, while two
-    groups (the parts of a value with and without i) can both be large.
+    When den is c*s^k (PolyRing.square_power), such as the -(x^2+y^2+z^2)
+    that rationalizing 1/r leaves, h is s^j: _cancel_power trial-divides
+    each adjunct group, and no gcd is taken.  Otherwise h is taken against
+    den first, one group at a time, stopping at 1: a gcd with den is no
+    larger than den, while two groups (the parts of a value with and
+    without i) can both be large.
     """
     if den.is_const():
         return num, den
-    for prime in num.ring.prime_squares:
-        k, lc = prime.exponent(den)
-        if k:
-            return _cancel_power(num, den, prime, k, lc)
+    found = num.ring.square_power(den)
+    if found:
+        return _cancel_power(num, den, *found)
     h = den
     for q in _adjunct_groups(num).values() if num.ring.adjuncts else (num,):
         h = poly_gcd(h, q)
@@ -1315,7 +1296,9 @@ def _cancel(num: MultiPoly, den: MultiPoly):
 
 
 def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int, lc):
-    """_cancel of num against den = lc*s^k, s = prime's square."""
+    """_cancel of num against den = lc*s^k, s = prime's square: h is s^j for
+    the least j over num's adjunct groups of the exact divisions by s that
+    succeed, up to k."""
     chains = []
     j = k
     for mono, q in _adjunct_groups(num).items():
@@ -1324,39 +1307,40 @@ def _cancel_power(num: MultiPoly, den: MultiPoly, prime: PrimeSquare, k: int, lc
         if not j:
             return num, den
         chains.append((mono, chain))
-    out = {}
-    for mono, chain in chains:
-        for e, c in chain[j].terms.items():
-            out[tuple(map(add, e, mono))] = c
     den = prime.power(k - j)
-    return MultiPoly(num.ring, out), den if lc == 1 else den * lc
+    num = _join_groups(num.ring, ((mono, chain[j]) for mono, chain in chains))
+    return num, den if lc == 1 else den * lc
 
 
 def _square_power_derivative(num: MultiPoly, den: MultiPoly, symbol):
-    """d/d symbol of num/den by the closed form of Expr.differentiate, or
-    None when den is not c*s^k, k >= 1, for a certified square s, when
-    symbol is an adjunct, or when an adjunct square that uses symbol is not
-    a constant multiple of s."""
+    """d/d symbol of num/den, for a den that uses symbol, by a closed form;
+    None when den is not c*s^k, k >= 1, for a certified square s, or when
+    an adjunct square that uses symbol is not a constant multiple of s.
+
+    With n_pp num's plain partial derivative and p the terms of num that
+    carry an adjunct whose square uses symbol,
+
+        D(num/(c*s^k)) = (2*s*n_pp + (p - 2*k*num)*s') / (2*c*s^(k+1)).
+
+    That numerator is in lowest terms when num/den is: modulo s its adjunct
+    group g is (e_g - 2*k)*num_g*s', with e_g the number of such adjuncts
+    in g (0 or 1 in R3 and AMB, which adjoin one root of s), which is
+    nonzero because k >= 1 and the prime s divides neither s' nor some
+    num_g.  The trial division by s stays as the exactness guard.
+    """
     ring = num.ring
-    for prime in ring.prime_squares:
-        k, c = prime.exponent(den)
-        if k:
-            break
-    else:
+    found = ring.square_power(den)
+    if not found:
         return None
+    prime, k, c = found
     roots = []  # indices of the adjuncts whose square uses symbol
     for adj in ring.adjuncts:
-        if adj.symbol == symbol:
-            return None
         if adj.square.uses(symbol):
             if prime.exponent(adj.square)[0] != 1:
                 return None
             roots.append(adj.index)
     s = prime.powers[1]
-    ds = s.diff_poly_part(symbol)
-    n_pp = num.diff_poly_part(symbol)
-    if ds.is_zero():
-        return _monic_fraction(*_cancel_power(n_pp, den, prime, k, c))
+    n_pp, ds = num.diff_poly_part(symbol), s.diff_poly_part(symbol)
     # q = p - 2*k*num, adjunct exponents being 0 or 1
     q = {}
     for e, v in num.terms.items():
@@ -1389,8 +1373,15 @@ def _div_grouped(num: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact division of num by adjunct-free g, adjunct monomials untouched."""
     if not num.has_adjuncts():
         return num.exact_div(g)
+    groups = _adjunct_groups(num).items()
+    return _join_groups(num.ring, ((mono, q.exact_div(g)) for mono, q in groups))
+
+
+def _join_groups(ring: PolyRing, groups) -> MultiPoly:
+    """The polynomial with adjunct groups (adjunct monomial, adjunct-free
+    MultiPoly), the inverse of _adjunct_groups."""
     out = {}
-    for mono, q in _adjunct_groups(num).items():
-        for e, c in q.exact_div(g).terms.items():
+    for mono, q in groups:
+        for e, c in q.terms.items():
             out[tuple(map(add, e, mono))] = c
-    return MultiPoly(num.ring, out)
+    return MultiPoly(ring, out)

@@ -461,10 +461,11 @@ def _without_prime_squares(monkeypatch, compute, ring=R3):
         return compute()
 
 
-def test_gcd_with_a_square_power_matches_the_prs(monkeypatch):
-    """gcd(s^k, q) by trial division equals the PRS gcd, for q = s^j f with
-    j below, at and above k, rational coefficients and linear factors.
-    poly_gcd takes adjunct-free arguments, so no factor uses i."""
+def test_gcd_with_a_square_power_matches_the_prs():
+    """The PRS gcd of s^k and q = s^j f is s^min(j, k), the power that
+    trial division by s finds, for j below, at and above k, rational
+    coefficients and linear factors.  poly_gcd takes adjunct-free
+    arguments, so no factor uses i."""
     rng = random.Random(3131)
     (prime,) = R3.prime_squares
     s = prime.powers[1]
@@ -479,12 +480,11 @@ def test_gcd_with_a_square_power_matches_the_prs(monkeypatch):
             q = q * line
         q = q * random_gauss(rng, R3, nonzero=True, real=True)
         seen.add((j > k) - (j < k))
+        # q / s^j has degree <= 1 in z, so s divides it no further
+        want = prime.power(min(j, k))
+        assert prime.divide_out(q, k)[-1] * want == q
         for a, b in ((s ** k, q), (q, s ** k)):
-            got = poly_gcd(a, b)
-            want = _without_prime_squares(monkeypatch, lambda: poly_gcd(a, b))
-            assert got == want, (k, j, q)
-            # q / s^j has degree <= 1 in z, so s divides it no further
-            assert list(got.terms) == list(prime.power(min(j, k)).terms)
+            assert poly_gcd(a, b) == want, (k, j, q)
     assert seen == {-1, 0, 1}
     # gcd(s^a, s^b) = s^min(a, b), and x^2 + y^2 shares nothing with s
     assert poly_gcd(s ** 4, s ** 2) == s ** 2 == poly_gcd(s ** 2, s ** 3)
@@ -560,10 +560,11 @@ def _spy(monkeypatch, name):
 
 
 def test_square_power_derivative_matches_the_general_path(monkeypatch):
-    """D(n/s^k) by the closed form (2*s*n_pp + (p - 2*k*n)*s')/(2*s^(k+1))
-    equals the quotient rule with R3's certified square withdrawn, for
-    numerators over the groups 1, r, i and i*r, k = 1..4, and the symbols
-    of s (x, y, z) and those outside it (alpha, E, beta)."""
+    """D(n/s^k) equals the quotient rule with R3's certified square
+    withdrawn, for numerators over the groups 1, r, i and i*r and k =
+    1..4: by the closed form (2*s*n_pp + (p - 2*k*n)*s')/(2*s^(k+1)) for
+    the symbols of s (x, y, z), and by the rule for a denominator free of
+    the symbol, n'/s^k, for those outside it (alpha, E, beta)."""
     rng = random.Random(3333)
     (prime,) = R3.prime_squares
     s = prime.powers[1]
@@ -575,12 +576,17 @@ def test_square_power_derivative_matches_the_general_path(monkeypatch):
         if not k:
             continue
         sym = rng.choice(R3_PLAIN)
+        del taken[:]
         got = v.differentiate(sym)
+        if sym in "xyz":
+            ((_, out),) = taken
+            assert out is not None, (v, sym)
+        else:
+            assert taken == [], (v, sym)
         want = _without_prime_squares(monkeypatch, lambda: v.differentiate(sym))
         _assert_same_value(got, want, (v, sym))
         seen.add((k, sym))
         groups.add(len(coeffring._adjunct_groups(v.num)))
-    assert all(out is not None for _, out in taken) and len(taken) >= 200
     assert {(k, sym) for k in range(1, 5) for sym in R3_PLAIN} <= seen
     assert groups == {1, 2, 3, 4}
 
@@ -655,6 +661,55 @@ def test_uncertified_squares_keep_the_general_quotient_rule(monkeypatch):
                     assert (out is None) == (sym != "z"), (v, sym)
 
 
+def test_a_denominator_free_of_the_symbol_takes_one_division(monkeypatch):
+    """D(n/b) = n'/b when b does not use the symbol: b = beta^k, k = 1..3,
+    in R3 (n with the groups 1, r, i, i*r) and in RU, b = s^k under d/dalpha,
+    d/dE and d/dbeta, and b = 1.  Each result equals
+    Expr.make(n'*b - n*b', b^2), with no call to the closed form over s^k;
+    an adjunct, which no denominator uses, is still refused as the
+    variable."""
+    import pytest
+
+    rng = random.Random(3636)
+    (prime,) = R3.prime_squares
+    s = prime.powers[1]
+    beta, ru_beta = R3.var("beta"), RU.var("beta")
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(6):
+            n = _over_square_power(rng, s, 0).num
+            cases += [(Expr.make(n, beta ** k), sym) for sym in ("x", "z", "alpha", "E")]
+            n = random_poly(RU, rng, ("r", "u", "mu", "beta"), nonzero=True)
+            cases += [(Expr.make(n, ru_beta ** k), sym) for sym in ("r", "u", "mu")]
+            v = _over_square_power(rng, s, k)
+            cases += [(v, sym) for sym in ("alpha", "E", "beta")]
+    for _ in range(6):
+        v = Expr.of_poly(_over_square_power(rng, s, 0).num)
+        cases += [(v, sym) for sym in R3_PLAIN]
+        cases += [(Expr.of_poly(random_poly(RU, rng)), sym) for sym in RU.symbols]
+    monkeypatch.setattr(coeffring, "_square_power_derivative", _refuse_closed_form)
+    dens = set()
+    for v, sym in cases:
+        n, b = v.num, v.den
+        assert not b.uses(sym)
+        dn = n.differentiate(sym)
+        want = Expr.make(dn.num * b - n * b.diff_poly_part(sym) * dn.den, b * b * dn.den)
+        _assert_same_value(v.differentiate(sym), want, (v, sym))
+        dens.add((v.ring is R3, str(b)))
+    for k in (1, 2, 3):
+        assert {(True, str(beta ** k)), (False, str(ru_beta ** k)), (True, str(s ** k))} <= dens
+    assert {(True, "1"), (False, "1")} <= dens
+    for v, _ in cases:
+        if v.ring is R3:
+            for sym in ("r", "i"):
+                with pytest.raises(CoeffRingError):
+                    v.differentiate(sym)
+
+
+def _refuse_closed_form(*args):
+    raise AssertionError("the closed form over s^k was asked")
+
+
 def test_sums_over_powers_of_a_square_take_no_gcd(monkeypatch):
     """a/s^kb + c/s^kd takes g = s^min and the quotients by g as powers of
     s, with no poly_gcd: the sums equal those with the square withdrawn,
@@ -709,8 +764,13 @@ def test_rings_without_a_certified_square_never_try_one(monkeypatch):
     def refuse(*args):
         raise AssertionError("fast path entered")
 
+    def no_square(ring, p):
+        # the lookup may be asked, but must find nothing to try
+        assert not ring.prime_squares, "a certified square in the ring"
+        return None
+
     monkeypatch.setattr(coeffring.PrimeSquare, "exponent", refuse)
-    monkeypatch.setattr(coeffring.PrimeSquare, "gcd", refuse)
+    monkeypatch.setattr(coeffring.PolyRing, "square_power", no_square)
     monkeypatch.setattr(coeffring, "_square_power_derivative", refuse)
     s = X * X + Y * Y + Z * Z
     assert poly_gcd(s ** 2 * (X + 1), s ** 3) == s ** 2
@@ -906,6 +966,23 @@ def test_error_conditions():
         Expr.make(XYZ.one(), XYZ.zero())
     with pytest.raises(NotPolynomial):
         Expr.make(XYZ.one(), XYZ.var("x")).as_poly()
+
+
+def test_a_string_is_not_an_exact_rational():
+    """Coefficients and point values are ints or Fractions; a string, even
+    one that spells a rational, raises CoeffRingError."""
+    import pytest
+
+    for text in ("abc", "1/2", "3"):
+        with pytest.raises(CoeffRingError):
+            RU.const(text)
+        with pytest.raises(CoeffRingError):
+            RU.monomial(text, r=1)
+        with pytest.raises(CoeffRingError):
+            RU.poly({(0,) * RU.nsyms: text})
+        with pytest.raises(CoeffRingError):
+            RU.var("r").evaluate({"r": text})
+    assert RU.const(Fraction(1, 2)) == RU.const(1) * Fraction(1, 2)
 
 
 # -- the product kernel against a schoolbook reference ------------------------------
